@@ -1,12 +1,16 @@
 """Correctness checks on job outputs, made outside the timed region.
 
 Each check returns None when the output is right, else a one-line reason.
-The reference quantities (eigenvalues, window, half-plane raster) are
-computed here from the same gallery spec the job was given.
+The reference quantities (eigenvalues, window, g, half-plane cuts) are
+computed here with numpy from their definitions and the same gallery spec the
+job was given.  Only the gallery, the window rule and the tolerance rule come
+from specbound, so a fault in its frame, field or reduction code cannot move
+the output and the reference alike.
 
 A PGM raster marks the cells whose *centre* is a member, so the cell holding
 an eigenvalue need not be marked: the region around an eigenvalue can be
-narrower than a cell (at 64x48, k=3, for all three fixed gallery matrices).
+narrower than a cell (k=3 at 64x48 and coarser, for all three fixed gallery
+matrices).
 The raster check therefore recomputes membership by its definition, g >= -tol
 at every angle, at the cells around each eigenvalue plus seeded samples of
 the cells along the raster's region edges and of all cells, and requires the
@@ -18,13 +22,12 @@ from __future__ import annotations
 import json
 import xml.etree.ElementTree as ET
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
-from specbound.envelope import membership_tolerance, rank_numrange_raster, theta_grid
-from specbound.frame import build_frame, build_frames
+from specbound.envelope import membership_tolerance
 from specbound.gallery import MatrixSpec, build_matrix
-from specbound.inequality import g_field
 from specbound.trace import auto_window
 
 from workloads import parse_spec
@@ -40,13 +43,6 @@ def _matrix(spec):
 # boundary may flip with the last bits of the arithmetic; they are not compared.
 _GUARD_TOLERANCES = 1000.0
 _SAMPLED_CELLS = 256
-
-
-@lru_cache(maxsize=None)
-def _halfplane_bits(spec, theta_count, cols, rows):
-    a = _matrix(spec)
-    window = auto_window(build_frame(a, 2, 0.0), cols=cols, rows=rows)
-    return rank_numrange_raster(a, 1, theta_count, window).bits
 
 
 def check_output(job, data):
@@ -70,13 +66,12 @@ def _check_pgm(job, data):
         return "PGM holds values other than 0 and 255"
     bits = pixels == 255
     a = _matrix(job.spec)
-    window = auto_window(build_frame(a, job.k, 0.0), cols=cols, rows=rows)
+    window = _window(a, job.k, cols, rows)
     ds = (window.s_max - window.s_min) / cols
     dt = (window.t_max - window.t_min) / rows
     evs = np.linalg.eigvals(a)
     tol = membership_tolerance(a, job.k)
-    margins = _worst_margin(a, job.k, job.theta_count, evs)
-    if np.any(margins < -tol):
+    if np.any(_worst_margin(a, job.k, job.theta_count, evs) < -tol):
         return "an eigenvalue is not a member of its own envelope"
     cells = set()
     for ev in evs[window.contains(evs.real, evs.imag)]:
@@ -102,18 +97,78 @@ def _check_pgm(job, data):
     clear = np.abs(margins + tol) > _GUARD_TOLERANCES * tol
     if np.any(clear & (bits[r, c] != (margins >= -tol))):
         return "raster disagrees with g >= -tol at a sampled cell"
-    if job.k == 2 and np.any(bits & ~_halfplane_bits(job.spec, job.theta_count, cols, rows)):
-        return "k=2 envelope is not inside the rank-1 half-plane raster"
+    if job.k == 2:
+        # Criterion 08: every member cell lies in the rank-1 half-plane raster,
+        # whose cut has the tolerance 1e-9 (1 + max|a_ij|).
+        r, c = np.nonzero(bits)
+        centres = (window.s_min + (c + 0.5) * ds) + 1j * (window.t_max - (r + 0.5) * dt)
+        halfplane_tol = 1e-9 * (1.0 + np.max(np.abs(a)))
+        excess = _halfplane_excess(a, job.theta_count, centres)
+        if np.any(excess > _GUARD_TOLERANCES * halfplane_tol):
+            return "k=2 envelope is not inside the rank-1 half-plane raster"
     return None
 
 
+def _rotations(a, thetas):
+    """Per angle: eigenvalues of H(e^{i theta} A), non-increasing, and its skew part in their basis."""
+    a_rot = np.exp(1j * np.asarray(thetas))[:, None, None] * a
+    a_ct = np.conj(np.swapaxes(a_rot, -1, -2))
+    deltas, u = np.linalg.eigh(0.5 * (a_rot + a_ct))
+    deltas, u = deltas[:, ::-1], u[:, :, ::-1]
+    y = np.conj(np.swapaxes(u, -1, -2)) @ (0.5 * (a_rot - a_ct)) @ u
+    return a_rot, deltas, y
+
+
+def _window(a, k, cols, rows):
+    """The job's window, by the program's rule applied to a frame at angle 0 built here."""
+    a_rot, deltas, y = _rotations(a, [0.0])
+    frame = SimpleNamespace(a_rot=a_rot[0], deltas=deltas[0], delta_next=deltas[0, k],
+                            kappa=np.linalg.norm(y[0, k:, :k], 2) ** 2)
+    return auto_window(frame, cols=cols, rows=rows)
+
+
+def _adjugate(m):
+    """Cofactor adjugate of a stack of k x k matrices."""
+    k = m.shape[-1]
+    if k == 1:
+        return np.ones_like(m)
+    adj = np.empty_like(m)
+    for i in range(k):
+        for j in range(k):
+            minor = np.delete(np.delete(m, j, axis=-2), i, axis=-1)
+            adj[..., i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
 def _worst_margin(a, k, theta_count, points):
-    """min over the angles of g at each point, one rotated frame at a time."""
+    """min over the angles of g at each point, by the definition of g.
+
+    At s + i t = e^{i theta} p: g = kappa lambda_max(M_k) - |det W_k|^2
+    (s - delta_{k+1}), with W_k = Delta_k + Y_k - (s + i t) I, M_k the
+    Hermitian part of det(W_k) adj(W_k*) and kappa = ||Y[k:, :k]||_2^2.
+    """
+    thetas = 2.0 * np.pi * np.arange(theta_count) / theta_count
+    _, deltas, y = _rotations(a, thetas)
     worst = np.full(points.shape, np.inf)
-    for frame in build_frames(a, k, theta_grid(theta_count)):
-        z = np.exp(1j * frame.theta) * points
-        worst = np.minimum(worst, g_field(frame, z.real, z.imag))
+    for theta, d, ym in zip(thetas, deltas, y):
+        z = np.exp(1j * theta) * points
+        w = (ym[:k, :k] + np.diag(d[:k])) - z[:, None, None] * np.eye(k)
+        det = np.linalg.det(w)
+        p = det[:, None, None] * _adjugate(np.conj(np.swapaxes(w, -1, -2)))
+        lam = np.linalg.eigvalsh(0.5 * (p + np.conj(np.swapaxes(p, -1, -2))))[:, -1]
+        kappa = np.linalg.norm(ym[k:, :k], 2) ** 2
+        worst = np.minimum(worst, kappa * lam - np.abs(det) ** 2 * (z.real - d[k]))
     return worst
+
+
+def _halfplane_excess(a, theta_count, points):
+    """max over the angles of Re(e^{i theta} p) - lambda_max(H(e^{i theta} A)) at each point."""
+    thetas = 2.0 * np.pi * np.arange(theta_count) / theta_count
+    _, deltas, _ = _rotations(a, thetas)
+    excess = np.full(points.shape, -np.inf)
+    for theta, d in zip(thetas, deltas):
+        excess = np.maximum(excess, (np.exp(1j * theta) * points).real - d[0])
+    return excess
 
 
 def _check_svg(data):

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload raster_k2 --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload raster_k2 --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --smoke
 
 One client in one process runs the workload's fixed job list through
@@ -10,11 +10,21 @@ One client in one process runs the workload's fixed job list through
 pass, for ``--seconds``.  Every output is checked after its pass, outside
 the timed region.
 
-Job times are taken as each job's fastest time over the run's passes: on a
-small shared machine other tenants slow the same pass by up to half for
-stretches of seconds to minutes, and the fastest time is the figure least
-moved by them.  ``wall_s`` is the sum of those times over the job list, and
-``job_p50_s`` is their median (the detail line adds ``job_p90_s``).
+Times are given in seconds at a fixed reference speed.  On a small shared
+machine other tenants slow everything the program does by up to 1.6x, for
+stretches of seconds to minutes.  So a fixed calibration loop of pure-Python
+and small-NumPy work, which calls nothing of specbound
+(``probe.calibration_loop``), runs before and after every job, and each job
+time is scaled by ``REFERENCE_S`` over the mean of the two loop times around
+it: the time the job would take if the loop took ``REFERENCE_S``.  A set-up
+probe is scaled by the loop time its own interpreter measures once ready.
+A change to the program moves the job time and not the loop, so it shows
+in full.  Each job's figure is the median of its scaled times over the
+run's passes.  ``wall_s`` is the sum of those medians over the job list,
+``job_p50_s`` their median (the detail line adds ``job_p90_s``), and
+``setup_s`` the median scaled time of the set-up probes, one run before
+each pass.  The detail line also gives the unscaled medians (``*_raw_s``)
+and the median loop time.
 
 ``--trace 0`` reports the end-to-end metrics listed in BENCHMARK.json.
 ``--trace 1`` alternates untraced and traced passes and reports the
@@ -51,32 +61,27 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 RESULTS = HERE / "results"
-# Every run executes under this environment; run.py re-executes itself to
-# apply it, because glibc reads its malloc settings at process start.
-# - One BLAS thread (never above nproc): the CLI's solves are small or
-#   batched over angles, and one thread keeps runs steady on a shared machine.
-# - A heap that keeps freed memory.  By default glibc hands large freed
-#   arrays back to the kernel, so every job faults its arrays in again: 158k
-#   minor faults (about 600 MiB of fresh pages) for one 240x180 k=2 raster.
-#   Under a hypervisor those faults took 2-3 times as long as the arithmetic
-#   and their cost followed the host's memory load, which moved wall times by
-#   up to 2x between minutes.  With the heap kept, a job faults nothing.
+# Every run executes with one BLAS thread (never above nproc): the CLI's
+# solves are small or batched over angles, and one thread keeps runs steady on
+# a shared machine.  run.py re-executes itself to apply it, because BLAS
+# libraries read it when they load.  The allocator keeps its defaults, so the
+# times include the page faults a user's run pays for its arrays.
 RUN_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
-    "MALLOC_MMAP_THRESHOLD_": str(1 << 30),
-    "MALLOC_TRIM_THRESHOLD_": str(1 << 30),
 }
-SETUP_PROBES = 7
 PROBE_TIMEOUT_S = 120
+# The calibration loop time that scaled times refer to (about the median of
+# probe.calibration_loop on a 2-vCPU KVM guest with Python 3.11, NumPy 2.4).
+REFERENCE_S = 0.007
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="run every workload once at tiny sizes and check the metrics")
@@ -100,8 +105,18 @@ def main(argv=None):
         parser.error("--seconds must be positive")
     result, detail = run_workload(spec, args.workload, args.seed, args.seconds, args.trace)
     print(json.dumps({"detail": detail}, sort_keys=True))
+    missing = _missing(spec, args.trace, result)
+    if missing:
+        print(f"perfbench: no value for {', '.join(missing)}", file=sys.stderr)
+        return 1
     print(json.dumps(result))
     return 0
+
+
+def _missing(spec, trace, result):
+    """Names of the BENCHMARK.json metrics the result lacks."""
+    return [m["name"] for m in spec["per_layer" if trace else "end_to_end"]
+            if m["name"] not in result["metrics"]]
 
 
 def smoke(spec):
@@ -110,9 +125,9 @@ def smoke(spec):
 
     ok = True
     for workload in WORKLOADS:
-        for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            result, _ = run_workload(spec, workload, 1, 0.0, trace, size="smoke", probes=1)
-            missing = [m["name"] for m in spec[key] if m["name"] not in result["metrics"]]
+        for trace in (0, 1):
+            result, _ = run_workload(spec, workload, 1, 0.0, trace, size="smoke")
+            missing = _missing(spec, trace, result)
             fail_ratio = result["failed"] / result["attempted"]
             ok &= not missing and fail_ratio == 0 and result["correct"]
             print(f"smoke {workload} trace={trace}: attempted={result['attempted']} "
@@ -121,40 +136,47 @@ def smoke(spec):
     return 0 if ok else 1
 
 
-def run_workload(spec, workload, seed, seconds, trace, size="full", probes=SETUP_PROBES):
+def run_workload(spec, workload, seed, seconds, trace, size="full"):
     """Set up, run passes for ``seconds``, check outputs; returns (result, detail)."""
     import numpy as np
     from specbound.cli import main as cli_main
 
     from checks import check_output
-    from probe import prepare
+    from probe import calibration_loop, prepare
     from tracer import Tracer
     from workloads import jobs_for
 
     RESULTS.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=".run-", dir=HERE))
     try:
-        setup_times = [_probe_setup(workload, seed, work) for _ in range(probes)]
         if prepare(workload, seed, str(work)) != 0:
             raise RuntimeError("warm-up job failed")
         jobs = jobs_for(workload, seed, size)
         tracer = Tracer()
+        calibrate = calibration_loop()
         passes = []
+        setups = []
         failures = []
         verified = {}
         digests = [[] for _ in jobs]
         min_passes = 2 if trace else 1
         start = time.perf_counter()
-        # Start no pass that would end after the measuring time.
-        while len(passes) < min_passes or (
-                time.perf_counter() - start + passes[-1]["wall"] <= seconds):
+        last = 0.0
+        # Start no probe and pass that would end after the measuring time.
+        while len(passes) < min_passes or time.perf_counter() - start + last <= seconds:
+            began = time.perf_counter()
+            elapsed, loop = _probe_setup(workload, seed, work)
+            setups.append((elapsed, elapsed * REFERENCE_S / loop, loop))
             traced = bool(trace) and len(passes) % 2 == 1
             first_id = len(passes) * len(jobs)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            times, codes = _run_pass(cli_main, jobs, work, tracer, traced, first_id)
+            times, loops, codes = _run_pass(cli_main, calibrate, jobs, work, tracer,
+                                            traced, first_id)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            passes.append({"traced": traced, "wall": sum(times), "times": times,
-                           "faults": faults, "ids": range(first_id, first_id + len(jobs))})
+            passes.append({"traced": traced, "wall": sum(t for t, _ in times),
+                           "times": times, "loops": loops, "faults": faults,
+                           "ids": range(first_id, first_id + len(jobs))})
+            last = time.perf_counter() - began
             for i, (job, code) in enumerate(zip(jobs, codes)):
                 reason = _verify(check_output, job, work / f"{i}.{job.fmt}", code,
                                  verified, digests[i])
@@ -162,25 +184,34 @@ def run_workload(spec, workload, seed, seconds, trace, size="full", probes=SETUP
                     failures.append({"pass": len(passes) - 1, "job": i,
                                      "argv": job.argv("OUT"), "reason": reason})
         attempted = len(passes) * len(jobs)
-        best = _best_times([p for p in passes if not p["traced"]])
+        untraced = [p for p in passes if not p["traced"]]
+        scaled = _job_medians(untraced, 1)
         if trace:
             detail = _layer_metrics(tracer, passes)
             detail["groups"] = _group_layers(tracer, passes, jobs)
-            traced_best = _best_times([p for p in passes if p["traced"]])
-            detail["bench.trace_overhead"] = sum(traced_best) / sum(best) - 1.0
+            traced_scaled = _job_medians([p for p in passes if p["traced"]], 1)
+            detail["bench.trace_overhead"] = sum(traced_scaled) / sum(scaled) - 1.0
+            detail["bench.minor_faults"] = statistics.median(
+                p["faults"] for p in passes if not p["traced"])
             tracer.dump(RESULTS / f"{workload}-seed{seed}-spans.jsonl")
         else:
-            ranked = sorted(best)
+            ranked = sorted(scaled)
+            raw = _job_medians(untraced, 0)
             detail = {
-                "wall_s": sum(best),
+                "wall_s": sum(scaled),
                 "job_p50_s": statistics.median(ranked),
                 "job_p90_s": ranked[-(-9 * len(ranked) // 10) - 1],
-                "setup_s": statistics.median(setup_times),
+                "setup_s": statistics.median(s for _, s, _ in setups),
                 "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                "wall_raw_s": sum(raw),
+                "job_p50_raw_s": statistics.median(raw),
+                "setup_raw_s": statistics.median(r for r, _, _ in setups),
+                "calibration_s": statistics.median(
+                    [c for _, _, c in setups] + [c for p in passes for c in p["loops"]]),
                 "page_faults_per_pass": statistics.median(p["faults"] for p in passes),
             }
         metrics = {m["name"]: {"value": detail[m["name"]], "unit": m["unit"]}
-                   for m in spec["per_layer" if trace else "end_to_end"]}
+                   for m in spec["per_layer" if trace else "end_to_end"] if m["name"] in detail}
         result = {"correct": not failures, "attempted": attempted,
                   "failed": len({(f["pass"], f["job"]) for f in failures}),
                   "metrics": metrics}
@@ -188,9 +219,11 @@ def run_workload(spec, workload, seed, seconds, trace, size="full", probes=SETUP
             "environment": _environment(np, workload, seed, trace, size, len(jobs), attempted),
             "result": result,
             "detail": detail,
-            "setup_samples_s": setup_times,
+            "setup_samples_s": setups,
             "pass_walls_s": [[p["wall"], p["traced"]] for p in passes],
-            "best_times_s": best,
+            "job_times_s": [p["times"] for p in passes],
+            "calibration_loops_s": [p["loops"] for p in passes],
+            "job_medians_s": scaled,
             "jobs": [{"argv": job.argv("OUT"), "sha256": d[0] if d else None,
                       "identical_across_passes": len(set(d)) <= 1}
                      for job, d in zip(jobs, digests)],
@@ -205,9 +238,11 @@ def run_workload(spec, workload, seed, seconds, trace, size="full", probes=SETUP
         shutil.rmtree(work, ignore_errors=True)
 
 
-def _run_pass(cli_main, jobs, work, tracer, traced, first_id):
-    """One pass over the job list; returns (per-job seconds, exit codes)."""
+def _run_pass(cli_main, calibrate, jobs, work, tracer, traced, first_id):
+    """One pass over the job list, with the calibration loop before and after
+    each job; returns (per-job (seconds, scaled seconds), loop times, exit codes)."""
     times = []
+    loops = [calibrate()]
     codes = []
     with tracer.installed() if traced else nullcontext():
         for i, job in enumerate(jobs):
@@ -222,9 +257,13 @@ def _run_pass(cli_main, jobs, work, tracer, traced, first_id):
             except Exception:  # a crashing job is a failed job, not a crashed run
                 traceback.print_exc()
                 code = None
-            times.append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            loops.append(calibrate())
+            times.append((elapsed, elapsed * 2 * REFERENCE_S / (loops[-2] + loops[-1])))
             codes.append(code)
-    return times, codes
+    return times, loops, codes
+
+
 
 
 def _verify(check_output, job, path, code, verified, digests):
@@ -247,9 +286,11 @@ def _verify(check_output, job, path, code, verified, digests):
     return verified[key]
 
 
-def _best_times(passes):
-    """Each job's fastest time over the given passes."""
-    return [min(times) for times in zip(*(p["times"] for p in passes))]
+def _job_medians(passes, which):
+    """Each job's median over the given passes of its seconds (``which`` 0)
+    or scaled seconds (1)."""
+    return [statistics.median(t[which] for t in times)
+            for times in zip(*(p["times"] for p in passes))]
 
 
 def _layer_metrics(tracer, passes):
@@ -272,7 +313,8 @@ def _group_layers(tracer, passes, jobs):
 
 
 def _probe_setup(workload, seed, work):
-    """Seconds from spawning a fresh interpreter until it reports ready."""
+    """Seconds from spawning a fresh interpreter until it reports ready, and
+    the calibration loop time that the interpreter measures after that."""
     cmd = [sys.executable, str(HERE / "probe.py"), workload, str(seed), str(work)]
     t0 = time.perf_counter()
     with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as proc:
@@ -281,13 +323,13 @@ def _probe_setup(workload, seed, work):
         try:
             line = proc.stdout.readline()
             elapsed = time.perf_counter() - t0
-            proc.stdout.read()
+            loop = proc.stdout.read()
             proc.wait()
         finally:
             timer.cancel()
     if line.strip() != "ready" or proc.returncode != 0:
         raise RuntimeError(f"set-up probe failed: {line.strip()!r}, exit {proc.returncode}")
-    return elapsed
+    return elapsed, float(loop)
 
 
 def _environment(np, workload, seed, trace, size, jobs_per_pass, attempted):

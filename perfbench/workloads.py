@@ -15,8 +15,8 @@ Why each workload exists (see README.md for the metric mapping):
                   spectra and the numerical-range boundary; its field load
                   matches raster_k2.
 * ``containment`` thousands of tiny field calls behind ``check`` at n=5
-                  (job group ``check_n5``), plus one n=200 ``check``
-                  (``check_n200``) whose frame solves dominate and set the
+                  (job group ``check_n5``), plus one n=160 ``check``
+                  (``check_n160``) whose frame solves dominate and set the
                   peak memory.  Nothing is drawn, traced or culled here.
 """
 
@@ -35,7 +35,7 @@ SIZES = {
         "smoke": {"grid": (24, 18), "theta_count": 12},
     },
     "raster_k3": {
-        "full": {"grid": (64, 48), "theta_count": 120},
+        "full": {"grid": (48, 36), "theta_count": 120},
         "smoke": {"grid": (12, 9), "theta_count": 12},
     },
     "figure": {
@@ -43,8 +43,8 @@ SIZES = {
         "smoke": {"envelope_grid": (24, 18), "grid": (40, 30), "theta_count": 12},
     },
     "containment": {
-        "full": {"ensemble": 16, "big_n": 200, "big_count": 1, "theta_count": 120},
-        "smoke": {"ensemble": 2, "big_n": 12, "big_count": 1, "theta_count": 12},
+        "full": {"ensemble": 16, "big_n": 160, "theta_count": 120},
+        "smoke": {"ensemble": 2, "big_n": 12, "theta_count": 12},
     },
 }
 WORKLOADS = tuple(SIZES)
@@ -105,13 +105,12 @@ def _figure(seed, envelope_grid, grid, theta_count):
     return jobs
 
 
-def _containment(seed, ensemble, big_n, big_count, theta_count):
+def _containment(seed, ensemble, big_n, theta_count):
     # The n=5 ensemble is the kind acceptance criterion 04 sweeps.
     jobs = [Job("check_n5", "check", random_spec(seed, 100 + i), k, "json", theta_count)
             for i in range(ensemble) for k in (1, 2, 3)]
-    jobs += [Job(f"check_n{big_n}", "check", random_spec(seed, 900 + i, n=big_n), 2, "json",
-                 theta_count)
-             for i in range(big_count)]
+    jobs.append(Job(f"check_n{big_n}", "check", random_spec(seed, 900, n=big_n), 2, "json",
+                    theta_count))
     return jobs
 
 
