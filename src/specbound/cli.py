@@ -10,7 +10,8 @@ Subcommands:
   sampled angles and emit a JSON report
 
 Exit codes: 0 success (and, for check, spectrum contained), 1 usage error,
-2 file/input error, 3 containment violation reported by check.
+2 file/input error (including entries too large to evaluate), 3 containment
+violation reported by check.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def _run_envelope(cfg):
     window = cfg.window or auto_window(frame, cols=cfg.grid[0], rows=cfg.grid[1])
     out = _require_out(cfg)
     if cfg.fmt == "pgm":
-        raster = envelope_raster(a, cfg.k, cfg.theta_count, window, cache=cache)
+        raster = envelope_raster(a, cfg.k, cfg.theta_count, window)
         write_pgm(out, raster)
         return 0
     thetas = theta_grid(cfg.theta_count)
@@ -297,7 +298,7 @@ def _run_envelope(cfg):
         write_curves_csv(out, [overlays])
         return 0
     if cfg.fmt == "svg":
-        raster = envelope_raster(a, cfg.k, cfg.theta_count, window, cache=cache)
+        raster = envelope_raster(a, cfg.k, cfg.theta_count, window)
         write_svg(out, window, [overlays], eigenvalues=np.linalg.eigvals(a),
                   raster=raster)
         return 0
@@ -402,6 +403,10 @@ def main(argv=None):
         return 1
     except (MatrixFileError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: arithmetic overflow, matrix entries too large: {exc}",
+              file=sys.stderr)
         return 2
 
 

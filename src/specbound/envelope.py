@@ -71,30 +71,55 @@ def _halfplane_tolerance(A):
     return 1e-9 * (1.0 + max_abs(np.asarray(A)))
 
 
+def _angle_list(thetas):
+    thetas = [float(t) for t in thetas]
+    if not thetas:
+        raise ParameterError("need at least one rotation angle")
+    return thetas
+
+
+def _bit_reversed(m):
+    """0..m-1 in bit-reversed order: 0, m/2, m/4, 3m/4, ... (padded to 2^j)."""
+    bits = (m - 1).bit_length()
+    idx = np.arange(1 << bits)
+    rev = np.zeros_like(idx)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    return rev[rev < m]
+
+
 def envelope_member_mask(A, k, thetas, points, cache=None):
     """Membership of many points at once; returns a boolean array.
 
     ``points`` is any array of complex coordinates in the unrotated plane.
     A point is a member when g >= -tolerance in every rotated frame.
+
+    The reducer culls: g is evaluated only on the points still alive, and a
+    point is dropped at the first angle that rejects it.  Angles are visited
+    in bit-reversed order of their position in ``thetas`` (0, m/2, m/4,
+    3m/4, ...) so that widely spread angles cull outside points early.  The
+    result is the same intersection, bit for bit, whatever the order of
+    ``thetas`` and however early a point is dropped.
     """
     a = as_matrix(A)
     pts = np.asarray(points, dtype=np.complex128)
     tol = membership_tolerance(a, k)
-    member = np.ones(pts.shape, dtype=bool)
-    frames = build_frames(a, k, thetas, cache=cache)
-    for frame in frames:
-        z = np.exp(1j * frame.theta) * pts
-        member &= g_field(frame, z.real, z.imag) >= -tol
-        if not member.any():
+    frames = build_frames(a, k, _angle_list(thetas), cache=cache)
+    flat = pts.ravel()
+    alive = np.arange(flat.size)
+    for i in _bit_reversed(len(frames)):
+        if alive.size == 0:
             break
-    return member
+        frame = frames[i]
+        z = np.exp(1j * frame.theta) * flat[alive]
+        alive = alive[g_field(frame, z.real, z.imag) >= -tol]
+    member = np.zeros(flat.size, dtype=bool)
+    member[alive] = True
+    return member.reshape(pts.shape)
 
 
 def envelope_membership(A, k, thetas, p, cache=None):
     """True when the single point p lies in every rotated allowed region."""
-    thetas = list(thetas)
-    if not thetas:
-        raise ParameterError("need at least one rotation angle")
     return bool(envelope_member_mask(A, k, thetas, np.asarray([complex(p)]), cache)[0])
 
 
@@ -108,7 +133,7 @@ def envelope_margins(A, k, thetas, points, cache=None):
     pts = np.asarray(points, dtype=np.complex128)
     min_g = np.full(pts.shape, np.inf)
     worst = np.zeros(pts.shape, dtype=float)
-    frames = build_frames(a, k, thetas, cache=cache)
+    frames = build_frames(a, k, _angle_list(thetas), cache=cache)
     for frame in frames:
         z = np.exp(1j * frame.theta) * pts
         g = g_field(frame, z.real, z.imag)

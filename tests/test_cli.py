@@ -228,6 +228,17 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.svg")]) == 2
 
 
+def test_check_overflow_exits_cleanly(tmp_path, capsys):
+    # entries this large overflow the tolerance; the CLI must not raise
+    big = tmp_path / "big.txt"
+    big.write_text("2 2\n1e200 1e200\n1e200 1e200\n")
+    with np.errstate(all="ignore"):
+        rc = main(["check", "--matrix", str(big), "--k", "1", "--out",
+                   str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_byte_identical_reruns(tmp_path):
     args_sets = [
         ["curve", "--gallery", "pair_A:eps=0.45", "--k", "2", "--grid", "200x160",

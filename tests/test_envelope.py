@@ -8,7 +8,9 @@ from specbound import (
     Window,
     auto_window,
     build_frame,
+    build_frames,
     build_matrix,
+    envelope_margins,
     envelope_member_mask,
     envelope_membership,
     envelope_raster,
@@ -47,6 +49,75 @@ def test_toeplitz_eigenvalues_120_thetas():
 def test_membership_needs_thetas():
     with pytest.raises(ParameterError):
         envelope_membership(TOEPLITZ, 2, [], 0j)
+    with pytest.raises(ParameterError):
+        envelope_member_mask(TOEPLITZ, 2, [], [100 + 0j])
+    with pytest.raises(ParameterError):
+        envelope_margins(TOEPLITZ, 2, [], [100 + 0j])
+
+
+def _reference_mask(a, k, thetas, points):
+    """Every point at every angle, in the given order, no culling."""
+    pts = np.asarray(points, dtype=np.complex128)
+    tol = membership_tolerance(a, k)
+    member = np.ones(pts.shape, dtype=bool)
+    for frame in build_frames(a, k, thetas):
+        z = np.exp(1j * frame.theta) * pts
+        member &= g_field(frame, z.real, z.imag) >= -tol
+    return member
+
+
+def test_culling_mask_is_bit_identical_to_reference():
+    mats = [TOEPLITZ, build_matrix(MatrixSpec("matrix_A1")),
+            build_matrix(MatrixSpec("pair_A"))]
+    mats += [random_complex(5, seed=s) for s in (3, 17, 301)]
+    thetas = theta_grid(45)
+    shuffled = np.random.default_rng(9).permutation(thetas)
+    for a in mats:
+        for k in (1, 2, 3):
+            win = auto_window(build_frame(a, k), cols=36, rows=27)
+            s, t = win.cell_centers()
+            grid = s[None, :] + 1j * t[:, None]
+            ref = _reference_mask(a, k, thetas, grid)
+            assert ref.any() and not ref.all()
+            got = envelope_member_mask(a, k, thetas, grid)
+            assert got.shape == grid.shape
+            assert np.array_equal(got, ref)
+            assert np.array_equal(envelope_member_mask(a, k, shuffled, grid), ref)
+
+
+def test_culling_mask_zero_d_point():
+    ev = np.linalg.eigvals(TOEPLITZ)[0]
+    thetas = theta_grid(30)
+    for p in (ev, ev + 40.0):
+        got = envelope_member_mask(TOEPLITZ, 2, thetas, p)
+        assert got.shape == ()
+        assert got == _reference_mask(TOEPLITZ, 2, thetas, p)
+    assert envelope_member_mask(TOEPLITZ, 2, thetas, ev)
+    assert not envelope_member_mask(TOEPLITZ, 2, thetas, ev + 40.0)
+
+
+def test_culling_mask_exits_once_every_point_is_dead(monkeypatch):
+    import specbound.envelope as env
+
+    f = build_frame(TOEPLITZ, 2)
+    far = float(f.deltas[0]) + 100.0
+    win = Window(far, far + 10.0, -5.0, 5.0, cols=20, rows=15)
+    s, t = win.cell_centers()
+    grid = s[None, :] + 1j * t[:, None]
+    thetas = theta_grid(64)
+    ref = _reference_mask(TOEPLITZ, 2, thetas, grid)
+    assert not ref.any()
+    calls = []
+
+    def counted(frame, s, t):
+        calls.append(np.size(s))
+        return g_field(frame, s, t)
+
+    monkeypatch.setattr(env, "g_field", counted)
+    got = envelope_member_mask(TOEPLITZ, 2, thetas, grid)
+    assert np.array_equal(got, ref)
+    assert calls[0] == grid.size
+    assert len(calls) < len(thetas)
 
 
 def test_single_theta_raster_equals_field_mask():
