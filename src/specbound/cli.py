@@ -39,7 +39,7 @@ from .fileio import (
     write_pgm,
     write_svg,
 )
-from .frame import FrameCache, build_frame, build_frames
+from .frame import build_frame, build_frames
 from .gallery import GALLERY, MatrixSpec, build_matrix, gallery_entries
 from .inequality import g_field
 from .linalg import DimensionError, ParameterError, as_matrix
@@ -252,12 +252,12 @@ def _run_curve(cfg):
     return 0
 
 
-def _rotated_overlays(a, k, thetas, window, cache):
+def _rotated_overlays(a, k, thetas, window):
     """Order-k curves of the rotated matrices, mapped back and clipped."""
     overlays = []
     closed = []
-    for theta in thetas:
-        frame = build_frame(a, k, theta, cache=cache)
+    for frame in build_frames(a, k, thetas):
+        theta = frame.theta
         corners = np.array(
             [
                 complex(window.s_min, window.t_min),
@@ -284,8 +284,7 @@ def _rotated_overlays(a, k, thetas, window, cache):
 
 def _run_envelope(cfg):
     a = _load_matrix(cfg)
-    cache = FrameCache()
-    frame = build_frame(a, cfg.k, 0.0, cache=cache)
+    frame = build_frame(a, cfg.k, 0.0)
     window = cfg.window or auto_window(frame, cols=cfg.grid[0], rows=cfg.grid[1])
     out = _require_out(cfg)
     if cfg.fmt == "pgm":
@@ -293,7 +292,7 @@ def _run_envelope(cfg):
         write_pgm(out, raster)
         return 0
     thetas = theta_grid(cfg.theta_count)
-    overlays = _rotated_overlays(a, cfg.k, thetas, window, cache)
+    overlays = _rotated_overlays(a, cfg.k, thetas, window)
     if cfg.fmt == "csv":
         write_curves_csv(out, [overlays])
         return 0
@@ -340,14 +339,15 @@ def _run_gallery(_cfg):
 
 def _run_check(cfg):
     a = _load_matrix(cfg)
+    # First: it overflows for entries too large to evaluate, before the
+    # eigenvalue and frame solves can fail or warn on them.
+    tol = membership_tolerance(a, cfg.k)
     eigenvalues = np.linalg.eigvals(a)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
     thetas = theta_grid(cfg.theta_count)
-    cache = FrameCache()
-    frames = build_frames(a, cfg.k, thetas, cache=cache)
-    min_g, worst = envelope_margins(a, cfg.k, thetas, eigenvalues, cache=cache)
-    tol = membership_tolerance(a, cfg.k)
+    stack = build_frames(a, cfg.k, thetas)
+    min_g, worst = envelope_margins(a, cfg.k, thetas, eigenvalues, stack=stack)
     contained = bool(np.all(min_g >= -tol))
     report = {
         "schema_version": _REPORT_SCHEMA_VERSION,
@@ -355,7 +355,7 @@ def _run_check(cfg):
         "matrix": {"n": int(a.shape[0]), "source": _matrix_label(cfg)},
         "k": int(cfg.k),
         "theta_count": int(cfg.theta_count),
-        "degenerate_angles": int(sum(f.degenerate for f in frames)),
+        "degenerate_angles": int(np.count_nonzero(stack.degenerate)),
         "tolerance": tol,
         "eigenvalues": [
             {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import build_frames, rotation_spectra
+from .frame import _check_order, build_frames, rotation_spectra
 from .inequality import g_field
 from .linalg import ParameterError, as_matrix, max_abs, _ct
 from .trace import CurveSet, Window
@@ -63,8 +63,17 @@ def membership_tolerance(A, k):
 
     Scaled as (1 + max|entry|)^(2k+1) to match how g itself grows with the
     matrix magnitude, so boundary eigenvalues are not lost to rounding.
+    Raises ParameterError for an order outside 1..n-1 and OverflowError
+    when the entries are too large for the power.
     """
-    return 1e-9 * (1.0 + max_abs(np.asarray(A))) ** (2 * k + 1)
+    a = np.asarray(A)
+    _check_order(int(k), a.shape[0])
+    return 1e-9 * (1.0 + max_abs(a)) ** (2 * k + 1)
+
+
+# (angle, point) pairs per field evaluation in envelope_margins; the k = 3
+# kernel holds about 1 KiB of temporaries per pair.
+_FIELD_BLOCK_PAIRS = 2 ** 14
 
 
 def _halfplane_tolerance(A):
@@ -88,7 +97,7 @@ def _bit_reversed(m):
     return rev[rev < m]
 
 
-def envelope_member_mask(A, k, thetas, points, cache=None):
+def envelope_member_mask(A, k, thetas, points):
     """Membership of many points at once; returns a boolean array.
 
     ``points`` is any array of complex coordinates in the unrotated plane.
@@ -104,13 +113,13 @@ def envelope_member_mask(A, k, thetas, points, cache=None):
     a = as_matrix(A)
     pts = np.asarray(points, dtype=np.complex128)
     tol = membership_tolerance(a, k)
-    frames = build_frames(a, k, _angle_list(thetas), cache=cache)
+    stack = build_frames(a, k, _angle_list(thetas))
     flat = pts.ravel()
     alive = np.arange(flat.size)
-    for i in _bit_reversed(len(frames)):
+    for i in _bit_reversed(len(stack)):
         if alive.size == 0:
             break
-        frame = frames[i]
+        frame = stack[i]
         z = np.exp(1j * frame.theta) * flat[alive]
         alive = alive[g_field(frame, z.real, z.imag) >= -tol]
     member = np.zeros(flat.size, dtype=bool)
@@ -118,29 +127,46 @@ def envelope_member_mask(A, k, thetas, points, cache=None):
     return member.reshape(pts.shape)
 
 
-def envelope_membership(A, k, thetas, p, cache=None):
+def envelope_membership(A, k, thetas, p):
     """True when the single point p lies in every rotated allowed region."""
-    return bool(envelope_member_mask(A, k, thetas, np.asarray([complex(p)]), cache)[0])
+    return bool(envelope_member_mask(A, k, thetas, np.asarray([complex(p)]))[0])
 
 
-def envelope_margins(A, k, thetas, points, cache=None):
+def envelope_margins(A, k, thetas, points, stack=None):
     """Worst-case g per point over the angle set.
 
-    Returns (min_g, worst_theta) arrays; ``min_g >= -tolerance`` is the
-    membership criterion.  Unlike the mask variant this never exits early.
+    Returns (min_g, worst_theta) arrays shaped like ``points``;
+    ``min_g >= -tolerance`` is the membership criterion.  ``worst_theta``
+    is the first angle, in ``thetas`` order, at which g attains the minimum.
+    ``stack`` is ``build_frames(A, k, thetas)`` when the caller already has
+    it.  Unlike the mask variant this never exits early: g is evaluated on
+    (angle, point) arrays, a block of angles at a time, so memory stays
+    bounded for large point sets.  Raises FloatingPointError when g is not
+    finite at some angle and point (matrix entries too large to evaluate).
     """
     a = as_matrix(A)
     pts = np.asarray(points, dtype=np.complex128)
-    min_g = np.full(pts.shape, np.inf)
-    worst = np.zeros(pts.shape, dtype=float)
-    frames = build_frames(a, k, _angle_list(thetas), cache=cache)
-    for frame in frames:
-        z = np.exp(1j * frame.theta) * pts
-        g = g_field(frame, z.real, z.imag)
-        better = g < min_g
-        worst = np.where(better, frame.theta, worst)
-        min_g = np.where(better, g, min_g)
-    return min_g, worst
+    thetas = _angle_list(thetas)
+    if stack is None:
+        stack = build_frames(a, k, thetas)
+    flat = pts.ravel()
+    min_g = np.full(flat.size, np.inf)
+    worst = np.zeros(flat.size, dtype=float)
+    columns = np.arange(flat.size)
+    step = max(1, _FIELD_BLOCK_PAIRS // max(flat.size, 1))
+    for lo in range(0, len(stack), step):
+        block = stack[lo:lo + step]
+        z = np.exp(1j * block.theta)[:, None] * flat
+        with np.errstate(over="raise", invalid="raise"):
+            g = g_field(block, z.real, z.imag)
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError("the inequality is not finite at some angle")
+        first = np.argmin(g, axis=0)
+        g_block = g[first, columns]
+        better = g_block < min_g
+        worst = np.where(better, block.theta[first], worst)
+        min_g = np.where(better, g_block, min_g)
+    return min_g.reshape(pts.shape), worst.reshape(pts.shape)
 
 
 def _cell_grid(window):
@@ -148,9 +174,9 @@ def _cell_grid(window):
     return s[None, :] + 1j * t[:, None]
 
 
-def envelope_raster(A, k, theta_count, window, cache=None):
+def envelope_raster(A, k, theta_count, window):
     """Envelope membership sampled at every cell center of the window."""
-    bits = envelope_member_mask(A, k, theta_grid(theta_count), _cell_grid(window), cache)
+    bits = envelope_member_mask(A, k, theta_grid(theta_count), _cell_grid(window))
     bits.setflags(write=False)
     return RegionRaster(
         window=window, bits=bits, theta_count=int(theta_count), k=int(k), ell=0,

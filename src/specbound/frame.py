@@ -7,35 +7,44 @@ its Hermitian part with the diagonalizing unitary U, the rotated skew part
 Y = U* S U, the leading k x k block of Y, the (n-k) x k coupling block, and
 ``kappa``, the squared largest singular value of that coupling block.
 
-Frames are immutable and cheap to share between workers.  A
-:class:`FrameCache` can be used to avoid re-solving the same eigenproblem
-while sweeping angles or grid points; its entries are deterministic so
-concurrent last-writer-wins insertion is harmless.
+:func:`build_frames` returns a :class:`FrameStack`: the field quantities
+(deltas, Y_k, kappa, ...) of many angles as arrays with a leading angle axis,
+which :func:`specbound.inequality.g_field` evaluates in one call.  The
+eigenproblems are solved one chunk of angles at a time; the chunk holds as
+many angles as fit a fixed byte budget for the n x n work arrays, so peak
+memory stays bounded for large n (every angle fits one chunk for small n).
+The stack keeps no n x n array per angle.  :func:`build_frame` solves one
+angle through the same chunk solver and returns a full :class:`SpectralFrame`
+that also holds the rotated matrix, U and Y.  Frames and stacks are immutable
+and cheap to share between workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .linalg import (
     ParameterError,
     as_matrix,
-    eig_hermitian,
-    hermitian_part,
     largest_singular_value_sq,
-    max_abs,
-    skew_part,
     _ct,
     _fix_phases,
 )
 
-__all__ = ["SpectralFrame", "FrameCache", "build_frame", "build_frames",
+__all__ = ["SpectralFrame", "FrameStack", "build_frame", "build_frames",
            "rotation_spectra", "w_matrix"]
 
 _DEGENERACY_RTOL = 1e-12
+
+# Byte budget of one chunk of the angle-stacked solve, and the number of
+# n x n complex arrays it holds per angle at its peak (rotated matrix,
+# Hermitian and skew parts, eigenvectors, Y and the temporaries between
+# them).  At n = 160 a chunk holds 2 angles (about 6 MiB); at n = 5 it
+# holds 2621.  Larger chunks were no faster at n = 160.
+_CHUNK_BYTES = 8 * 2 ** 20
+_SOLVE_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -65,11 +74,35 @@ class SpectralFrame:
         return self.a_rot.shape[0]
 
 
-class _RotationEigen(NamedTuple):
-    a_rot: np.ndarray
+@dataclass(frozen=True)
+class FrameStack:
+    """Field quantities of one (matrix, order) at m angles.
+
+    Every array has a leading angle axis: ``theta`` (m,), ``deltas`` (m, n),
+    ``delta_k_block`` (m, k), ``y_k`` (m, k, k), ``delta_next``, ``kappa``
+    and ``degenerate`` (m,).  ``len(stack)`` is m; ``stack[i]`` is the frame
+    at one angle (the same fields without the angle axis) and ``stack[i:j]``
+    a sub-stack.  :func:`specbound.inequality.g_field` accepts all three;
+    given a stack it expects points whose leading axis is the angle axis.
+    """
+
+    k: int
+    theta: np.ndarray
     deltas: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
+    delta_k_block: np.ndarray
+    y_k: np.ndarray
+    delta_next: np.ndarray
+    kappa: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self):
+        return len(self.theta)
+
+    def __getitem__(self, index):
+        return FrameStack(self.k, *(getattr(self, f.name)[index] for f in fields(self)[1:]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def _freeze(a):
@@ -78,18 +111,23 @@ def _freeze(a):
     return a
 
 
-def _rotation_decomposition(a, theta):
-    a_rot = np.exp(1j * theta) * a
-    dec = eig_hermitian(hermitian_part(a_rot))
-    u = dec.vectors
-    y = _ct(u) @ skew_part(a_rot) @ u
-    y = 0.5 * (y - _ct(y))
-    return _RotationEigen(a_rot=a_rot, deltas=dec.values, u=u, y=y)
+def _check_order(k, n):
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"order k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
 
 
-def _rotation_decompositions(a, thetas):
-    """Batched variant: one eigh call for all angles."""
-    ph = np.exp(1j * np.asarray(thetas, dtype=float))
+def _chunk_angles(n):
+    """Angles per chunk of the stacked solve for an n x n matrix."""
+    return max(1, _CHUNK_BYTES // (_SOLVE_ARRAYS * np.dtype(np.complex128).itemsize * n * n))
+
+
+def _solve_chunk(a, thetas):
+    """Rotated matrices, spectra, unitaries and Y = U* S U for a few angles.
+
+    One batched ``eigh`` over the angles; every result has a leading angle
+    axis.
+    """
+    ph = np.exp(1j * thetas)
     a_rot = ph[:, None, None] * a[None, :, :]
     h = 0.5 * (a_rot + _ct(a_rot))
     h = 0.5 * (h + _ct(h))
@@ -100,53 +138,69 @@ def _rotation_decompositions(a, thetas):
     v = _fix_phases(v[:, :, ::-1])
     y = _ct(v) @ s @ v
     y = 0.5 * (y - _ct(y))
-    return [
-        _RotationEigen(a_rot[i], np.ascontiguousarray(w[i]), np.ascontiguousarray(v[i]),
-                       np.ascontiguousarray(y[i]))
-        for i in range(len(ph))
-    ]
+    return a_rot, w, v, y
 
 
-def _assemble(rot, k, theta):
-    n = rot.a_rot.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"order k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
-    deltas = rot.deltas
-    gap = float(deltas[k - 1] - deltas[k])
-    degenerate = gap <= _DEGENERACY_RTOL * (1.0 + max_abs(deltas))
-    v_k = rot.y[k:, :k]
-    return SpectralFrame(
+def _stack(k, theta, deltas, y):
+    """FrameStack from per-angle spectra and (at least the first k) columns of Y."""
+    gap = deltas[:, k - 1] - deltas[:, k]
+    scale = np.max(np.abs(deltas), axis=1)
+    return FrameStack(
         k=k,
-        theta=float(theta),
-        a_rot=_freeze(rot.a_rot),
+        theta=_freeze(theta),
         deltas=_freeze(deltas),
-        u=_freeze(rot.u),
-        y=_freeze(rot.y),
-        delta_k_block=_freeze(deltas[:k].astype(float)),
-        y_k=_freeze(rot.y[:k, :k]),
-        v_k=_freeze(v_k),
-        kappa=largest_singular_value_sq(v_k),
-        delta_next=float(deltas[k]),
-        degenerate=degenerate,
+        delta_k_block=_freeze(deltas[:, :k]),
+        y_k=_freeze(y[:, :k, :k]),
+        delta_next=_freeze(deltas[:, k]),
+        kappa=_freeze(largest_singular_value_sq(y[:, k:, :k])),
+        degenerate=_freeze(gap <= _DEGENERACY_RTOL * (1.0 + scale)),
     )
 
 
-def build_frame(A, k, theta=0.0, cache=None):
+def build_frame(A, k, theta=0.0):
     """Build the spectral frame of A for order k at rotation angle theta."""
-    if cache is not None:
-        return cache.frame(A, k, theta)
     a = as_matrix(A)
-    return _assemble(_rotation_decomposition(a, float(theta)), int(k), float(theta))
+    k = int(k)
+    _check_order(k, a.shape[0])
+    thetas = np.array([float(theta)])
+    a_rot, w, v, y = _solve_chunk(a, thetas)
+    one = _stack(k, thetas, w, y)[0]
+    return SpectralFrame(
+        k=k,
+        theta=float(one.theta),
+        a_rot=_freeze(a_rot[0]),
+        deltas=_freeze(w[0]),
+        u=_freeze(v[0]),
+        y=_freeze(y[0]),
+        delta_k_block=one.delta_k_block,
+        y_k=one.y_k,
+        v_k=_freeze(y[0, k:, :k]),
+        kappa=float(one.kappa),
+        delta_next=float(one.delta_next),
+        degenerate=bool(one.degenerate),
+    )
 
 
-def build_frames(A, k, thetas, cache=None):
-    """Frames of A for order k at every angle in ``thetas`` (batched solve)."""
-    thetas = [float(t) for t in thetas]
-    if cache is not None:
-        return [cache.frame(A, k, t) for t in thetas]
+def build_frames(A, k, thetas):
+    """FrameStack of A for order k at every angle in ``thetas``.
+
+    The angles are solved in chunks (see the module docstring); the result
+    is the same, bit for bit, whatever the chunk size.
+    """
     a = as_matrix(A)
-    rots = _rotation_decompositions(a, thetas)
-    return [_assemble(r, int(k), t) for r, t in zip(rots, thetas)]
+    k = int(k)
+    n = a.shape[0]
+    _check_order(k, n)
+    theta = np.array([float(t) for t in thetas], dtype=float)
+    m = theta.size
+    deltas = np.empty((m, n))
+    y = np.empty((m, n, k), dtype=np.complex128)
+    step = _chunk_angles(n)
+    for lo in range(0, m, step):
+        _, w, _, y_chunk = _solve_chunk(a, theta[lo:lo + step])
+        deltas[lo:lo + step] = w
+        y[lo:lo + step] = y_chunk[:, :, :k]
+    return _stack(k, theta, deltas, y)
 
 
 def rotation_spectra(A, thetas):
@@ -174,33 +228,3 @@ def w_matrix(frame, s, t):
     w = frame.y_k.astype(np.complex128, copy=True)
     w[np.arange(k), np.arange(k)] += frame.delta_k_block - s - 1j * t
     return w
-
-
-class FrameCache:
-    """Per-invocation memo of rotation decompositions and frames.
-
-    Keys are (matrix bytes, angle) and (matrix bytes, order, angle); both
-    maps only grow.  Re-solving is avoided across orders because the
-    eigendecomposition is shared by every k at the same angle.
-    """
-
-    def __init__(self):
-        self._rotations = {}
-        self._frames = {}
-
-    def frame(self, A, k, theta):
-        a = as_matrix(A)
-        theta = float(theta)
-        k = int(k)
-        mkey = a.tobytes()
-        fkey = (mkey, k, theta)
-        frame = self._frames.get(fkey)
-        if frame is None:
-            rkey = (mkey, theta)
-            rot = self._rotations.get(rkey)
-            if rot is None:
-                rot = _rotation_decomposition(a, theta)
-                self._rotations[rkey] = rot
-            frame = _assemble(rot, k, theta)
-            self._frames[fkey] = frame
-        return frame

@@ -104,20 +104,36 @@ def g_min_value(frame, s, t):
 # --- vectorized field -------------------------------------------------------
 
 def _shift_matrix(frame):
-    """Constant part C = Delta_k + Y_k of W_k = C - lambda I."""
+    """Constant part C = Delta_k + Y_k of W_k = C - lambda I.
+
+    For a frame stack, C has the stack's leading angle axis.
+    """
     c = frame.y_k.astype(np.complex128, copy=True)
     k = frame.k
-    c[np.arange(k), np.arange(k)] += frame.delta_k_block
+    c[..., np.arange(k), np.arange(k)] += frame.delta_k_block
     return c
+
+
+def _product(x, y):
+    """x * y for complex scalars or arrays, rounded as the scalar product is.
+
+    NumPy's complex array multiply can round differently from its scalar
+    multiply; spelling the product out in real arithmetic gives the scalar
+    result for arrays too, so a frame stack and its frames agree bit for bit.
+    """
+    out = np.empty(np.broadcast(x, y).shape, dtype=np.complex128)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _m2_pieces(c, lam):
     """det W_2 and the three independent entries of M_2 on a grid."""
-    w00 = c[0, 0] - lam
-    w11 = c[1, 1] - lam
-    w01 = c[0, 1]
-    w10 = c[1, 0]
-    det = w00 * w11 - w01 * w10
+    w00 = c[..., 0, 0] - lam
+    w11 = c[..., 1, 1] - lam
+    w01 = c[..., 0, 1]
+    w10 = c[..., 1, 0]
+    det = w00 * w11 - _product(w01, w10)
     m00 = np.real(det * np.conj(w11))
     m11 = np.real(det * np.conj(w00))
     moff = -0.5 * (det * np.conj(w10) + np.conj(det) * w01)
@@ -173,8 +189,18 @@ def _field_components(frame, s, t, which):
     lam = s + 1j * t
     k = frame.k
     c = _shift_matrix(frame)
+    kappa = frame.kappa
+    delta_next = frame.delta_next
+    lead = c.ndim - 2
+    if lead:
+        # A frame stack: its angle axes lead the point axes, and each frame
+        # quantity broadcasts over the points behind them.
+        pad = (1,) * (lam.ndim - lead)
+        c = c.reshape(c.shape[:lead] + pad + (k, k))
+        kappa = np.reshape(kappa, np.shape(kappa) + pad)
+        delta_next = np.reshape(delta_next, np.shape(delta_next) + pad)
     if k == 1:
-        det = c[0, 0] - lam
+        det = c[..., 0, 0] - lam
         extreme = np.real(det)
     elif k == 2:
         m00, m11, moff, det = _m2_pieces(c, lam)
@@ -188,14 +214,17 @@ def _field_components(frame, s, t, which):
         m = 0.5 * (p + _ct(p))
         ev = np.linalg.eigvalsh(m)
         extreme = ev[..., -1] if which == "max" else ev[..., 0]
-    lhs = (det.real ** 2 + det.imag ** 2) * (s - frame.delta_next)
-    rhs = frame.kappa * extreme
+    lhs = (det.real ** 2 + det.imag ** 2) * (s - delta_next)
+    rhs = kappa * extreme
     return rhs - lhs, lhs, rhs, extreme, det
 
 
 def g_field(frame, s, t, which="max"):
     """Vectorized g over broadcastable coordinate arrays.
 
+    ``frame`` is a :class:`SpectralFrame`, one angle of a frame stack, or a
+    :class:`FrameStack`; for a stack of m angles, ``s`` and ``t`` have a
+    leading axis of length m (or 1) that pairs each angle with its points.
     ``which="min"`` evaluates the companion field (lambda_min in place of
     lambda_max).
     """

@@ -187,20 +187,27 @@ def adjugate(m):
 def largest_singular_value_sq(v):
     """Squared largest singular value, i.e. the top eigenvalue of V*V.
 
-    Accepts any rectangular matrix (1-D input is treated as a column);
-    empty input gives 0.
+    Accepts any rectangular matrix (1-D input is treated as a column) and
+    returns a float, or a stack (..., r, c) of them, for which it returns an
+    array over the stack from one batched SVD; an empty matrix gives 0.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim == 1:
         v = v[:, None]
-    if v.ndim != 2:
+    if v.ndim < 2:
         raise DimensionError(f"expected a matrix or vector, got {v.ndim} dimension(s)")
-    if v.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("matrix entries must be finite (no NaN/Inf)")
-    s = np.linalg.svd(v, compute_uv=False)
-    return float(s[0] ** 2)
+    if v.shape[-1] == 0 or v.shape[-2] == 0:
+        top = np.zeros(v.shape[:-2])
+    else:
+        if not np.all(np.isfinite(v)):
+            raise ParameterError("matrix entries must be finite (no NaN/Inf)")
+        s = np.linalg.svd(v, compute_uv=False)[..., 0]
+        # Squared by the scalar pow(), element by element, as the result for
+        # one matrix always was: NumPy's array square rounds differently in
+        # the last bit now and then, which would move kappa and every g
+        # built on it.
+        top = np.array([x ** 2 for x in s.ravel().tolist()]).reshape(s.shape)
+    return float(top) if v.ndim == 2 else top
 
 
 def lambda_extreme_hermitian(m, which="max"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specbound import MatrixFileError, main, parse_matrix_file
+from specbound import MatrixFileError, MatrixSpec, build_matrix, main, parse_matrix_file
 from specbound.fileio import curves_csv
 from specbound import CurveSet, Window
 
@@ -210,6 +210,9 @@ def test_exit_codes(tmp_path):
     # usage: bad k
     assert main(["curve", "--gallery", "a_tilde", "--k", "9",
                  "--out", str(tmp_path / "x.svg")]) == 1
+    # usage: a k so large that the tolerance would overflow
+    assert main(["check", "--gallery", "a_tilde", "--k", "600",
+                 "--out", str(tmp_path / "x.json")]) == 1
     # usage: pgm for curve output
     assert main(["curve", "--gallery", "a_tilde", "--k", "1", "--format", "pgm",
                  "--out", str(tmp_path / "x.pgm")]) == 1
@@ -228,15 +231,33 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.svg")]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_overflow_exits_cleanly(tmp_path, capsys):
-    # entries this large overflow the tolerance; the CLI must not raise
+    # entries this large overflow the tolerance; the CLI must neither raise
+    # nor warn
     big = tmp_path / "big.txt"
     big.write_text("2 2\n1e200 1e200\n1e200 1e200\n")
-    with np.errstate(all="ignore"):
-        rc = main(["check", "--matrix", str(big), "--k", "1", "--out",
-                   str(tmp_path / "r.json")])
+    rc = main(["check", "--matrix", str(big), "--k", "1", "--out",
+               str(tmp_path / "r.json")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("factor, k", [(1e60, 2), (1e100, 3), (1e150, 3)])
+def test_check_scaled_matrix_exits_cleanly(tmp_path, capsys, factor, k):
+    # 1e60, k=2: g overflows at every angle (once reported as contained with
+    # min_g inf); 1e100 and 1e150, k=3: the tolerance overflows (once the
+    # eigenvalue solve died with a LinAlgError traceback first)
+    a = build_matrix(MatrixSpec("random_complex", {"n": 5, "seed": 3})) * factor
+    path = tmp_path / "scaled.txt"
+    rows = [" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in a]
+    path.write_text("5 5\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    rc = main(["check", "--matrix", str(path), "--k", str(k), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+
+import specbound.envelope as envelope_module
 from specbound import (
-    FrameCache,
     MatrixSpec,
     ParameterError,
     Window,
@@ -120,6 +123,82 @@ def test_culling_mask_exits_once_every_point_is_dead(monkeypatch):
     assert len(calls) < len(thetas)
 
 
+def _reference_margins(a, k, thetas, points):
+    """One frame at a time in the given order; strict < keeps the first minimum."""
+    pts = np.asarray(points, dtype=np.complex128)
+    min_g = np.full(pts.shape, np.inf)
+    worst = np.zeros(pts.shape)
+    for theta in thetas:
+        frame = build_frame(a, k, theta)
+        z = np.exp(1j * frame.theta) * pts
+        g = g_field(frame, z.real, z.imag)
+        better = g < min_g
+        worst = np.where(better, frame.theta, worst)
+        min_g = np.where(better, g, min_g)
+    return min_g, worst
+
+
+def test_stacked_margins_are_bit_identical_to_reference(monkeypatch):
+    mats = [TOEPLITZ, build_matrix(MatrixSpec("matrix_A1")),
+            build_matrix(MatrixSpec("pair_A"))]
+    mats += [random_complex(5, seed=s) for s in (3, 17, 301)]
+    grid = theta_grid(45)
+    angle_sets = [grid, np.random.default_rng(9).permutation(grid), [0.7],
+                  [grid[3], grid[20], grid[3], grid[33]]]
+    rng = np.random.default_rng(5)
+    for a in mats:
+        ev = np.linalg.eigvals(a)
+        pts = np.concatenate([ev, ev + 0.25 - 0.1j,
+                              rng.normal(size=6) + 1j * rng.normal(size=6)]).reshape(2, -1)
+        for k in (1, 2, 3):
+            for thetas in angle_sets:
+                ref_g, ref_theta = _reference_margins(a, k, thetas, pts)
+                got_g, got_theta = envelope_margins(a, k, thetas, pts)
+                assert got_g.shape == pts.shape
+                assert np.array_equal(got_g, ref_g)
+                assert np.array_equal(got_theta, ref_theta)
+            # a given stack, one angle per field block
+            monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", 1)
+            got_g, got_theta = envelope_margins(a, k, grid, pts, stack=build_frames(a, k, grid))
+            monkeypatch.undo()
+            ref_g, ref_theta = _reference_margins(a, k, grid, pts)
+            assert np.array_equal(got_g, ref_g)
+            assert np.array_equal(got_theta, ref_theta)
+
+
+def test_margins_ties_keep_the_first_angle(monkeypatch):
+    # g is constant, so every angle attains the minimum: the first one wins,
+    # within one block of angles and across blocks alike
+    thetas = [2.0, 0.5, 2.0, 1.0, 3.0]
+    pts = np.array([1.0 + 1j, -2.0, 0.5j])
+    monkeypatch.setattr(envelope_module, "g_field", lambda frame, s, t: np.zeros(np.shape(s)))
+    for pairs in (1, 3, 2 ** 14):
+        monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", pairs)
+        min_g, worst = envelope_margins(TOEPLITZ, 2, thetas, pts)
+        assert np.array_equal(min_g, np.zeros(3))
+        assert np.array_equal(worst, np.full(3, 2.0))
+
+
+def test_margins_reject_non_finite_g():
+    a = random_complex(5, seed=3) * 1e60
+    ev = np.linalg.eigvals(a)
+    with pytest.raises(FloatingPointError):
+        envelope_margins(a, 2, theta_grid(12), ev)
+
+
+def test_margins_memory_is_bounded():
+    # one check at n = 160: the stacked solve and the field work in chunks
+    a = random_complex(160, seed=1)
+    ev = np.linalg.eigvals(a)
+    tracemalloc.start()
+    try:
+        envelope_margins(a, 2, theta_grid(120), ev)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_single_theta_raster_equals_field_mask():
     win = Window(-2.0, 8.0, -7.0, 7.0, cols=80, rows=60)
     raster = envelope_raster(TOEPLITZ, 2, 1, win)
@@ -140,8 +219,7 @@ def test_raster_monotone_in_theta_set():
 
 def test_envelope_shrinks_with_order():
     win = Window(-2.0, 8.0, -7.0, 7.0, cols=60, rows=45)
-    cache = FrameCache()
-    r1 = envelope_raster(TOEPLITZ, 1, 40, win, cache=cache)
+    r1 = envelope_raster(TOEPLITZ, 1, 40, win)
     evs = np.linalg.eigvals(TOEPLITZ)
     # eigenvalue cells stay members of the order-1 envelope
     s, t = win.cell_centers()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import specbound.frame as frame_module
 from specbound import (
-    FrameCache,
     MatrixSpec,
     ParameterError,
     build_frame,
@@ -112,16 +112,6 @@ def test_w_matrix_matches_direct_block():
     assert max_abs(w - direct) <= 1e-9 * (1 + max_abs(A_TILDE))
 
 
-def test_frame_cache_identity_and_sharing():
-    cache = FrameCache()
-    a = random_complex(5, seed=3)
-    f1 = build_frame(a, 2, 0.5, cache=cache)
-    f2 = build_frame(a, 2, 0.5, cache=cache)
-    assert f1 is f2
-    f3 = build_frame(a, 3, 0.5, cache=cache)  # shares the decomposition
-    assert np.array_equal(f1.deltas, f3.deltas)
-
-
 def test_build_frames_batch_matches_single():
     a = random_complex(5, seed=17)
     thetas = [0.0, 0.9, 3.1, 5.0]
@@ -130,6 +120,30 @@ def test_build_frames_batch_matches_single():
         f = build_frame(a, 2, th)
         assert np.allclose(fb.deltas, f.deltas, atol=1e-12 * (1 + max_abs(a)))
         assert abs(fb.kappa - f.kappa) <= 1e-10 * (1 + max_abs(a) ** 2)
+
+
+def test_build_frames_chunking_is_bit_identical(monkeypatch):
+    fields = ("theta", "deltas", "delta_k_block", "y_k", "delta_next", "kappa", "degenerate")
+    thetas = np.random.default_rng(4).permutation(np.linspace(0.0, 6.0, 37))
+    for a, k in ((random_complex(40, seed=6), 2), (A_TILDE, 1), (random_complex(5, seed=3), 3)):
+        default = build_frames(a, k, thetas)
+        monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
+        assert frame_module._chunk_angles(a.shape[0]) == 1
+        single = build_frames(a, k, thetas)
+        monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 2 ** 40)  # every angle in one chunk
+        assert frame_module._chunk_angles(a.shape[0]) >= len(thetas)
+        whole = build_frames(a, k, thetas)
+        monkeypatch.undo()
+        for name in fields:
+            ref = getattr(whole, name)
+            assert ref.shape[0] == len(thetas) == len(whole)
+            assert np.array_equal(getattr(single, name), ref)
+            assert np.array_equal(getattr(default, name), ref)
+        for i in (0, 17, 36):
+            f = build_frame(a, k, thetas[i])
+            one = whole[i]
+            assert one.theta == f.theta and one.kappa == f.kappa
+            assert np.array_equal(one.y_k, f.y_k) and np.array_equal(one.deltas, f.deltas)
 
 
 def test_rotation_spectra_matches_frames():

@@ -76,6 +76,19 @@ def test_det_w2_matches_hand_expansion():
         assert abs(det - expanded) <= 1e-10 * (1 + abs(det))
 
 
+def test_field_product_rounds_as_scalar_product():
+    # the k = 2 field's constant c01*c10 rounds as a scalar complex product,
+    # whether it is computed for one frame or for a frame stack
+    from specbound.inequality import _product
+
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 1)) + 1j * rng.normal(size=(40, 1))
+    y = rng.normal(size=(40, 1)) + 1j * rng.normal(size=(40, 1))
+    expected = np.array([[complex(a) * complex(b)] for a, b in zip(x[:, 0], y[:, 0])])
+    assert np.array_equal(_product(x, y), expected)
+    assert _product(x[3, 0], y[3, 0]) == expected[3, 0]
+
+
 def test_g_value_matches_g_field():
     for seed in range(5):
         a = random_complex(5, seed=seed + 300)
