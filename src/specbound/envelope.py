@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import _check_order, build_frames, rotation_spectra
-from .inequality import g_field
-from .linalg import ParameterError, as_matrix, max_abs, _ct
+from .frame import _check_order, _chunks, _rotated_hermitian, build_frames, rotation_spectra
+from .inequality import g_field, g_member_k3
+from .linalg import ParameterError, as_matrix, max_abs
 from .trace import CurveSet, Window
 
 __all__ = [
@@ -109,6 +109,12 @@ def envelope_member_mask(A, k, thetas, points):
     3m/4, ...) so that widely spread angles cull outside points early.  The
     result is the same intersection, bit for bit, whatever the order of
     ``thetas`` and however early a point is dropped.
+
+    For k = 3 the test computes no eigenvalues: g >= -tol holds exactly when
+    (lhs - tol) I - kappa M_3 is not positive definite, which the signs of
+    its three LDL* pivots decide (:func:`specbound.inequality.g_member_k3`;
+    a point where the field is not finite is dropped).  Other orders compare
+    :func:`g_field` with -tol.
     """
     a = as_matrix(A)
     pts = np.asarray(points, dtype=np.complex128)
@@ -121,7 +127,11 @@ def envelope_member_mask(A, k, thetas, points):
             break
         frame = stack[i]
         z = np.exp(1j * frame.theta) * flat[alive]
-        alive = alive[g_field(frame, z.real, z.imag) >= -tol]
+        if stack.k == 3:
+            keep = g_member_k3(frame, z.real, z.imag, tol)
+        else:
+            keep = g_field(frame, z.real, z.imag) >= -tol
+        alive = alive[keep]
     member = np.zeros(flat.size, dtype=bool)
     member[alive] = True
     return member.reshape(pts.shape)
@@ -223,12 +233,11 @@ def numerical_range_boundary(A, theta_count):
     if theta_count < 3:
         raise ParameterError("numerical range boundary needs at least 3 angles")
     thetas = theta_grid(theta_count)
-    ph = np.exp(1j * thetas)
-    h = ph[:, None, None] * a[None, :, :]
-    h = 0.5 * (h + _ct(h))
-    _, vecs = np.linalg.eigh(h)
-    u1 = vecs[:, :, -1]
-    z = np.einsum("mi,ij,mj->m", np.conj(u1), a, u1)
+    z = np.empty(theta_count, dtype=np.complex128)
+    for chunk in _chunks(theta_count, a.shape[0]):
+        _, h = _rotated_hermitian(a, thetas[chunk])
+        u1 = np.linalg.eigh(h)[1][:, :, -1]
+        z[chunk] = np.einsum("mi,ij,mj->m", np.conj(u1), a, u1)
     pts = np.column_stack([z.real, z.imag])
     pts.setflags(write=False)
 

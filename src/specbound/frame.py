@@ -121,16 +121,27 @@ def _chunk_angles(n):
     return max(1, _CHUNK_BYTES // (_SOLVE_ARRAYS * np.dtype(np.complex128).itemsize * n * n))
 
 
+def _rotated_hermitian(a, thetas):
+    """e^{i theta} A and its exactly Hermitian part, with a leading angle axis."""
+    ph = np.exp(1j * np.asarray(thetas, dtype=float))
+    a_rot = ph[:, None, None] * a[None, :, :]
+    h = 0.5 * (a_rot + _ct(a_rot))
+    return a_rot, 0.5 * (h + _ct(h))
+
+
+def _chunks(m, n):
+    """Slices of m angles, each small enough for one stacked n x n solve."""
+    step = _chunk_angles(n)
+    return [slice(lo, lo + step) for lo in range(0, m, step)]
+
+
 def _solve_chunk(a, thetas):
     """Rotated matrices, spectra, unitaries and Y = U* S U for a few angles.
 
     One batched ``eigh`` over the angles; every result has a leading angle
     axis.
     """
-    ph = np.exp(1j * thetas)
-    a_rot = ph[:, None, None] * a[None, :, :]
-    h = 0.5 * (a_rot + _ct(a_rot))
-    h = 0.5 * (h + _ct(h))
+    a_rot, h = _rotated_hermitian(a, thetas)
     s = 0.5 * (a_rot - _ct(a_rot))
     s = 0.5 * (s - _ct(s))
     w, v = np.linalg.eigh(h)
@@ -195,11 +206,10 @@ def build_frames(A, k, thetas):
     m = theta.size
     deltas = np.empty((m, n))
     y = np.empty((m, n, k), dtype=np.complex128)
-    step = _chunk_angles(n)
-    for lo in range(0, m, step):
-        _, w, _, y_chunk = _solve_chunk(a, theta[lo:lo + step])
-        deltas[lo:lo + step] = w
-        y[lo:lo + step] = y_chunk[:, :, :k]
+    for chunk in _chunks(m, n):
+        _, w, _, y_chunk = _solve_chunk(a, theta[chunk])
+        deltas[chunk] = w
+        y[chunk] = y_chunk[:, :, :k]
     return _stack(k, theta, deltas, y)
 
 
@@ -207,15 +217,16 @@ def rotation_spectra(A, thetas):
     """Non-increasing eigenvalues of the Hermitian part of e^{i theta} A.
 
     Returns an (m, n) array, one row per angle.  Used by the half-plane
-    (rank numerical range) machinery, which needs no eigenvectors.
+    (rank numerical range) machinery, which needs no eigenvectors.  The
+    angles are solved in chunks, as in :func:`build_frames`.
     """
     a = as_matrix(A)
-    ph = np.exp(1j * np.asarray(thetas, dtype=float))
-    h = ph[:, None, None] * a[None, :, :]
-    h = 0.5 * (h + _ct(h))
-    h = 0.5 * (h + _ct(h))
-    w = np.linalg.eigvalsh(h)
-    return np.ascontiguousarray(w[:, ::-1])
+    thetas = np.asarray(thetas, dtype=float)
+    w = np.empty((thetas.size, a.shape[0]))
+    for chunk in _chunks(thetas.size, a.shape[0]):
+        _, h = _rotated_hermitian(a, thetas[chunk])
+        w[chunk] = np.linalg.eigvalsh(h)[:, ::-1]
+    return w
 
 
 def w_matrix(frame, s, t):

@@ -14,7 +14,8 @@ evaluator so each can serve as an oracle for the other in tests.
 
 Scalar entry points return an :class:`IneqValue` with the pieces broken out;
 :func:`g_field` evaluates g over whole coordinate arrays at once and is what
-the tracing and rasterization code calls.
+the tracing and rasterization code calls.  :func:`g_member_k3` decides only
+the sign g >= -tol for k = 3, without eigenvalues, for the envelope mask.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "g_value",
     "g_min_value",
     "g_field",
+    "g_member_k3",
     "cubic_g1",
     "explicit_g2",
     "g1_constants",
@@ -159,6 +161,35 @@ def _det_batched(w):
     return np.linalg.det(w)
 
 
+# (-1)^(i+j) for the 3 x 3 cofactors; multiplying by it rounds exactly as the
+# integer sign of the generic cofactor loop does.
+_SIGNS3 = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 1]])
+
+
+def _adjugate3(m):
+    """adj(m) of 3 x 3 blocks, the generic cofactor loop spelled out.
+
+    Cofactor (i, j) is the 2 x 2 minor without row j and column i, taken with
+    the same products in the same order as the loop, so the result is the
+    same bit for bit; it only skips the loop's fancy-indexed copies.
+    """
+    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    out = np.empty_like(m)
+    out[..., 0, 0] = m11 * m22 - m12 * m21
+    out[..., 0, 1] = m01 * m22 - m02 * m21
+    out[..., 0, 2] = m01 * m12 - m02 * m11
+    out[..., 1, 0] = m10 * m22 - m12 * m20
+    out[..., 1, 1] = m00 * m22 - m02 * m20
+    out[..., 1, 2] = m00 * m12 - m02 * m10
+    out[..., 2, 0] = m10 * m21 - m11 * m20
+    out[..., 2, 1] = m00 * m21 - m01 * m20
+    out[..., 2, 2] = m00 * m11 - m01 * m10
+    out *= _SIGNS3
+    return out
+
+
 def _adjugate_batched(m):
     k = m.shape[-1]
     if k == 1:
@@ -170,6 +201,8 @@ def _adjugate_batched(m):
         out[..., 0, 1] = -m[..., 0, 1]
         out[..., 1, 0] = -m[..., 1, 0]
         return out
+    if k == 3:
+        return _adjugate3(m)
     out = np.empty_like(m)
     for i in range(k):
         cols = [c for c in range(k) if c != i]
@@ -180,9 +213,12 @@ def _adjugate_batched(m):
     return out
 
 
-def _field_components(frame, s, t, which):
-    if which not in ("max", "min"):
-        raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
+def _field_inputs(frame, s, t):
+    """Coordinates and frame quantities broadcast as the field kernels take them.
+
+    Returns (s, lam, c, kappa, delta_next) with lam = s + i t and c the
+    constant part of W_k.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     s, t = np.broadcast_arrays(s, t)
@@ -199,6 +235,28 @@ def _field_components(frame, s, t, which):
         c = c.reshape(c.shape[:lead] + pad + (k, k))
         kappa = np.reshape(kappa, np.shape(kappa) + pad)
         delta_next = np.reshape(delta_next, np.shape(delta_next) + pad)
+    return s, lam, c, kappa, delta_next
+
+
+def _mk_pieces(c, lam):
+    """det W_k and M_k, one k x k matrix per point, for k >= 3."""
+    k = c.shape[-1]
+    w = c - lam[..., None, None] * np.eye(k)
+    det = _det_batched(w)
+    p = det[..., None, None] * _adjugate_batched(_ct(w))
+    return det, 0.5 * (p + _ct(p))
+
+
+def _lhs(det, s, delta_next):
+    """|det W_k|^2 (s - delta_{k+1})."""
+    return (det.real ** 2 + det.imag ** 2) * (s - delta_next)
+
+
+def _field_components(frame, s, t, which):
+    if which not in ("max", "min"):
+        raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
+    s, lam, c, kappa, delta_next = _field_inputs(frame, s, t)
+    k = frame.k
     if k == 1:
         det = c[..., 0, 0] - lam
         extreme = np.real(det)
@@ -208,13 +266,10 @@ def _field_components(frame, s, t, which):
         tr = m00 + m11
         extreme = 0.5 * (tr + disc) if which == "max" else 0.5 * (tr - disc)
     else:
-        w = c - lam[..., None, None] * np.eye(k)
-        det = _det_batched(w)
-        p = det[..., None, None] * _adjugate_batched(_ct(w))
-        m = 0.5 * (p + _ct(p))
+        det, m = _mk_pieces(c, lam)
         ev = np.linalg.eigvalsh(m)
         extreme = ev[..., -1] if which == "max" else ev[..., 0]
-    lhs = (det.real ** 2 + det.imag ** 2) * (s - delta_next)
+    lhs = _lhs(det, s, delta_next)
     rhs = kappa * extreme
     return rhs - lhs, lhs, rhs, extreme, det
 
@@ -229,6 +284,40 @@ def g_field(frame, s, t, which="max"):
     lambda_max).
     """
     return _field_components(frame, s, t, which)[0]
+
+
+def g_member_k3(frame, s, t, tol):
+    """Boolean array g >= -tol on a k = 3 frame, decided without eigenvalues.
+
+    g >= -tol  <=>  kappa lambda_max(M_3) >= lhs - tol  <=>  the Hermitian
+    Q = (lhs - tol) I - kappa M_3 is not positive definite.  Q is positive
+    definite exactly when the three pivots of its unpivoted LDL* elimination
+    (q00, q11 - |q01|^2/q00 and the last Schur complement) are positive.
+    Pivots are ratios, so they scale like Q and stay finite wherever g does;
+    leading minors would grow like |A|^21 and overflow long before.  det, M_3
+    and lhs are those of :func:`g_field`; a point where lhs or kappa M_3 is
+    not finite is not a member.  Broadcasting is as in :func:`g_field`.
+    """
+    if frame.k != 3:
+        raise ParameterError("g_member_k3 requires a k=3 frame")
+    with np.errstate(all="ignore"):
+        s, lam, c, kappa, delta_next = _field_inputs(frame, s, t)
+        det, m = _mk_pieces(c, lam)
+        lhs = _lhs(det, s, delta_next)
+        km = np.asarray(kappa)[..., None, None] * m
+        b = lhs - tol
+        # Q = b I - kappa M; the signs of its off-diagonal entries cancel in
+        # every pivot, so the elimination runs on kappa M directly.
+        q00 = b - km[..., 0, 0].real
+        l01 = km[..., 0, 1] / q00
+        l02 = km[..., 0, 2] / q00
+        q11 = b - km[..., 1, 1].real - (km[..., 1, 0] * l01).real
+        q22 = b - km[..., 2, 2].real - (km[..., 2, 0] * l02).real
+        q12 = km[..., 1, 2] + km[..., 1, 0] * l02
+        q22 -= (np.conj(q12) * (q12 / q11)).real
+        definite = (q00 > 0.0) & (q11 > 0.0) & (q22 > 0.0)
+        finite = np.isfinite(lhs) & np.isfinite(km).all(axis=(-2, -1))
+    return finite & ~definite
 
 
 # --- closed-form oracles ----------------------------------------------------

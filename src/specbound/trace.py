@@ -9,6 +9,7 @@ produce identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +46,11 @@ class Window:
     rows: int = 600
 
     def __post_init__(self):
+        # a finite extent implies finite bounds; Python floats overflow to
+        # inf without a warning
+        if not (math.isfinite(float(self.s_max) - float(self.s_min))
+                and math.isfinite(float(self.t_max) - float(self.t_min))):
+            raise ParameterError("window bounds and extents must be finite")
         if not (self.s_min < self.s_max and self.t_min < self.t_max):
             raise ParameterError("window must have positive extent in s and t")
         if self.cols < 2 or self.rows < 2:

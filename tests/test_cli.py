@@ -232,6 +232,21 @@ def test_exit_codes(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("window", ["0,inf,0,1", "0,1,-1e308,1e308"])
+@pytest.mark.parametrize("command, fmt", [("envelope", "pgm"), ("curve", "svg"),
+                                          ("numrange", "pgm")])
+def test_non_finite_window_is_a_usage_error(tmp_path, capsys, window, command, fmt):
+    # an infinite bound, or finite bounds whose extent overflows, once gave
+    # RuntimeWarnings, exit 0 and an all-zero raster
+    out = tmp_path / f"w.{fmt}"
+    rc = main([command, "--gallery", "toeplitz_eq1", "--k", "2", f"--window={window}",
+               "--grid", "20x10", "--format", fmt, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_overflow_exits_cleanly(tmp_path, capsys):
     # entries this large overflow the tolerance; the CLI must neither raise
     # nor warn

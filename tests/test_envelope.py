@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import specbound.envelope as envelope_module
 from specbound import (
@@ -22,6 +23,7 @@ from specbound import (
     numerical_range_boundary,
     point_in_polygon,
     rank_numrange_raster,
+    rotation_spectra,
     theta_grid,
 )
 from conftest import random_complex
@@ -121,6 +123,26 @@ def test_culling_mask_exits_once_every_point_is_dead(monkeypatch):
     assert np.array_equal(got, ref)
     assert calls[0] == grid.size
     assert len(calls) < len(thetas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=st.integers(-30, 30), which=st.integers(0, 3))
+@example(e=30, which=0)
+@example(e=20, which=3)
+@example(e=-30, which=1)
+def test_k3_mask_matches_reference_at_any_scale(e, which):
+    # A -> cA, z -> cz: the k = 3 sign test must agree with g >= -tol from
+    # the eigenvalues wherever g is finite (up to |A| ~ 1e44), with no
+    # RuntimeWarning; unnormalised leading minors overflow from |A| ~ 1e15
+    a0 = (TOEPLITZ, random_complex(5, seed=3), random_complex(6, seed=17),
+          build_matrix(MatrixSpec("pair_A")))[which]
+    c = 10.0 ** e
+    win = auto_window(build_frame(a0, 3), cols=16, rows=12)
+    s, t = win.cell_centers()
+    grid = c * (s[None, :] + 1j * t[:, None])
+    thetas = theta_grid(12)
+    ref = _reference_mask(c * a0, 3, thetas, grid)
+    assert np.array_equal(envelope_member_mask(c * a0, 3, thetas, grid), ref)
 
 
 def _reference_margins(a, k, thetas, points):
@@ -304,6 +326,53 @@ def test_numrange_convexity():
     cross = np.imag(np.conj(e1) * e2)
     # boundary walked clockwise when angles increase; allow rounding wiggle
     assert np.all(cross <= 1e-8 * diam**2) or np.all(cross >= -1e-8 * diam**2)
+
+
+def _reference_numrange_points(a, theta_count):
+    """The boundary points with every angle solved in one unchunked call."""
+    thetas = theta_grid(theta_count)
+    h = np.exp(1j * thetas)[:, None, None] * a[None, :, :]
+    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    u1 = np.linalg.eigh(h)[1][:, :, -1]
+    z = np.einsum("mi,ij,mj->m", np.conj(u1), a, u1)
+    return np.column_stack([z.real, z.imag])
+
+
+def test_numrange_chunking_is_bit_identical(monkeypatch):
+    import specbound.frame as frame_module
+
+    for a in (TOEPLITZ, random_complex(40, seed=6), 1e-150 * random_complex(7, seed=2)):
+        for count in (3, 37, 120):
+            ref = _reference_numrange_points(a, count)
+            assert np.array_equal(numerical_range_boundary(a, count).polylines[0], ref)
+            monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
+            assert np.array_equal(numerical_range_boundary(a, count).polylines[0], ref)
+            monkeypatch.undo()
+
+
+def test_numrange_memory_is_bounded():
+    # the unchunked solve held two 49 MB stacks of 160 x 160 matrices
+    a = random_complex(160, seed=1)
+    tracemalloc.start()
+    try:
+        numerical_range_boundary(a, 120)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_rank_raster_takes_spectra_from_envelope_namespace(monkeypatch):
+    calls = []
+
+    def counted(a, thetas):
+        calls.append(len(thetas))
+        return rotation_spectra(a, thetas)
+
+    monkeypatch.setattr(envelope_module, "rotation_spectra", counted)
+    win = Window(-3.0, 9.0, -6.0, 6.0, cols=12, rows=10)
+    rank_numrange_raster(TOEPLITZ, 1, 20, win)
+    assert calls == [20]
 
 
 def test_numrange_requires_three_angles():

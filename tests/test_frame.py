@@ -155,6 +155,19 @@ def test_rotation_spectra_matches_frames():
         assert np.allclose(row, f.deltas, atol=1e-10 * (1 + max_abs(a)))
 
 
+def test_rotation_spectra_chunking_is_bit_identical(monkeypatch):
+    thetas = np.random.default_rng(5).permutation(np.linspace(0.0, 6.0, 37))
+    for a in (random_complex(40, seed=6), A_TILDE, 1e150 * random_complex(5, seed=3)):
+        h = np.exp(1j * thetas)[:, None, None] * a[None, :, :]
+        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+        ref = np.linalg.eigvalsh(h)[:, ::-1]  # every angle in one call
+        assert np.array_equal(rotation_spectra(a, thetas), ref)
+        monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
+        assert np.array_equal(rotation_spectra(a, thetas), ref)
+        monkeypatch.undo()
+
+
 def test_frame_arrays_read_only():
     f = build_frame(A_TILDE, 1)
     with pytest.raises(ValueError):

@@ -89,6 +89,98 @@ def test_field_product_rounds_as_scalar_product():
     assert _product(x[3, 0], y[3, 0]) == expected[3, 0]
 
 
+def _generic_adjugate(m):
+    """The generic cofactor loop of the field kernel, for any k."""
+    from specbound.inequality import _det_batched
+
+    k = m.shape[-1]
+    out = np.empty_like(m)
+    for i in range(k):
+        cols = [c for c in range(k) if c != i]
+        for j in range(k):
+            rows = [r for r in range(k) if r != j]
+            out[..., i, j] = (-1) ** (i + j) * _det_batched(m[..., rows, :][..., :, cols])
+    return out
+
+
+def test_adjugate3_is_bit_identical_to_cofactor_loop():
+    from specbound.inequality import _adjugate_batched
+
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        m = rng.normal(size=(257, 3, 3)) + 1j * rng.normal(size=(257, 3, 3))
+        if trial % 4 == 1:
+            m = m.real + 0j  # zero imaginary parts, signed zeros in the products
+        elif trial % 4 == 2:
+            m[rng.random(m.shape) < 0.3] = 0.0
+        elif trial % 4 == 3:
+            m = np.conj(np.swapaxes(m, -1, -2))  # the kernel passes W* as a view
+        got = _adjugate_batched(m)
+        assert got.tobytes() == _generic_adjugate(m).tobytes()
+    m4 = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    assert np.array_equal(_adjugate_batched(m4), _generic_adjugate(m4))
+
+
+def _k3_test_matrices():
+    mats = [build_matrix(MatrixSpec(name)) for name in ("toeplitz_eq1", "matrix_A1", "pair_A")]
+    return mats + [random_complex(n, seed=s) for n, s in ((4, 3), (5, 17), (6, 301))]
+
+
+def test_k3_sign_test_matches_g_field():
+    from specbound import build_frames, membership_tolerance, theta_grid
+    from specbound.inequality import g_member_k3
+
+    for a in _k3_test_matrices():
+        tol = membership_tolerance(a, 3)
+        win = auto_window(build_frame(a, 3), cols=60, rows=45)
+        s, t = win.cell_centers()
+        grid = s[None, :] + 1j * t[:, None]
+        stack = build_frames(a, 3, theta_grid(24))
+        z = np.exp(1j * stack.theta)[:, None, None] * grid
+        ref = g_field(stack, z.real, z.imag) >= -tol
+        assert ref.any() and not ref.all()
+        assert np.array_equal(g_member_k3(stack, z.real, z.imag, tol), ref)
+        for i in (0, 7, 23):
+            got = g_member_k3(stack[i], z[i].real, z[i].imag, tol)
+            assert np.array_equal(got, ref[i])
+
+
+def test_k3_sign_test_boundary_is_a_member():
+    # H(A) = diag(4, 3, 2, -10) and a skew part that only couples e_1 to e_4:
+    # W_3 is diagonal, kappa = 1, and at s = 1.5 every quantity is a dyadic
+    # rational, so g = 7.03125 - 40.4296875 = -33.3984375 exactly and Q is
+    # diag(5.625, 4.6875, 0) at tol = 33.3984375: singular, so g = -tol counts
+    from specbound.inequality import g_member_k3
+
+    a = np.diag([4.0, 3.0, 2.0, -10.0]).astype(complex)
+    a[3, 0], a[0, 3] = 1.0, -1.0
+    f = build_frame(a, 3)
+    tol = 33.3984375
+    assert f.kappa == 1.0 and not f.y_k.any()
+    assert g_field(f, 1.5, 0.0) == -tol
+    assert g_member_k3(f, 1.5, 0.0, tol)
+    assert g_member_k3(f, 1.5, 0.0, np.nextafter(tol, np.inf))
+    assert not g_member_k3(f, 1.5, 0.0, np.nextafter(tol, 0.0))
+
+
+def test_k3_sign_test_drops_non_finite_points():
+    # far out the field overflows; the sign test drops those points and warns
+    # about nothing (RuntimeWarnings are errors in this suite)
+    from specbound import membership_tolerance
+    from specbound.inequality import g_member_k3
+
+    a = random_complex(5, seed=3)
+    f = build_frame(a, 3)
+    tol = membership_tolerance(a, 3)
+    s = np.array([1e200, -1e200, 1e120])
+    t = np.array([0.0, 1e200, -1e150])
+    assert not g_member_k3(f, s, t, tol).any()
+    ev = np.exp(1j * f.theta) * np.linalg.eigvals(a)
+    assert g_member_k3(f, ev.real, ev.imag, tol).all()
+    with pytest.raises(ParameterError):
+        g_member_k3(build_frame(a, 2), 0.0, 0.0, tol)
+
+
 def test_g_value_matches_g_field():
     for seed in range(5):
         a = random_complex(5, seed=seed + 300)
