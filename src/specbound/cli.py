@@ -305,6 +305,8 @@ def _run_envelope(cfg):
 
 
 def _run_numrange(cfg):
+    if cfg.k < 0:
+        raise UsageError(f"numrange --k is a rank level >= 0, got {cfg.k}")
     a = _load_matrix(cfg)
     boundary = numerical_range_boundary(a, cfg.theta_count)
     out = _require_out(cfg)

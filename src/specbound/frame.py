@@ -229,13 +229,21 @@ def rotation_spectra(A, thetas):
     return w
 
 
+def _shift_matrix(frame):
+    """Constant part C = Delta_k + Y_k of W_k = C - lambda I.
+
+    For a frame stack, C has the stack's leading angle axis.
+    """
+    c = frame.y_k.astype(np.complex128, copy=True)
+    k = frame.k
+    c[..., np.arange(k), np.arange(k)] += frame.delta_k_block
+    return c
+
+
 def w_matrix(frame, s, t):
     """The shifted leading block W_k = Delta_k + Y_k - (s + i t) I_k.
 
     The Hermitian part of the result is exactly diag(delta_j - s) because the
     stored block Y_k is exactly skew-Hermitian.
     """
-    k = frame.k
-    w = frame.y_k.astype(np.complex128, copy=True)
-    w[np.arange(k), np.arange(k)] += frame.delta_k_block - s - 1j * t
-    return w
+    return _shift_matrix(frame) - complex(s, t) * np.eye(frame.k)

@@ -135,7 +135,6 @@ def _matrix_a1():
 
 
 def _frank(n):
-    n = int(n)
     if n < 1:
         raise ParameterError("frank size must be positive")
     a = np.zeros((n, n), dtype=np.complex128)
@@ -148,14 +147,12 @@ def _frank(n):
 
 
 def _random_real(n, seed):
-    n = int(n)
     if n < 1:
         raise ParameterError("random matrix size must be positive")
     return _symmetric_uniforms(seed, n * n).reshape(n, n).astype(np.complex128)
 
 
 def _random_complex(n, seed):
-    n = int(n)
     if n < 1:
         raise ParameterError("random matrix size must be positive")
     u = _symmetric_uniforms(seed, 2 * n * n)
@@ -207,6 +204,20 @@ GALLERY = {
 }
 
 
+# Parameters that count something or seed a stream; every other parameter
+# is a real number.
+_INTEGER_PARAMS = ("n", "seed")
+
+
+def _integer_param(name, key, value):
+    """``value`` as an int, or ParameterError unless it is finite and integral."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ParameterError(f"{name} parameter {key!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MatrixSpec:
     """A gallery constructor name plus its parameters."""
@@ -218,7 +229,8 @@ class MatrixSpec:
 def build_matrix(spec):
     """Instantiate a gallery matrix from its spec.
 
-    Unknown names, unknown parameters and missing required parameters raise
+    Unknown names, unknown parameters, missing required parameters and a
+    size ``n`` or ``seed`` that is not a finite integral number raise
     ParameterError.  Identical specs always produce identical matrices.
     """
     entry = GALLERY.get(spec.name)
@@ -231,6 +243,8 @@ def build_matrix(spec):
     for key, value in spec.params.items():
         if key not in allowed:
             raise ParameterError(f"{spec.name} takes no parameter {key!r}")
+        if key in _INTEGER_PARAMS:
+            value = _integer_param(spec.name, key, value)
         kwargs[key] = value
     for key, default in entry.params:
         if key not in kwargs:

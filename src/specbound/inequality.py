@@ -12,10 +12,14 @@ Two independent closed forms, :func:`cubic_g1` (k = 1) and
 :func:`explicit_g2` (k = 2), are kept deliberately separate from the generic
 evaluator so each can serve as an oracle for the other in tests.
 
-Scalar entry points return an :class:`IneqValue` with the pieces broken out;
-:func:`g_field` evaluates g over whole coordinate arrays at once and is what
-the tracing and rasterization code calls.  :func:`g_member_k3` decides only
-the sign g >= -tol for k = 3, without eigenvalues, for the envelope mask.
+Every other value of g comes from one vectorized evaluator: :func:`g_field`
+evaluates g over whole coordinate arrays at once and is what the tracing,
+rasterization and check code calls; :func:`g_value` and :func:`g_min_value`
+run the same evaluator at one point and return an :class:`IneqValue` with
+the pieces broken out.  k = 1 and k = 2 use closed forms for det W_k and the
+extreme eigenvalue of M_k; k >= 3 builds M_k from cofactors (spelled out for
+k = 3) and calls ``eigvalsh``.  :func:`g_member_k3` decides only the sign
+g >= -tol for k = 3, without eigenvalues, for the envelope mask.
 """
 
 from __future__ import annotations
@@ -24,21 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import build_frame, w_matrix
-from .linalg import (
-    ParameterError,
-    adjugate,
-    as_matrix,
-    determinant,
-    lambda_extreme_hermitian,
-    skew_part,
-    _ct,
-)
+from .frame import _shift_matrix, build_frame
+from .linalg import ParameterError, as_matrix, skew_part, _ct
 
 __all__ = [
     "IneqValue",
     "CrossingCondition",
-    "mk_matrix",
     "g_value",
     "g_min_value",
     "g_field",
@@ -76,21 +71,10 @@ class CrossingCondition:
     rhs: float
 
 
-def mk_matrix(frame, s, t):
-    """M_k = H(det(W_k) adj(W_k*)) at the point s + i t, exactly Hermitian."""
-    w = w_matrix(frame, s, t)
-    p = determinant(w) * adjugate(_ct(w))
-    return 0.5 * (p + _ct(p))
-
-
 def _ineq_value(frame, s, t, which):
-    s = float(s)
-    t = float(t)
-    d = determinant(w_matrix(frame, s, t))
-    lam = lambda_extreme_hermitian(mk_matrix(frame, s, t), which)
-    lhs = abs(d) ** 2 * (s - frame.delta_next)
-    rhs = frame.kappa * lam
-    return IneqValue(g=rhs - lhs, lhs=lhs, rhs=rhs, lambda_max_mk=lam, det_wk=d)
+    g, lhs, rhs, extreme, det = _field_components(frame, float(s), float(t), which)
+    return IneqValue(g=float(g), lhs=float(lhs), rhs=float(rhs),
+                     lambda_max_mk=float(extreme), det_wk=complex(det))
 
 
 def g_value(frame, s, t):
@@ -104,17 +88,6 @@ def g_min_value(frame, s, t):
 
 
 # --- vectorized field -------------------------------------------------------
-
-def _shift_matrix(frame):
-    """Constant part C = Delta_k + Y_k of W_k = C - lambda I.
-
-    For a frame stack, C has the stack's leading angle axis.
-    """
-    c = frame.y_k.astype(np.complex128, copy=True)
-    k = frame.k
-    c[..., np.arange(k), np.arange(k)] += frame.delta_k_block
-    return c
-
 
 def _product(x, y):
     """x * y for complex scalars or arrays, rounded as the scalar product is.
@@ -152,8 +125,6 @@ def _det3(w):
 
 def _det_batched(w):
     k = w.shape[-1]
-    if k == 1:
-        return w[..., 0, 0]
     if k == 2:
         return w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
     if k == 3:
@@ -191,16 +162,8 @@ def _adjugate3(m):
 
 
 def _adjugate_batched(m):
+    """adj(m) of k x k blocks, k >= 3, with adj(m) m = det(m) I."""
     k = m.shape[-1]
-    if k == 1:
-        return np.ones_like(m)
-    if k == 2:
-        out = np.empty_like(m)
-        out[..., 0, 0] = m[..., 1, 1]
-        out[..., 1, 1] = m[..., 0, 0]
-        out[..., 0, 1] = -m[..., 0, 1]
-        out[..., 1, 0] = -m[..., 1, 0]
-        return out
     if k == 3:
         return _adjugate3(m)
     out = np.empty_like(m)

@@ -1,44 +1,28 @@
 """Dense complex linear-algebra primitives shared by the curve and envelope code.
 
-Matrices are plain numpy ``complex128`` 2-D arrays throughout.  All functions
-are pure; arrays handed out by this module are treated as immutable by the
-rest of the package.  Tolerances are scaled by ``1 + max|entry|`` so that the
-same code works for matrices with entries of order one and of order hundreds.
+Matrices are plain numpy ``complex128`` arrays throughout: 2-D, or stacks
+(..., n, n) where a function says so.  All functions are pure; arrays handed
+out by this module are treated as immutable by the rest of the package.  The
+exception classes raised for bad input across the package live here too.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DimensionError",
-    "ShapeError",
     "ParameterError",
-    "HermitianEigenDecomposition",
     "as_matrix",
     "max_abs",
     "hermitian_part",
     "skew_part",
-    "eig_hermitian",
-    "adjugate",
-    "determinant",
     "largest_singular_value_sq",
-    "lambda_extreme_hermitian",
 ]
-
-# Condition-number cutoff above which det(M)*inv(M) is not trusted for the
-# adjugate and the cofactor expansion is used instead.
-_ADJUGATE_COND_LIMIT = 1e12
 
 
 class DimensionError(ValueError):
     """Matrix has the wrong shape for the operation (e.g. not square)."""
-
-
-class ShapeError(ValueError):
-    """Matrix violates a required structure (e.g. not Hermitian)."""
 
 
 class ParameterError(ValueError):
@@ -86,14 +70,6 @@ def skew_part(a):
     return 0.5 * (s - _ct(s))
 
 
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
-    """Eigenvalues (real, non-increasing) and matching orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _fix_phases(v):
     """Rotate each eigenvector so its largest-modulus entry is real positive.
 
@@ -106,82 +82,6 @@ def _fix_phases(v):
     mod = np.abs(lead)
     phase = np.where(mod == 0.0, 1.0 + 0.0j, lead / np.where(mod == 0.0, 1.0, mod))
     return v * np.conj(phase)[..., None, :]
-
-
-def _require_hermitian(m, what):
-    scale = 1.0 + max_abs(m)
-    if max_abs(m - _ct(m)) > 1e-12 * scale:
-        raise ShapeError(f"{what} requires a Hermitian matrix")
-    return 0.5 * (m + _ct(m))
-
-
-def eig_hermitian(h):
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Values come out non-increasing; eigenvector phases are fixed so repeated
-    runs give identical output.  Input is symmetrized before solving and must
-    be Hermitian within 1e-12 relative to its magnitude.
-    """
-    h = as_matrix(h)
-    hs = _require_hermitian(h, "eig_hermitian")
-    w, v = np.linalg.eigh(hs)
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
-    v = _fix_phases(v)
-    return HermitianEigenDecomposition(values=w, vectors=v)
-
-
-def determinant(m):
-    """Determinant as a Python complex.
-
-    Sizes up to 3 use the exact cofactor expansion; larger matrices go
-    through LU with partial pivoting.
-    """
-    m = as_matrix(m)
-    n = m.shape[0]
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if n == 3:
-        return complex(
-            m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-        )
-    return complex(np.linalg.det(m))
-
-
-def _adjugate_cofactor(m):
-    n = m.shape[0]
-    adj = np.empty_like(m)
-    idx = np.arange(n)
-    for i in range(n):
-        cols = idx[idx != i]
-        for j in range(n):
-            rows = idx[idx != j]
-            adj[i, j] = (-1) ** (i + j) * determinant(m[np.ix_(rows, cols)])
-    return adj
-
-
-def adjugate(m):
-    """Adjugate (transposed cofactor matrix), with adj(M)M = det(M) I.
-
-    The adjugate of a 1x1 matrix is [[1]] so that the identity above keeps
-    holding.  Sizes up to 4 use the cofactor expansion directly; larger
-    matrices use det(M) inv(M) unless the condition estimate is above 1e12,
-    in which case the cofactor route is used as well.
-    """
-    m = as_matrix(m)
-    n = m.shape[0]
-    if n == 1:
-        return np.array([[1.0 + 0.0j]])
-    if n <= 4:
-        return _adjugate_cofactor(m)
-    cond = np.linalg.cond(m)
-    if np.isfinite(cond) and cond <= _ADJUGATE_COND_LIMIT:
-        return complex(np.linalg.det(m)) * np.linalg.inv(m)
-    return _adjugate_cofactor(m)
 
 
 def largest_singular_value_sq(v):
@@ -208,26 +108,3 @@ def largest_singular_value_sq(v):
         # built on it.
         top = np.array([x ** 2 for x in s.ravel().tolist()]).reshape(s.shape)
     return float(top) if v.ndim == 2 else top
-
-
-def lambda_extreme_hermitian(m, which="max"):
-    """Largest or smallest eigenvalue of a Hermitian matrix.
-
-    1x1 returns the sole (real) entry and 2x2 uses the closed form
-    (trace/2 +- sqrt of the discriminant); larger sizes fall back to the
-    dense solver.
-    """
-    if which not in ("max", "min"):
-        raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
-    m = as_matrix(m)
-    hs = _require_hermitian(m, "lambda_extreme_hermitian")
-    n = hs.shape[0]
-    if n == 1:
-        return float(hs[0, 0].real)
-    if n == 2:
-        a = hs[0, 0].real
-        d = hs[1, 1].real
-        disc = np.hypot(0.5 * (a - d), abs(hs[0, 1]))
-        return float(0.5 * (a + d) + disc if which == "max" else 0.5 * (a + d) - disc)
-    w = np.linalg.eigvalsh(hs)
-    return float(w[-1] if which == "max" else w[0])

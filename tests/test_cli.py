@@ -213,6 +213,10 @@ def test_exit_codes(tmp_path):
     # usage: a k so large that the tolerance would overflow
     assert main(["check", "--gallery", "a_tilde", "--k", "600",
                  "--out", str(tmp_path / "x.json")]) == 1
+    # usage: a negative rank level for numrange, in either raster format
+    for fmt in ("svg", "pgm"):
+        assert main(["numrange", "--gallery", "a_tilde", "--k", "-1", "--format", fmt,
+                     "--out", str(tmp_path / f"x.{fmt}")]) == 1
     # usage: pgm for curve output
     assert main(["curve", "--gallery", "a_tilde", "--k", "1", "--format", "pgm",
                  "--out", str(tmp_path / "x.pgm")]) == 1
@@ -294,6 +298,18 @@ def test_byte_identical_reruns(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("spec", ["random_complex:seed=nan", "random_complex:n=nan",
+                                  "frank:n=nan", "random_complex:n=inf",
+                                  "random_complex:n=2.5"])
+def test_non_integral_gallery_size_or_seed_is_a_usage_error(tmp_path, capsys, spec):
+    # nan once died with a traceback, inf exited 2 as "entries too large" and
+    # 2.5 silently built a 2x2 matrix
+    out = tmp_path / "r.json"
+    assert main(["check", "--gallery", spec, "--k", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_seed_flag_feeds_random_gallery(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -314,3 +330,23 @@ def test_csv_writer_repr_precision():
                   window=win, kind="gamma_max")
     text = curves_csv([cs])
     assert text.splitlines()[1] == "0,gamma_max,0.1,0.2000000001"
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone fails here, not
+    # at a user's "from specbound import *"
+    import importlib
+    import pkgutil
+
+    import specbound
+
+    modules = [specbound] + [
+        importlib.import_module(f"specbound.{info.name}")
+        for info in pkgutil.iter_modules(specbound.__path__)
+        if not info.name.startswith("__")
+    ]
+    assert len(modules) > 1
+    for module in modules:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"

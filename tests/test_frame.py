@@ -55,6 +55,37 @@ def test_frame_round_trip_diagonalization():
     assert max_abs(d - np.diag(f.deltas)) <= 1e-9 * scale
 
 
+def test_frame_reconstruction_many():
+    # U is unitary and diagonalizes the rotated Hermitian part, with the
+    # deltas non-increasing, over a large seeded corpus of sizes 2..9 and
+    # the identity, whose deltas all coincide
+    cases = [(np.eye(3), 0.0)]
+    seed = 0
+    while len(cases) < 10_000:
+        seed += 1
+        cases.append((random_complex(2 + seed % 8, seed=seed), 0.37 * seed))
+    for a, theta in cases:
+        n = a.shape[0]
+        f = build_frame(a, 1, theta)
+        assert max_abs(f.u.conj().T @ f.u - np.eye(n)) <= 1e-10
+        d = f.u.conj().T @ hermitian_part(f.a_rot) @ f.u
+        assert max_abs(d - np.diag(f.deltas)) <= 1e-9 * (1.0 + max_abs(a))
+        assert np.all(np.diff(f.deltas) <= 0)
+
+
+def test_frame_phase_fixing():
+    # the largest-modulus entry of every column of U is real and positive,
+    # and identical calls give identical bits
+    for seed in range(40):
+        a = random_complex(2 + seed % 7, seed=seed + 77)
+        f = build_frame(a, 1, 0.5 * seed)
+        for col in f.u.T:
+            lead = col[np.argmax(np.abs(col))]
+            assert lead.real > 0
+            assert abs(lead.imag) <= 1e-14
+        assert np.array_equal(build_frame(a, 1, 0.5 * seed).u, f.u)
+
+
 def test_rotation_consistency():
     a = random_complex(5, seed=13)
     for theta in (0.3, 2.0, 5.5):

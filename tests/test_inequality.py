@@ -15,7 +15,6 @@ from specbound import (
     g_value,
     g2_constants,
     max_abs,
-    mk_matrix,
     union_poly_value,
     w_matrix,
 )
@@ -33,34 +32,37 @@ def _grid_points(frame, per_axis=24):
 
 def test_mk_matrix_k1():
     f = build_frame(A_TILDE, 1)
-    m = mk_matrix(f, 0.7, 1.3)
-    assert m.shape == (1, 1)
-    assert abs(m[0, 0] - (f.deltas[0] - 0.7)) <= 1e-12
+    v = g_value(f, 0.7, 1.3)
+    assert abs(v.lambda_max_mk - (f.deltas[0] - 0.7)) <= 1e-12
 
 
 def test_mk_matrix_k2_entries_match_explicit_forms():
-    f = build_frame(A_TILDE, 2)
+    # the k = 2 kernel keeps M_2 as its real diagonal and the entry M_2[0, 1]
+    from specbound.frame import _shift_matrix
+    from specbound.inequality import _m2_pieces
+
+    f = build_frame(random_complex(5, seed=3), 2)
     alpha, beta, gamma, _ = g2_constants(f)
+    assert abs(gamma) > 0.1
     d1, d2 = f.deltas[:2]
     for s, t in ((0.0, 0.0), (1.2, -0.7), (2.5, 3.0)):
-        m = mk_matrix(f, s, t)
+        m00, m11, moff, _ = _m2_pieces(_shift_matrix(f), np.asarray(complex(s, t)))
         a, b = d1 - s, d2 - s
         at, bt = alpha - t, beta - t
         m1 = a * (b**2 + bt**2) + b * abs(gamma) ** 2
         m3 = b * (a**2 + at**2) + a * abs(gamma) ** 2
         m2 = 1j * gamma * (a * bt + b * at)
-        assert abs(m[0, 0] - m1) <= 1e-9 * (1 + abs(m1))
-        assert abs(m[1, 1] - m3) <= 1e-9 * (1 + abs(m3))
-        assert abs(m[1, 0] - m2) <= 1e-9 * (1 + abs(m2))
-        assert max_abs(m - m.conj().T) == 0.0
+        assert abs(m00 - m1) <= 1e-9 * (1 + abs(m1))
+        assert abs(m11 - m3) <= 1e-9 * (1 + abs(m3))
+        assert abs(np.conj(moff) - m2) <= 1e-9 * (1 + abs(m2))
 
 
 def test_mk_matrix_zero_at_det_zero():
     # Hermitian input: W_k is diagonal real, singular at s = delta_1, t = alpha = 0
     h = np.diag([2.0, 1.0, -1.0])
     f = build_frame(h, 1)
-    m = mk_matrix(f, 2.0, 0.0)
-    assert max_abs(m) == 0.0
+    v = g_value(f, 2.0, 0.0)
+    assert v.det_wk == 0.0 and v.lambda_max_mk == 0.0 and v.g == 0.0
 
 
 def test_det_w2_matches_hand_expansion():
@@ -181,18 +183,48 @@ def test_k3_sign_test_drops_non_finite_points():
         g_member_k3(build_frame(a, 2), 0.0, 0.0, tol)
 
 
-def test_g_value_matches_g_field():
-    for seed in range(5):
-        a = random_complex(5, seed=seed + 300)
-        for k in (1, 2, 3):
-            f = build_frame(a, k)
-            ss, tt = _grid_points(f, per_axis=7)
-            field = g_field(f, ss, tt)
-            for i in range(ss.shape[0]):
-                for j in range(ss.shape[1]):
-                    v = g_value(f, ss[i, j], tt[i, j])
-                    assert abs(v.g - field[i, j]) <= 1e-10 * (1 + abs(v.g))
-                    assert v.g == v.rhs - v.lhs
+def _inverse_reference(frame, s, t, which):
+    """(g, lhs, rhs, extreme, det) at one point, with M_k = |det W_k|^2 H(W_k^{-*}).
+
+    det(W) adj(W*) = |det W|^2 (W*)^{-1}, so this route shares no cofactor
+    or determinant code with the field kernel.
+    """
+    w = w_matrix(frame, s, t)
+    det = np.linalg.det(w)
+    winv = np.linalg.inv(w).conj().T
+    m = abs(det) ** 2 * 0.5 * (winv + winv.conj().T)
+    ev = np.linalg.eigvalsh(m)
+    extreme = ev[-1] if which == "max" else ev[0]
+    lhs = abs(det) ** 2 * (s - frame.delta_next)
+    rhs = frame.kappa * extreme
+    return rhs - lhs, lhs, rhs, extreme, det
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_g_field_matches_inverse_reference(k):
+    mats = [build_matrix(MatrixSpec(name)) for name in ("matrix_C", "toeplitz_eq1")]
+    mats += [random_complex(n, seed=seed) for n, seed in ((5, 301), (6, 7), (7, 12))]
+    for a in mats:
+        if a.shape[0] <= k:
+            continue
+        for theta in (0.0, 2.2):
+            f = build_frame(a, k, theta)
+            ss, tt = _grid_points(f, per_axis=9)
+            for which in ("max", "min"):
+                field = g_field(f, ss, tt, which=which)
+                for s, t, g in zip(ss.ravel(), tt.ravel(), field.ravel()):
+                    ref, lhs, rhs, _, _ = _inverse_reference(f, s, t, which)
+                    assert abs(g - ref) <= 1e-9 * (abs(lhs) + abs(rhs))
+    # the scalar entry points are the field at one point, pieces included
+    s, t = float(ss[4, 5]), float(tt[4, 5])
+    for evaluate, which in ((g_value, "max"), (g_min_value, "min")):
+        v = evaluate(f, s, t)
+        assert v.g == g_field(f, s, t, which=which) == v.rhs - v.lhs
+        ref = _inverse_reference(f, s, t, which)
+        for got, want in zip((v.g, v.lhs, v.rhs, v.lambda_max_mk, v.det_wk), ref):
+            assert abs(got - want) <= 1e-9 * (abs(ref[1]) + abs(ref[2]) + abs(want))
+    with pytest.raises(ParameterError):
+        g_field(f, 0.0, 0.0, which="median")
 
 
 def test_eigenvalue_containment_theta_zero():

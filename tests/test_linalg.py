@@ -5,17 +5,14 @@ from specbound import (
     DimensionError,
     MatrixSpec,
     ParameterError,
-    ShapeError,
-    adjugate,
+    build_frame,
     build_matrix,
-    determinant,
-    eig_hermitian,
     hermitian_part,
-    lambda_extreme_hermitian,
     largest_singular_value_sq,
     max_abs,
     skew_part,
 )
+from specbound.inequality import _adjugate_batched, _det_batched
 from conftest import random_complex, random_hermitian
 
 
@@ -62,91 +59,44 @@ def test_parts_reject_nonfinite():
 
 def test_a_tilde_parts():
     a = build_matrix(MatrixSpec("a_tilde"))
-    dec = eig_hermitian(hermitian_part(a))
-    assert np.allclose(dec.values, [3, 1, 0], atol=1e-12)
-    su1 = skew_part(a) @ dec.vectors[:, 0]
+    f = build_frame(a, 1)
+    assert np.allclose(f.deltas, [3, 1, 0], atol=1e-12)
+    su1 = skew_part(a) @ f.u[:, 0]
     assert abs(np.real(np.vdot(su1, su1)) - 4.0) <= 1e-12
 
 
-def test_eig_hermitian_identity():
-    dec = eig_hermitian(np.eye(3))
-    assert np.allclose(dec.values, [1, 1, 1], atol=0)
-    assert np.allclose(dec.vectors.conj().T @ dec.vectors, np.eye(3), atol=1e-12)
+# The field kernel's cofactor adjugate and determinant, used for k >= 3.
 
-
-def test_eig_hermitian_reconstruction_many():
-    # Residual and orthonormality over a large seeded corpus of sizes <= 8.
-    count = 0
-    seed = 0
-    while count < 10_000:
-        seed += 1
-        n = 1 + (seed % 8)
-        h = random_hermitian(n, seed=seed)
-        dec = eig_hermitian(h)
-        scale = 1.0 + max_abs(h)
-        assert max_abs(dec.vectors.conj().T @ dec.vectors - np.eye(n)) <= 1e-10
-        resid = h @ dec.vectors - dec.vectors * dec.values[None, :]
-        assert max_abs(resid) <= 1e-9 * scale
-        assert np.all(np.diff(dec.values) <= 0)
-        count += 1
-
-
-def test_eig_hermitian_phase_fixing():
-    h = random_hermitian(6, seed=77)
-    dec = eig_hermitian(h)
-    for j in range(6):
-        col = dec.vectors[:, j]
-        lead = col[np.argmax(np.abs(col))]
-        assert lead.real > 0
-        assert abs(lead.imag) <= 1e-14
-    # identical calls give identical bits
-    dec2 = eig_hermitian(h)
-    assert np.array_equal(dec.vectors, dec2.vectors)
-
-
-def test_eig_hermitian_rejects():
-    with pytest.raises(DimensionError):
-        eig_hermitian(np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        eig_hermitian([[0, 1], [0, 0]])
-
-
-def test_adjugate_small():
-    assert np.array_equal(adjugate([[7.5]]), [[1.0]])
-    m = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.array_equal(adjugate(m), [[4, -2], [-3, 1]])
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_adjugate_identity(n):
     for seed in range(5):
         m = random_complex(n, seed=seed + 10 * n)
-        adj = adjugate(m)
-        resid = adj @ m - determinant(m) * np.eye(n)
+        resid = _adjugate_batched(m) @ m - _det_batched(m) * np.eye(n)
         assert max_abs(resid) <= 1e-9 * (1.0 + max_abs(m) ** n)
 
 
 def test_adjugate_matches_det_times_inverse():
     m = random_complex(4, seed=3)
-    expected = determinant(m) * np.linalg.solve(m, np.eye(4))
-    assert max_abs(adjugate(m) - expected) <= 1e-9 * (1.0 + max_abs(m) ** 4)
+    expected = np.linalg.det(m) * np.linalg.solve(m, np.eye(4))
+    assert max_abs(_adjugate_batched(m) - expected) <= 1e-9 * (1.0 + max_abs(m) ** 4)
 
 
 def test_adjugate_singular_large():
-    # 5x5 rank-deficient input goes down the cofactor fallback path
+    # rank-deficient 5x5 input: the cofactors stay finite and adj(M) M = 0
     m = np.zeros((5, 5), dtype=complex)
     m[:4, :4] = random_complex(4, seed=9)
-    adj = adjugate(m)
+    adj = _adjugate_batched(m)
     assert np.all(np.isfinite(adj))
     assert max_abs(adj @ m) <= 1e-9 * (1.0 + max_abs(m) ** 5)
 
 
 def test_determinant_basics():
-    assert determinant(np.eye(4)) == 1.0
-    assert determinant(np.diag([2.0, 3.0])) == 6.0
-    for n in (3, 4, 5):
+    # sizes 2 and 3 are spelled out; larger ones are np.linalg.det itself
+    assert _det_batched(np.eye(3, dtype=complex)) == 1.0
+    assert _det_batched(np.diag([2.0, 3.0]).astype(complex)) == 6.0
+    for n in (2, 3):
         m = random_complex(n, seed=n)
-        assert abs(determinant(m) - np.linalg.det(m)) <= 1e-12 * (1.0 + max_abs(m) ** n)
+        assert abs(_det_batched(m) - np.linalg.det(m)) <= 1e-12 * (1.0 + max_abs(m) ** n)
 
 
 def test_largest_singular_value_sq():
@@ -176,22 +126,3 @@ def test_largest_singular_value_variational_bound():
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             x /= np.linalg.norm(x)
             assert np.linalg.norm(v @ x) ** 2 <= top * (1 + 1e-12)
-
-
-def test_lambda_extreme():
-    assert lambda_extreme_hermitian(np.diag([5.0, -1.0]), "max") == 5.0
-    assert lambda_extreme_hermitian(np.diag([5.0, -1.0]), "min") == -1.0
-    m = np.array([[0, -1j], [1j, 0]])
-    assert abs(lambda_extreme_hermitian(m, "max") - 1.0) <= 1e-15
-    for seed in range(10):
-        h = random_hermitian(4, seed=seed + 60)
-        dec = eig_hermitian(h)
-        assert abs(lambda_extreme_hermitian(h, "max") - dec.values[0]) <= 1e-10 * (1 + max_abs(h))
-        assert abs(lambda_extreme_hermitian(h, "min") - dec.values[-1]) <= 1e-10 * (1 + max_abs(h))
-
-
-def test_lambda_extreme_rejects():
-    with pytest.raises(ShapeError):
-        lambda_extreme_hermitian([[0, 1], [0, 0]], "max")
-    with pytest.raises(ParameterError):
-        lambda_extreme_hermitian(np.eye(2), "median")
