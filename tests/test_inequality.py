@@ -223,8 +223,28 @@ def test_g_field_matches_inverse_reference(k):
         ref = _inverse_reference(f, s, t, which)
         for got, want in zip((v.g, v.lhs, v.rhs, v.lambda_max_mk, v.det_wk), ref):
             assert abs(got - want) <= 1e-9 * (abs(ref[1]) + abs(ref[2]) + abs(want))
-    with pytest.raises(ParameterError):
-        g_field(f, 0.0, 0.0, which="median")
+
+
+def test_g_field_rejects_unknown_which():
+    a = random_complex(5, seed=3)
+    for k in (1, 2, 3):
+        f = build_frame(a, k)
+        with pytest.raises(ParameterError):
+            g_field(f, 0.0, 0.0, which="median")
+
+
+def test_g_value_matches_g_field():
+    for seed in range(5):
+        a = random_complex(5, seed=seed + 300)
+        for k in (1, 2, 3):
+            f = build_frame(a, k)
+            ss, tt = _grid_points(f, per_axis=7)
+            field = g_field(f, ss, tt)
+            for i in range(ss.shape[0]):
+                for j in range(ss.shape[1]):
+                    v = g_value(f, ss[i, j], tt[i, j])
+                    assert abs(v.g - field[i, j]) <= 1e-10 * (1 + abs(v.g))
+                    assert v.g == v.rhs - v.lhs
 
 
 def test_eigenvalue_containment_theta_zero():
