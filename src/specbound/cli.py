@@ -4,6 +4,7 @@ Subcommands:
 
 * ``curve``    trace the order-k bounding curve of one matrix (theta = 0)
 * ``envelope`` rasterize the rotation envelope and overlay the rotated curves
+  (traced in the display plane at half the raster resolution)
 * ``numrange`` numerical range boundary and rank-level half-plane rasters
 * ``gallery``  list the built-in demo matrices
 * ``check``    verify that every eigenvalue satisfies the inequality at all
@@ -11,12 +12,15 @@ Subcommands:
 
 Exit codes: 0 success (and, for check, spectrum contained), 1 usage error,
 2 file/input error (including entries too large to evaluate), 3 containment
-violation reported by check.
+violation reported by check.  An output format a subcommand does not support
+is rejected before any matrix work.  The argument parser is built once per
+process and shared by every :func:`main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -25,6 +29,7 @@ import numpy as np
 
 from .envelope import (
     envelope_margins,
+    envelope_overlays,
     envelope_raster,
     membership_tolerance,
     numerical_range_boundary,
@@ -41,18 +46,8 @@ from .fileio import (
 )
 from .frame import build_frame, build_frames
 from .gallery import GALLERY, MatrixSpec, build_matrix, gallery_entries
-from .inequality import g_field
 from .linalg import DimensionError, ParameterError, as_matrix
-from .trace import (
-    CurveSet,
-    Window,
-    auto_window,
-    clip_polyline,
-    gamma_curve,
-    gamma_min_curve,
-    hyperbola_set,
-    trace_implicit,
-)
+from .trace import Window, auto_window, gamma_curve, gamma_min_curve, hyperbola_set
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -168,6 +163,12 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The parser every main() call shares; parse_args keeps no state in it."""
+    return build_parser()
+
+
 def _config_from_args(ns):
     cfg = RunConfig(command=ns.command)
     if ns.command == "gallery":
@@ -224,6 +225,8 @@ def _matrix_label(cfg):
 
 
 def _run_curve(cfg):
+    if cfg.fmt not in ("svg", "csv"):
+        raise UsageError(f"curve output supports svg and csv, not {cfg.fmt!r}")
     a = _load_matrix(cfg)
     frame = build_frame(a, cfg.k, 0.0)
     window = cfg.window or auto_window(frame, cols=cfg.grid[0], rows=cfg.grid[1])
@@ -235,7 +238,7 @@ def _run_curve(cfg):
     out = _require_out(cfg)
     if cfg.fmt == "csv":
         write_curves_csv(out, curves)
-    elif cfg.fmt == "svg":
+    else:
         extra = {}
         if cfg.k >= 3 and cfg.include_gamma_min:
             # The lambda_min companion is only worked out in closed form for
@@ -244,67 +247,38 @@ def _run_curve(cfg):
         eigenvalues = np.linalg.eigvals(a)
         write_svg(out, window, curves, eigenvalues=eigenvalues,
                   vlines=frame.deltas[: cfg.k + 1], extra_attrs=extra)
-    else:
-        raise UsageError(f"curve output supports svg and csv, not {cfg.fmt!r}")
     for cs in curves:
         for note in cs.warnings:
             print(f"warning: {note}", file=sys.stderr)
     return 0
 
 
-def _rotated_overlays(a, k, thetas, window):
-    """Order-k curves of the rotated matrices, mapped back and clipped."""
-    overlays = []
-    closed = []
-    for frame in build_frames(a, k, thetas):
-        theta = frame.theta
-        corners = np.array(
-            [
-                complex(window.s_min, window.t_min),
-                complex(window.s_max, window.t_min),
-                complex(window.s_max, window.t_max),
-                complex(window.s_min, window.t_max),
-            ]
-        ) * np.exp(1j * theta)
-        rot_win = Window(
-            float(corners.real.min()), float(corners.real.max()),
-            float(corners.imag.min()), float(corners.imag.max()),
-            cols=window.cols, rows=window.rows,
-        )
-        cs = trace_implicit(lambda s, t: g_field(frame, s, t), rot_win, kind="overlay")
-        back = np.exp(-1j * theta)
-        for poly in cs.polylines:
-            z = (poly[:, 0] + 1j * poly[:, 1]) * back
-            for run in clip_polyline(np.column_stack([z.real, z.imag]), window):
-                overlays.append(run)
-                closed.append(False)
-    return CurveSet(polylines=tuple(overlays), closed_flags=tuple(closed),
-                    window=window, kind="overlay")
-
-
 def _run_envelope(cfg):
+    if cfg.fmt not in ("svg", "csv", "pgm"):
+        raise UsageError(f"envelope output supports svg, csv and pgm, not {cfg.fmt!r}")
     a = _load_matrix(cfg)
     frame = build_frame(a, cfg.k, 0.0)
     window = cfg.window or auto_window(frame, cols=cfg.grid[0], rows=cfg.grid[1])
     out = _require_out(cfg)
+    stack = build_frames(a, cfg.k, theta_grid(cfg.theta_count))
     if cfg.fmt == "pgm":
-        raster = envelope_raster(a, cfg.k, cfg.theta_count, window)
-        write_pgm(out, raster)
+        write_pgm(out, envelope_raster(a, cfg.k, cfg.theta_count, window, stack=stack))
         return 0
-    thetas = theta_grid(cfg.theta_count)
-    overlays = _rotated_overlays(a, cfg.k, thetas, window)
     if cfg.fmt == "csv":
-        write_curves_csv(out, [overlays])
+        write_curves_csv(out, [envelope_overlays(stack, window)])
         return 0
-    if cfg.fmt == "svg":
-        raster = envelope_raster(a, cfg.k, cfg.theta_count, window)
-        write_svg(out, window, [overlays], eigenvalues=np.linalg.eigvals(a),
-                  raster=raster)
-        return 0
-    raise UsageError(f"envelope output supports svg, csv and pgm, not {cfg.fmt!r}")
+    # The raster first: after its large arrays glibc serves the overlays'
+    # block temporaries from the heap instead of faulting in fresh pages on
+    # every call (default 800x600 figure: overlays 1.9 s -> 1.2 s).
+    raster = envelope_raster(a, cfg.k, cfg.theta_count, window, stack=stack)
+    overlays = envelope_overlays(stack, window)
+    write_svg(out, window, [overlays], eigenvalues=np.linalg.eigvals(a), raster=raster)
+    return 0
 
 
 def _run_numrange(cfg):
+    if cfg.fmt not in ("svg", "csv", "pgm"):
+        raise UsageError(f"numrange output supports svg, csv and pgm, not {cfg.fmt!r}")
     if cfg.k < 0:
         raise UsageError(f"numrange --k is a rank level >= 0, got {cfg.k}")
     a = _load_matrix(cfg)
@@ -323,14 +297,11 @@ def _run_numrange(cfg):
         raster = rank_numrange_raster(a, ell, cfg.theta_count, window)
         write_pgm(out, raster)
         return 0
-    if cfg.fmt == "svg":
-        raster = None
-        if cfg.k >= 1:
-            raster = rank_numrange_raster(a, cfg.k, cfg.theta_count, window)
-        write_svg(out, window, [boundary], eigenvalues=np.linalg.eigvals(a),
-                  raster=raster)
-        return 0
-    raise UsageError(f"numrange output supports svg, csv and pgm, not {cfg.fmt!r}")
+    raster = None
+    if cfg.k >= 1:
+        raster = rank_numrange_raster(a, cfg.k, cfg.theta_count, window)
+    write_svg(out, window, [boundary], eigenvalues=np.linalg.eigvals(a), raster=raster)
+    return 0
 
 
 def _run_gallery(_cfg):
@@ -392,9 +363,8 @@ def run(config):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         config = _config_from_args(ns)
         return run(config)
     except UsageError as exc:

@@ -7,19 +7,22 @@ angles the intersection can only be too large, never too small, so
 eigenvalue containment holds at any angle count.
 
 Regions are reported as boolean rasters rather than polygons because the
-envelope need not be convex or even connected.
+envelope need not be convex or even connected.  :func:`envelope_overlays`
+draws the order-k curve of every rotated frame in the same (unrotated)
+plane, for figures that show how the envelope is cut out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .frame import _check_order, _chunks, _rotated_hermitian, build_frames, rotation_spectra
 from .inequality import g_field, g_member_k3
 from .linalg import ParameterError, as_matrix, max_abs
-from .trace import CurveSet, Window
+from .trace import CurveSet, Window, trace_values
 
 __all__ = [
     "RegionRaster",
@@ -29,6 +32,7 @@ __all__ = [
     "envelope_member_mask",
     "envelope_margins",
     "envelope_raster",
+    "envelope_overlays",
     "numerical_range_boundary",
     "rank_numrange_raster",
 ]
@@ -71,8 +75,9 @@ def membership_tolerance(A, k):
     return 1e-9 * (1.0 + max_abs(a)) ** (2 * k + 1)
 
 
-# (angle, point) pairs per field evaluation in envelope_margins; the k = 3
-# kernel holds about 1 KiB of temporaries per pair.
+# (angle, point) pairs per field evaluation in envelope_margins and
+# envelope_overlays; the k = 3 kernel holds about 1 KiB of temporaries per
+# pair.
 _FIELD_BLOCK_PAIRS = 2 ** 14
 
 
@@ -97,11 +102,13 @@ def _bit_reversed(m):
     return rev[rev < m]
 
 
-def envelope_member_mask(A, k, thetas, points):
+def envelope_member_mask(A, k, thetas, points, stack=None):
     """Membership of many points at once; returns a boolean array.
 
     ``points`` is any array of complex coordinates in the unrotated plane.
     A point is a member when g >= -tolerance in every rotated frame.
+    ``stack`` is ``build_frames(A, k, thetas)`` when the caller already has
+    it.
 
     The reducer culls: g is evaluated only on the points still alive, and a
     point is dropped at the first angle that rejects it.  Angles are visited
@@ -119,7 +126,8 @@ def envelope_member_mask(A, k, thetas, points):
     a = as_matrix(A)
     pts = np.asarray(points, dtype=np.complex128)
     tol = membership_tolerance(a, k)
-    stack = build_frames(a, k, _angle_list(thetas))
+    if stack is None:
+        stack = build_frames(a, k, _angle_list(thetas))
     flat = pts.ravel()
     alive = np.arange(flat.size)
     for i in _bit_reversed(len(stack)):
@@ -184,14 +192,77 @@ def _cell_grid(window):
     return s[None, :] + 1j * t[:, None]
 
 
-def envelope_raster(A, k, theta_count, window):
-    """Envelope membership sampled at every cell center of the window."""
-    bits = envelope_member_mask(A, k, theta_grid(theta_count), _cell_grid(window))
+def envelope_raster(A, k, theta_count, window, stack=None):
+    """Envelope membership sampled at every cell center of the window.
+
+    ``stack`` is ``build_frames(A, k, theta_grid(theta_count))`` when the
+    caller already has it.
+    """
+    bits = envelope_member_mask(A, k, theta_grid(theta_count), _cell_grid(window),
+                                stack=stack)
     bits.setflags(write=False)
     return RegionRaster(
         window=window, bits=bits, theta_count=int(theta_count), k=int(k), ell=0,
         kind="envelope",
     )
+
+
+def _rotate(theta, s, t):
+    """Real and imaginary parts of e^{i theta} (s + i t), broadcast.
+
+    Spelled out in real arithmetic so every element rounds the same way
+    whatever the shape of the arrays it is computed in.
+    """
+    ph = np.exp(1j * theta)
+    return ph.real * s - ph.imag * t, ph.imag * s + ph.real * t
+
+
+def _rotated_field(frame, s, t):
+    """g of one frame at e^{i theta} (s + i t), theta the frame's angle."""
+    return g_field(frame, *_rotate(frame.theta, s, t))
+
+
+def envelope_overlays(stack, window):
+    """The order-k curve of every frame of the stack, drawn in the window's plane.
+
+    The curve of the frame at angle theta is the zero set of
+    z -> g(e^{i theta} z), so it is traced on the window itself and its
+    vertices meet the window edges exactly.  Each curve is traced on one node
+    grid at half the raster resolution, max(2, ceil(cols/2)) x
+    max(2, ceil(rows/2)) nodes, because an overlay is drawn as a thin line
+    over the raster.  g is evaluated on at most ``_FIELD_BLOCK_PAIRS``
+    (angle, node) pairs per call: a block of angles when the grid is small,
+    else a band of grid rows of one angle.  Saddle cells are resolved at
+    e^{i theta} times the cell center.  The curves come in angle order.  For
+    k = 1 and 2 they are the same, bit for bit, whatever the block size; for
+    k >= 3 the last bits of g depend on whether one call holds 16384 points
+    or more (NumPy then elides temporaries into in-place products, which
+    round differently).
+    """
+    grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
+                  cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
+    s, t = grid.node_axes()
+    t = t[:, None]
+    polylines = []
+    closed = []
+    # Small blocks also keep the field's temporaries out of fresh pages: on a
+    # 400x300 grid, one call per angle spent two thirds of its time faulting
+    # them in (2.3 s against 0.7 s in bands, 120 angles, k = 2).
+    angles = max(1, _FIELD_BLOCK_PAIRS // (grid.cols * grid.rows))
+    band = max(1, _FIELD_BLOCK_PAIRS // grid.cols)
+    for lo in range(0, len(stack), angles):
+        block = stack[lo:lo + angles]
+        theta = block.theta[:, None, None]
+        vals = np.empty((len(block), grid.rows, grid.cols))
+        for r in range(0, grid.rows, band):
+            vals[:, r:r + band] = g_field(block, *_rotate(theta, s, t[r:r + band]))
+        for i in range(len(block)):
+            cs = trace_values(vals[i], grid, partial(_rotated_field, block[i]),
+                              kind="overlay")
+            polylines.extend(cs.polylines)
+            closed.extend(cs.closed_flags)
+    return CurveSet(polylines=tuple(polylines), closed_flags=tuple(closed),
+                    window=window, kind="overlay")
 
 
 def rank_numrange_raster(A, ell, theta_count, window):

@@ -101,9 +101,6 @@ class FrameStack:
     def __getitem__(self, index):
         return FrameStack(self.k, *(getattr(self, f.name)[index] for f in fields(self)[1:]))
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 def _freeze(a):
     a = np.ascontiguousarray(a)

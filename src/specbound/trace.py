@@ -5,6 +5,14 @@ placed by linear interpolation of the sampled values and ambiguous (saddle)
 cells disambiguated by an extra sample at the cell center.  Cell segments are
 linked into polylines in a deterministic sequential pass, so repeated runs
 produce identical output.
+
+:func:`trace_implicit` samples a function on the window's node grid and
+hands the values to :func:`trace_values`, the marching-squares pass.  The
+pass works on integer edge ids: it builds every active cell's segments from
+one case table with NumPy, links them, and only then looks up the crossing
+coordinates.  Callers that already hold node values, such as the envelope
+overlays (one block of rotation angles per field call), call
+:func:`trace_values` directly.
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ __all__ = [
     "CurveSet",
     "auto_window",
     "trace_implicit",
+    "trace_values",
     "gamma_curve",
     "gamma_min_curve",
     "hyperbola_set",
-    "clip_polyline",
     "point_in_polygon",
 ]
 
@@ -155,6 +163,29 @@ _SADDLE = {
 }
 
 
+def _segment_table():
+    """The tables above as arrays, one row per case.
+
+    Rows 0-15 are the cases (a saddle row holds its center-inside
+    segments); rows 16 and 17 hold the center-outside segments of cases 5
+    and 10.  ``edges[row]`` is a (2, 2) array of local edge pairs and
+    ``used[row]`` says which of the two pairs the case has.
+    """
+    rows = {**_CASE_SEGMENTS}
+    for case, (inside, outside) in _SADDLE.items():
+        rows[case] = inside
+        rows[16 + (case == 10)] = outside
+    edges = np.zeros((18, 2, 2), dtype=np.intp)
+    used = np.zeros((18, 2), dtype=bool)
+    for row, segs in rows.items():
+        edges[row, :len(segs)] = segs
+        used[row, :len(segs)] = True
+    return edges, used
+
+
+_SEGMENT_EDGES, _SEGMENT_USED = _segment_table()
+
+
 class _Chain:
     __slots__ = ("ident", "edges", "closed")
 
@@ -214,11 +245,30 @@ def trace_implicit(f, window, kind="implicit"):
     array of the same shape.  Nodes with f >= 0 count as inside; an empty
     CurveSet comes back when the sign never changes.
     """
+    grid_s, grid_t = np.meshgrid(*window.node_axes())
+    return trace_values(f(grid_s, grid_t), window, f, kind)
+
+
+def trace_values(vals, window, center, kind="implicit"):
+    """Marching squares over field values already sampled on the node grid.
+
+    ``vals`` has shape (rows, cols): ``vals[j, i]`` is the field at node
+    (s_i, t_j) of ``window.node_axes()``.  ``center(s, t)`` evaluates the
+    field on 1-d coordinate arrays; it is called once, on the centers of
+    the saddle cells, and only when there are any.  The result is the one
+    :func:`trace_implicit` gives for a field with these node values.
+
+    Edges get integer ids: the horizontal edge from node (j, i) to
+    (j, i + 1) is j (cols - 1) + i, and the vertical edge from (j, i) to
+    (j + 1, i) is rows (cols - 1) + j cols + i.
+    """
+    rows, cols = window.rows, window.cols
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (rows, cols):
+        raise ParameterError("the field must have one value per grid node")
     s_nodes, t_nodes = window.node_axes()
-    grid_s, grid_t = np.meshgrid(s_nodes, t_nodes)
-    vals = np.asarray(f(grid_s, grid_t), dtype=float)
-    if vals.shape != grid_s.shape:
-        raise ParameterError("field function must return one value per grid node")
+    ds = s_nodes[1] - s_nodes[0]
+    dt = t_nodes[1] - t_nodes[0]
     inside = vals >= 0.0
 
     b0 = inside[:-1, :-1]
@@ -231,60 +281,54 @@ def trace_implicit(f, window, kind="implicit"):
         + (b2.astype(np.uint8) << 2)
         + (b3.astype(np.uint8) << 3)
     )
-    active = np.argwhere((case != 0) & (case != 15))
-
-    # Crossing coordinates for every sign-change edge, computed once.
-    points = {}
-    ds = s_nodes[1] - s_nodes[0] if window.cols > 1 else 0.0
-    dt = t_nodes[1] - t_nodes[0] if window.rows > 1 else 0.0
-
-    hj, hi = np.nonzero(inside[:, :-1] != inside[:, 1:])
-    v1 = vals[hj, hi]
-    tau = v1 / (v1 - vals[hj, hi + 1])
-    for j, i, tt in zip(hj.tolist(), hi.tolist(), (s_nodes[hi] + tau * ds).tolist()):
-        points[("h", i, j)] = (tt, float(t_nodes[j]))
-    vj, vi = np.nonzero(inside[:-1, :] != inside[1:, :])
-    v1 = vals[vj, vi]
-    tau = v1 / (v1 - vals[vj + 1, vi])
-    for j, i, tt in zip(vj.tolist(), vi.tolist(), (t_nodes[vj] + tau * dt).tolist()):
-        points[("v", i, j)] = (float(s_nodes[i]), tt)
+    cj, ci = np.nonzero((case != 0) & (case != 15))
+    if cj.size == 0:
+        return CurveSet(polylines=(), closed_flags=(), window=window, kind=kind)
+    row = case[cj, ci].astype(np.intp)
 
     # Resolve saddle cells with one batched center evaluation.
-    saddle_cells = [(j, i) for j, i in active.tolist() if case[j, i] in (5, 10)]
-    saddle_inside = {}
-    if saddle_cells:
-        cs = np.array([s_nodes[i] + 0.5 * ds for _, i in saddle_cells])
-        ct = np.array([t_nodes[j] + 0.5 * dt for j, _ in saddle_cells])
-        center_vals = np.asarray(f(cs, ct), dtype=float)
-        for cell, cv in zip(saddle_cells, center_vals.tolist()):
-            saddle_inside[cell] = cv >= 0.0
-
-    segments = []
-    for j, i in active.tolist():
-        c = int(case[j, i])
-        local = (
-            ("h", i, j),
-            ("v", i + 1, j),
-            ("h", i, j + 1),
-            ("v", i, j),
+    saddle = np.nonzero((row == 5) | (row == 10))[0]
+    if saddle.size:
+        center_vals = np.asarray(
+            center(s_nodes[ci[saddle]] + 0.5 * ds, t_nodes[cj[saddle]] + 0.5 * dt),
+            dtype=float,
         )
-        if c in _SADDLE:
-            segs = _SADDLE[c][0] if saddle_inside[(j, i)] else _SADDLE[c][1]
-        else:
-            segs = _CASE_SEGMENTS[c]
-        for ea, eb in segs:
-            segments.append((local[ea], local[eb]))
+        outside = saddle[~(center_vals >= 0.0)]
+        row[outside] = 16 + (row[outside] == 10)
 
+    # Global ids of each cell's bottom, right, top and left edges, then the
+    # segments of every active cell in cell order.
+    h_count = rows * (cols - 1)
+    bottom = cj * (cols - 1) + ci
+    left = h_count + cj * cols + ci
+    local = np.stack([bottom, left + 1, bottom + (cols - 1), left], axis=1)
+    pairs = local[np.arange(cj.size)[:, None, None], _SEGMENT_EDGES[row]]
+    segments = pairs[_SEGMENT_USED[row]]
+
+    # Crossing coordinates of every sign-change edge, in ascending edge id.
+    hj, hi = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    v1 = vals[hj, hi]
+    h_s = s_nodes[hi] + v1 / (v1 - vals[hj, hi + 1]) * ds
+    vj, vi = np.nonzero(inside[:-1, :] != inside[1:, :])
+    v1 = vals[vj, vi]
+    v_t = t_nodes[vj] + v1 / (v1 - vals[vj + 1, vi]) * dt
+    edge_ids = np.concatenate([hj * (cols - 1) + hi, h_count + vj * cols + vi])
+    edge_s = np.concatenate([h_s, s_nodes[vi]])
+    edge_t = np.concatenate([t_nodes[hj], v_t])
+
+    chains = _link_segments(segments.tolist())
+    at = np.searchsorted(edge_ids, np.concatenate([c.edges for c in chains]))
     polylines = []
-    closed = []
-    for chain in _link_segments(segments):
-        poly = np.array([points[e] for e in chain.edges], dtype=float)
+    end = 0
+    for chain in chains:
+        idx = at[end:end + len(chain.edges)]
+        end += len(chain.edges)
+        poly = np.column_stack([edge_s[idx], edge_t[idx]])
         poly.setflags(write=False)
         polylines.append(poly)
-        closed.append(chain.closed)
     return CurveSet(
         polylines=tuple(polylines),
-        closed_flags=tuple(closed),
+        closed_flags=tuple(c.closed for c in chains),
         window=window,
         kind=kind,
     )
@@ -347,24 +391,6 @@ def hyperbola_set(deltas, k, window):
         window=window,
         kind="hyperbola",
     )
-
-
-def clip_polyline(points, window):
-    """Split a polyline into the maximal runs whose vertices lie in the window."""
-    pts = np.asarray(points, dtype=float)
-    keep = window.contains(pts[:, 0], pts[:, 1])
-    runs = []
-    start = None
-    for i, k in enumerate(keep.tolist()):
-        if k and start is None:
-            start = i
-        elif not k and start is not None:
-            if i - start >= 2:
-                runs.append(pts[start:i])
-            start = None
-    if start is not None and len(pts) - start >= 2:
-        runs.append(pts[start:])
-    return runs
 
 
 def point_in_polygon(s, t, polygon):

@@ -350,3 +350,68 @@ def test_every_export_resolves():
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("command, fmt", [("curve", "pgm"), ("curve", "json"),
+                                          ("envelope", "json"), ("numrange", "json")])
+def test_unsupported_format_is_rejected_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        command, fmt):
+    import specbound.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("matrix work started before the format was checked")
+
+    for name in ("build_frame", "build_frames", "numerical_range_boundary"):
+        monkeypatch.setattr(cli, name, no_work)
+    rc = main([command, "--gallery", "toeplitz_eq1", "--k", "2", "--format", fmt,
+               "--out", str(tmp_path / f"x.{fmt}")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / f"x.{fmt}").exists()
+
+
+def test_envelope_svg_solves_the_frames_once(tmp_path, monkeypatch):
+    import specbound.cli as cli
+    import specbound.envelope as env
+    from specbound.frame import build_frames
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return build_frames(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_frames", counted)
+    monkeypatch.setattr(env, "build_frames", None)
+    for fmt in ("svg", "pgm", "csv"):
+        assert main(["envelope", "--gallery", "toeplitz_eq1", "--k", "2",
+                     "--theta-count", "24", "--grid", "40x30", "--format", fmt,
+                     "--out", str(tmp_path / f"e.{fmt}")]) == 0
+    # one solve per job, which the raster and the overlays share
+    assert [len(thetas) for thetas in calls] == [24, 24, 24]
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    import specbound.cli as cli
+
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    cli._parser.cache_clear()
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    try:
+        assert main(["envelope", "--gallery", "toeplitz_eq1", "--k", "3", "--grid", "40x30",
+                     "--theta-count", "7", "--format", "pgm", "--out", "x"]) == 0
+        assert main(["numrange", "--gallery", "matrix_A1"]) == 0
+        assert main(["curve", "--gallery", "pair_A", "--with-gamma-min"]) == 0
+        assert main(["check", "--gallery", "a_tilde"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    env, nr, curve, check = seen
+    assert (env.k, env.grid, env.theta_count, env.fmt) == (3, (40, 30), 7, "pgm")
+    assert (nr.k, nr.grid, nr.theta_count, nr.fmt, nr.out) == (0, (800, 600), 120, "svg", None)
+    assert nr.gallery_spec.name == "matrix_A1"
+    assert (curve.k, curve.include_gamma_min, curve.include_hyperbolas) == (1, True, False)
+    assert (check.k, check.fmt, check.include_gamma_min) == (1, "json", False)

@@ -25,7 +25,9 @@ from specbound import (
     rank_numrange_raster,
     rotation_spectra,
     theta_grid,
+    trace_implicit,
 )
+from specbound.envelope import envelope_overlays
 from conftest import random_complex
 
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
@@ -65,7 +67,9 @@ def _reference_mask(a, k, thetas, points):
     pts = np.asarray(points, dtype=np.complex128)
     tol = membership_tolerance(a, k)
     member = np.ones(pts.shape, dtype=bool)
-    for frame in build_frames(a, k, thetas):
+    stack = build_frames(a, k, thetas)
+    for i in range(len(stack)):
+        frame = stack[i]
         z = np.exp(1j * frame.theta) * pts
         member &= g_field(frame, z.real, z.imag) >= -tol
     return member
@@ -434,3 +438,133 @@ def test_membership_grid_rotation_shift_identity():
     base = envelope_member_mask(a, 2, thetas + phi, pts)
     image = envelope_member_mask(mapped, 2, thetas, scale * np.exp(1j * phi) * pts + b)
     assert np.array_equal(base, image)
+
+
+# --- overlays -----------------------------------------------------------------
+
+OVERLAY_MATRICES = [TOEPLITZ, build_matrix(MatrixSpec("matrix_A1")),
+                    build_matrix(MatrixSpec("pair_A")),
+                    random_complex(5, seed=3), random_complex(6, seed=17)]
+
+
+def _rotated_plane_reference(frame, window):
+    """One overlay traced the earlier way, as complex vertex arrays.
+
+    The order-k curve of the frame is traced at the window's full
+    resolution in the bounding box of the rotated window, then rotated back.
+    It is not clipped, so it covers the whole window.
+    """
+    corners = np.array([complex(window.s_min, window.t_min),
+                        complex(window.s_max, window.t_min),
+                        complex(window.s_max, window.t_max),
+                        complex(window.s_min, window.t_max)]) * np.exp(1j * frame.theta)
+    box = Window(corners.real.min(), corners.real.max(), corners.imag.min(),
+                 corners.imag.max(), cols=window.cols, rows=window.rows)
+    cs = trace_implicit(lambda s, t: g_field(frame, s, t), box)
+    back = np.exp(-1j * frame.theta)
+    return [(p[:, 0] + 1j * p[:, 1]) * back for p in cs.polylines]
+
+
+def _distance_to_polylines(points, polylines):
+    """Distance of each complex point to the nearest segment of the polylines."""
+    a = np.concatenate([p[:-1] for p in polylines])
+    b = np.concatenate([p[1:] for p in polylines])
+    d = b - a
+    rel = points[:, None] - a[None, :]
+    u = np.clip((rel * np.conj(d)).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+    return np.min(np.abs(rel - u * d), axis=1)
+
+
+def _overlay_grid(window):
+    return Window(window.s_min, window.s_max, window.t_min, window.t_max,
+                  cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
+
+
+def test_overlays_follow_the_rotated_plane_curves():
+    # every overlay vertex lies within one overlay-cell diagonal of the curve
+    # the earlier rotated-plane method traced at twice the resolution, and
+    # inside the window
+    thetas = theta_grid(12)
+    for a in OVERLAY_MATRICES:
+        for k in range(1, min(3, a.shape[0] - 1) + 1):
+            window = auto_window(build_frame(a, k), cols=120, rows=90)
+            tolerance = _overlay_grid(window).cell_diagonal
+            stack = build_frames(a, k, thetas)
+            for i in range(len(stack)):
+                overlays = envelope_overlays(stack[i:i + 1], window)
+                assert overlays.kind == "overlay" and overlays.window == window
+                assert overlays.polylines
+                verts = np.vstack(overlays.polylines)
+                assert np.all(window.contains(verts[:, 0], verts[:, 1]))
+                ref = _rotated_plane_reference(stack[i], window)
+                dist = _distance_to_polylines(verts[:, 0] + 1j * verts[:, 1], ref)
+                assert np.max(dist) <= tolerance
+
+
+def test_overlays_equal_tracing_the_rotated_field_on_the_half_grid():
+    # each overlay is the zero set of z -> g(e^{i theta} z) on the half grid,
+    # saddle cells included: both cases have saddle cells at some angles
+    cases = ((build_matrix(MatrixSpec("pair_A")), (60, 45)),
+             (random_complex(6, seed=17), (40, 30)))
+    for a, (cols, rows) in cases:
+        stack = build_frames(a, 3, theta_grid(24))
+        window = auto_window(build_frame(a, 3), cols=cols, rows=rows)
+        grid = _overlay_grid(window)
+        s, t = np.meshgrid(*grid.node_axes())
+        want = []
+        saddles = 0
+        for i in range(len(stack)):
+            frame = stack[i]
+            ph = np.exp(1j * frame.theta)
+
+            def rotated(s, t, frame=frame, ph=ph):
+                return g_field(frame, ph.real * s - ph.imag * t, ph.imag * s + ph.real * t)
+
+            want.append(trace_implicit(rotated, grid))
+            b = rotated(s, t) >= 0.0
+            saddles += np.count_nonzero((b[:-1, :-1] == b[1:, 1:]) & (b[:-1, 1:] == b[1:, :-1])
+                                        & (b[:-1, :-1] != b[:-1, 1:]))
+        assert saddles > 0
+        got = envelope_overlays(stack, window)
+        polylines = [p for cs in want for p in cs.polylines]
+        assert got.closed_flags == tuple(f for cs in want for f in cs.closed_flags)
+        assert len(got.polylines) == len(polylines)
+        for p, q in zip(got.polylines, polylines):
+            assert np.array_equal(p, q)
+
+
+def _same_curves(got, want):
+    return (got.closed_flags == want.closed_flags
+            and len(got.polylines) == len(want.polylines)
+            and all(np.array_equal(p.view(np.int64), q.view(np.int64))
+                    for p, q in zip(got.polylines, want.polylines)))
+
+
+def test_overlays_do_not_depend_on_the_block_size(monkeypatch):
+    # a budget of one (angle, node) pair evaluates one grid row of one angle
+    # per call; a huge budget evaluates all 16 angles (16416 pairs) in one
+    # call.  For k >= 3, g_field itself rounds differently once a call holds
+    # 16384 points or more (NumPy elides the temporaries of the cofactor
+    # products into in-place multiplies, which round differently), so there
+    # only the budgets below that size are compared bit for bit.
+    cases = ((TOEPLITZ, 2, (1, 10 ** 9)), (build_matrix(MatrixSpec("pair_A")), 1, (1, 10 ** 9)),
+             (random_complex(5, seed=3), 3, (1,)))
+    for a, k, budgets in cases:
+        window = auto_window(build_frame(a, k), cols=75, rows=53)
+        stack = build_frames(a, k, theta_grid(16))
+        default = envelope_overlays(stack, window)
+        for pairs in budgets:
+            monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", pairs)
+            assert _same_curves(envelope_overlays(stack, window), default)
+        monkeypatch.undo()
+
+
+def test_raster_from_a_given_stack_is_the_same(monkeypatch):
+    for a, k in ((TOEPLITZ, 2), (random_complex(5, seed=3), 3)):
+        window = auto_window(build_frame(a, k), cols=48, rows=36)
+        stack = build_frames(a, k, theta_grid(40))
+        ref = envelope_raster(a, k, 40, window)
+        monkeypatch.setattr(envelope_module, "build_frames", None)
+        got = envelope_raster(a, k, 40, window, stack=stack)
+        monkeypatch.undo()
+        assert np.array_equal(got.bits, ref.bits)

@@ -8,13 +8,14 @@ from specbound import (
     auto_window,
     build_frame,
     build_matrix,
-    clip_polyline,
     gamma_curve,
     gamma_min_curve,
     hyperbola_set,
     point_in_polygon,
     trace_implicit,
 )
+from specbound.inequality import g_field
+from specbound.trace import trace_values
 from conftest import random_complex
 
 A_TILDE = build_matrix(MatrixSpec("a_tilde"))
@@ -89,6 +90,94 @@ def test_trace_determinism():
     assert len(cs1.polylines) == len(cs2.polylines)
     for p1, p2 in zip(cs1.polylines, cs2.polylines):
         assert np.array_equal(p1, p2)
+
+
+def _reference_trace(f, window):
+    """Marching squares one cell at a time, on tuple-keyed edges.
+
+    The per-cell formulation trace_implicit replaced; the cases, the saddle
+    rule, the vertex arithmetic and the linking are the same, so the two
+    must agree bit for bit.
+    """
+    from specbound.trace import _CASE_SEGMENTS, _SADDLE, _link_segments
+
+    s_nodes, t_nodes = window.node_axes()
+    vals = f(*np.meshgrid(s_nodes, t_nodes))
+    inside = vals >= 0.0
+    ds = s_nodes[1] - s_nodes[0]
+    dt = t_nodes[1] - t_nodes[0]
+    points = {}
+    for j, i in zip(*np.nonzero(inside[:, :-1] != inside[:, 1:])):
+        tau = vals[j, i] / (vals[j, i] - vals[j, i + 1])
+        points[("h", i, j)] = (s_nodes[i] + tau * ds, t_nodes[j])
+    for j, i in zip(*np.nonzero(inside[:-1, :] != inside[1:, :])):
+        tau = vals[j, i] / (vals[j, i] - vals[j + 1, i])
+        points[("v", i, j)] = (s_nodes[i], t_nodes[j] + tau * dt)
+    segments = []
+    for j in range(window.rows - 1):
+        for i in range(window.cols - 1):
+            c = (int(inside[j, i]) + 2 * int(inside[j, i + 1])
+                 + 4 * int(inside[j + 1, i + 1]) + 8 * int(inside[j + 1, i]))
+            if c in (0, 15):
+                continue
+            if c in _SADDLE:
+                center = f(np.array([s_nodes[i] + 0.5 * ds]), np.array([t_nodes[j] + 0.5 * dt]))
+                segs = _SADDLE[c][0] if center[0] >= 0.0 else _SADDLE[c][1]
+            else:
+                segs = _CASE_SEGMENTS[c]
+            local = (("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j))
+            segments += [(local[a], local[b]) for a, b in segs]
+    chains = _link_segments(segments)
+    return ([np.array([points[e] for e in c.edges], dtype=float) for c in chains],
+            [c.closed for c in chains])
+
+
+def test_trace_matches_per_cell_reference():
+    # saddles of both kinds with the center inside, outside and exactly on
+    # the curve (the 4 x 4 grid puts the middle cell's center at the origin)
+    saddle_win = Window(-1.5, 1.5, -1.5, 1.5, cols=4, rows=4)
+    cases = [(lambda s, t, c=c, sign=sign: sign * s * t + c, saddle_win)
+             for sign in (1.0, -1.0) for c in (0.0, 0.1, -0.1)]
+    cases += [
+        (lambda s, t: np.sin(3 * s) * np.cos(2 * t) - 0.1, Window(-2, 2.1, -2, 1.9, cols=53, rows=47)),
+        (lambda s, t: 1.0 - s * s - t * t, Window(-1.5, 1.5, -1.5, 1.5, cols=73, rows=57)),
+        (lambda s, t: (s - 0.3) ** 2 - t ** 2 - 0.2, Window(-1, 2, -1.5, 1.5, cols=31, rows=40)),
+    ]
+    f2 = build_frame(random_complex(5, seed=8), 2)
+    cases.append((lambda s, t: g_field(f2, s, t), auto_window(f2, cols=90, rows=70)))
+    for f, win in cases:
+        got = trace_implicit(f, win)
+        polylines, closed = _reference_trace(f, win)
+        assert got.closed_flags == tuple(closed)
+        assert len(got.polylines) == len(polylines)
+        for p, q in zip(got.polylines, polylines):
+            assert np.array_equal(p.view(np.int64), q.view(np.int64))
+
+
+def test_trace_values_takes_sampled_nodes():
+    # the origin is the center of the one saddle cell; the field is sampled
+    # at the saddle center once, and not at all when nothing crosses
+    win = Window(-1.0, 1.0, -1.0, 1.0, cols=40, rows=30)
+    f = lambda s, t: s * t + 1e-4  # noqa: E731
+    vals = f(*np.meshgrid(*win.node_axes()))
+    centers = []
+
+    def center(s, t):
+        centers.append(len(s))
+        return f(s, t)
+
+    got = trace_values(vals, win, center, kind="x")
+    want = trace_implicit(f, win, kind="x")
+    assert (got.kind, got.window, got.closed_flags) == ("x", win, want.closed_flags)
+    assert len(got.polylines) == len(want.polylines) == 2
+    assert all(np.array_equal(p, q) for p, q in zip(got.polylines, want.polylines))
+    assert centers == [1]
+    assert trace_values(np.ones((30, 40)), win, center).polylines == ()
+    assert centers == [1]
+    with pytest.raises(ParameterError):
+        trace_values(np.ones((40, 30)), win, center)
+    with pytest.raises(ParameterError):
+        trace_implicit(lambda s, t: np.ones(3), win)
 
 
 def test_gamma_curve_passes_near_loop_top():
@@ -205,14 +294,6 @@ def test_auto_window_contains_eigenvalues():
         win = auto_window(f)
         for ev in np.linalg.eigvals(a):
             assert win.contains(ev.real, ev.imag)
-
-
-def test_clip_polyline():
-    win = Window(0.0, 1.0, 0.0, 1.0, cols=10, rows=10)
-    poly = np.array([[-0.5, 0.5], [0.2, 0.5], [0.8, 0.5], [1.5, 0.5], [0.9, 0.2], [0.5, 0.2]])
-    runs = clip_polyline(poly, win)
-    assert len(runs) == 2
-    assert all(np.all(win.contains(r[:, 0], r[:, 1])) for r in runs)
 
 
 def test_point_in_polygon():
