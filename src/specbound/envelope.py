@@ -19,7 +19,14 @@ from functools import partial
 
 import numpy as np
 
-from .frame import _check_order, _chunks, _rotated_hermitian, build_frames, rotation_spectra
+from .frame import (
+    _antipode,
+    _check_order,
+    _paired_chunks,
+    _rotated_hermitian,
+    build_frames,
+    rotation_spectra,
+)
 from .inequality import g_field, g_member_k3
 from .linalg import ParameterError, as_matrix, max_abs
 from .trace import CurveSet, Window, trace_values
@@ -233,11 +240,8 @@ def envelope_overlays(stack, window):
     over the raster.  g is evaluated on at most ``_FIELD_BLOCK_PAIRS``
     (angle, node) pairs per call: a block of angles when the grid is small,
     else a band of grid rows of one angle.  Saddle cells are resolved at
-    e^{i theta} times the cell center.  The curves come in angle order.  For
-    k = 1 and 2 they are the same, bit for bit, whatever the block size; for
-    k >= 3 the last bits of g depend on whether one call holds 16384 points
-    or more (NumPy then elides temporaries into in-place products, which
-    round differently).
+    e^{i theta} times the cell center.  The curves come in angle order and
+    are the same, bit for bit, whatever the block size.
     """
     grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
                   cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
@@ -293,6 +297,12 @@ def rank_numrange_raster(A, ell, theta_count, window):
     )
 
 
+def _top_rayleigh(a, v):
+    """u* A u for the last eigenvector u of each angle (eigh's order: the top one)."""
+    u1 = v[:, :, -1]
+    return np.einsum("mi,ij,mj->m", np.conj(u1), a, u1)
+
+
 def numerical_range_boundary(A, theta_count):
     """Closed boundary polyline of the numerical range.
 
@@ -305,10 +315,13 @@ def numerical_range_boundary(A, theta_count):
         raise ParameterError("numerical range boundary needs at least 3 angles")
     thetas = theta_grid(theta_count)
     z = np.empty(theta_count, dtype=np.complex128)
-    for chunk in _chunks(theta_count, a.shape[0]):
+    for chunk, opposite in _paired_chunks(thetas, a.shape[0]):
         _, h = _rotated_hermitian(a, thetas[chunk])
-        u1 = np.linalg.eigh(h)[1][:, :, -1]
-        z[chunk] = np.einsum("mi,ij,mj->m", np.conj(u1), a, u1)
+        w, v = np.linalg.eigh(h)
+        z[chunk] = _top_rayleigh(a, v)
+        if opposite is not None:
+            # the top eigenvector at theta + pi is the bottom one at theta
+            z[opposite] = _top_rayleigh(a, _antipode(w, v)[1])
     pts = np.column_stack([z.real, z.imag])
     pts.setflags(write=False)
 

@@ -115,11 +115,18 @@ def _m2_pieces(c, lam):
     return m00, m11, moff, det
 
 
+# In the cofactor products below, the temporary operand comes first.  NumPy
+# turns ``temporary * array`` on large arrays into an in-place product; with
+# the temporary on the right it swaps the operands to do so, and the swapped
+# complex product rounds differently, so a value of g would depend on how
+# many points one call holds.
+
+
 def _det3(w):
     return (
-        w[..., 0, 0] * (w[..., 1, 1] * w[..., 2, 2] - w[..., 1, 2] * w[..., 2, 1])
-        - w[..., 0, 1] * (w[..., 1, 0] * w[..., 2, 2] - w[..., 1, 2] * w[..., 2, 0])
-        + w[..., 0, 2] * (w[..., 1, 0] * w[..., 2, 1] - w[..., 1, 1] * w[..., 2, 0])
+        (w[..., 1, 1] * w[..., 2, 2] - w[..., 1, 2] * w[..., 2, 1]) * w[..., 0, 0]
+        - (w[..., 1, 0] * w[..., 2, 2] - w[..., 1, 2] * w[..., 2, 0]) * w[..., 0, 1]
+        + (w[..., 1, 0] * w[..., 2, 1] - w[..., 1, 1] * w[..., 2, 0]) * w[..., 0, 2]
     )
 
 
@@ -206,7 +213,7 @@ def _mk_pieces(c, lam):
     k = c.shape[-1]
     w = c - lam[..., None, None] * np.eye(k)
     det = _det_batched(w)
-    p = det[..., None, None] * _adjugate_batched(_ct(w))
+    p = _adjugate_batched(_ct(w)) * det[..., None, None]
     return det, 0.5 * (p + _ct(p))
 
 

@@ -333,11 +333,17 @@ def test_numrange_convexity():
 
 
 def _reference_numrange_points(a, theta_count):
-    """The boundary points with every angle solved in one unchunked call."""
-    thetas = theta_grid(theta_count)
+    """The boundary points with every solved angle in one unchunked call.
+
+    An even count solves only its first half: the top eigenvector at
+    theta + pi is the bottom one at theta.
+    """
+    solved = theta_count // 2 if theta_count % 2 == 0 else theta_count
+    thetas = theta_grid(theta_count)[:solved]
     h = np.exp(1j * thetas)[:, None, None] * a[None, :, :]
     h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-    u1 = np.linalg.eigh(h)[1][:, :, -1]
+    v = np.linalg.eigh(h)[1]
+    u1 = v[:, :, -1] if solved == theta_count else np.concatenate([v[:, :, -1], v[:, :, 0]])
     z = np.einsum("mi,ij,mj->m", np.conj(u1), a, u1)
     return np.column_stack([z.real, z.imag])
 
@@ -543,12 +549,10 @@ def _same_curves(got, want):
 def test_overlays_do_not_depend_on_the_block_size(monkeypatch):
     # a budget of one (angle, node) pair evaluates one grid row of one angle
     # per call; a huge budget evaluates all 16 angles (16416 pairs) in one
-    # call.  For k >= 3, g_field itself rounds differently once a call holds
-    # 16384 points or more (NumPy elides the temporaries of the cofactor
-    # products into in-place multiplies, which round differently), so there
-    # only the budgets below that size are compared bit for bit.
+    # call, past the size at which NumPy elides temporaries into in-place
+    # products, so the k = 3 cofactor products are checked across it too.
     cases = ((TOEPLITZ, 2, (1, 10 ** 9)), (build_matrix(MatrixSpec("pair_A")), 1, (1, 10 ** 9)),
-             (random_complex(5, seed=3), 3, (1,)))
+             (random_complex(5, seed=3), 3, (1, 10 ** 9)))
     for a, k, budgets in cases:
         window = auto_window(build_frame(a, k), cols=75, rows=53)
         stack = build_frames(a, k, theta_grid(16))

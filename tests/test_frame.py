@@ -11,6 +11,7 @@ from specbound import (
     hermitian_part,
     max_abs,
     rotation_spectra,
+    theta_grid,
     w_matrix,
 )
 from conftest import random_complex, random_hermitian, random_unitary
@@ -161,26 +162,108 @@ def test_build_frames_batch_matches_single():
 
 def test_build_frames_chunking_is_bit_identical(monkeypatch):
     fields = ("theta", "deltas", "delta_k_block", "y_k", "delta_next", "kappa", "degenerate")
-    thetas = np.random.default_rng(4).permutation(np.linspace(0.0, 6.0, 37))
+    shuffled = np.random.default_rng(4).permutation(np.linspace(0.0, 6.0, 37))
+    # theta_grid(36) is antipodal: only its first half is solved
+    for thetas in (shuffled, theta_grid(36)):
+        for a, k in ((random_complex(40, seed=6), 2), (A_TILDE, 1), (random_complex(5, seed=3), 3)):
+            default = build_frames(a, k, thetas)
+            monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
+            assert frame_module._chunk_angles(a.shape[0]) == 1
+            single = build_frames(a, k, thetas)
+            monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 2 ** 40)  # every angle in one chunk
+            assert frame_module._chunk_angles(a.shape[0]) >= len(thetas)
+            whole = build_frames(a, k, thetas)
+            monkeypatch.undo()
+            for name in fields:
+                ref = getattr(whole, name)
+                assert ref.shape[0] == len(thetas) == len(whole)
+                assert np.array_equal(getattr(single, name), ref)
+                assert np.array_equal(getattr(default, name), ref)
+            if thetas is not shuffled:
+                continue
+            for i in (0, 17, 36):
+                f = build_frame(a, k, thetas[i])
+                one = whole[i]
+                assert one.theta == f.theta and one.kappa == f.kappa
+                assert np.array_equal(one.y_k, f.y_k) and np.array_equal(one.deltas, f.deltas)
+
+
+def test_theta_grids_of_even_count_are_antipodal():
+    # arithmetic only: the pair test on every grid, without a solve
+    assert all(frame_module._antipodal(theta_grid(c)) for c in range(2, 20_001, 2))
+    assert not any(frame_module._antipodal(theta_grid(c)) for c in (1, 3, 37, 121))
+    grid = theta_grid(120)
+    assert frame_module._antipodal(grid[::-1])
+    assert not frame_module._antipodal(np.r_[grid[::2], grid[1::2]])
+    assert not frame_module._antipodal(np.r_[grid[:-1], grid[-1] + 1e-9])
+    assert not frame_module._antipodal([])
+
+
+def _normal_with_double_eigenvalue():
+    # H(e^{i theta} A) has a double eigenvalue at every angle, at the top on
+    # half the angles and at the bottom on the other half; A is normal, so
+    # y_k and kappa do not depend on the basis picked inside that eigenspace
+    q = random_unitary(3, seed=9)
+    lam = 1.0 + 0.5j
+    mu = lam - 2.0 * np.exp(0.3j)
+    return q @ np.diag([lam, lam, mu]) @ q.conj().T
+
+
+# Largest differences, in units of eps (1 + max|a|) (squared for kappa),
+# between a frame of a paired solve and a direct solve at its angle: the
+# derived half solves theta - pi instead of theta, which differ by up to
+# 8 eps, and the solved half forms 2k columns of Y instead of k.  Measured
+# on the cases below at most 20, 200 and 50; the bounds leave room for
+# other BLAS builds.
+_PAIRED_EPS = {"deltas": 256, "y_k": 2048, "kappa": 512}
+
+
+def test_paired_frames_match_direct_solves():
+    eps = np.finfo(float).eps
+    cases = [(random_complex(5, seed=s), k) for s in (1, 2) for k in (1, 2, 3, 4)]
+    cases += [(random_complex(40, seed=6), k) for k in (1, 2, 5)]
+    cases += [(_normal_with_double_eigenvalue(), k) for k in (1, 2)]
+    degenerate = 0
+    for a, k in cases:
+        scale = 1.0 + max_abs(a)
+        for count in (2, 12, 36):
+            stack = build_frames(a, k, theta_grid(count))
+            degenerate += int(stack.degenerate.sum())
+            for i in range(count):
+                f = build_frame(a, k, stack.theta[i])
+                one = stack[i]
+                assert bool(one.degenerate) == f.degenerate
+                assert max_abs(one.deltas - f.deltas) <= _PAIRED_EPS["deltas"] * eps * scale
+                assert max_abs(one.y_k - f.y_k) <= _PAIRED_EPS["y_k"] * eps * scale
+                assert abs(float(one.kappa) - f.kappa) <= _PAIRED_EPS["kappa"] * eps * scale ** 2
+    assert degenerate >= 2 * (1 + 6 + 18)  # the double eigenvalue sits at k, k + 1
+
+
+def test_paired_half_is_the_antipode_of_the_solved_half():
+    a = random_complex(6, seed=12)
+    spectra = rotation_spectra(a, theta_grid(40))
+    assert np.array_equal(spectra[20:], -spectra[:20, ::-1])
+    for k in (1, 2, 4):
+        stack = build_frames(a, k, theta_grid(40))
+        solved, derived = stack[:20], stack[20:]
+        assert np.array_equal(derived.deltas, -solved.deltas[:, ::-1])
+        # Y at theta + pi is -Y reversed in both axes: the k x k block of the
+        # derived frame is the negated, reversed trailing block at theta
+        f = build_frame(a, k, stack.theta[3])
+        tail = -f.y[::-1, ::-1][:k, :k]
+        assert max_abs(derived.y_k[3] - tail) <= 64 * np.finfo(float).eps * (1 + max_abs(a))
+
+
+def test_even_list_that_is_not_antipodal_matches_build_frame():
+    thetas = np.r_[theta_grid(36)[:-1], 6.1]  # even, but the last angle has no pair
+    assert not frame_module._antipodal(thetas)
+    fields = ("theta", "deltas", "delta_k_block", "y_k", "delta_next", "kappa", "degenerate")
     for a, k in ((random_complex(40, seed=6), 2), (A_TILDE, 1), (random_complex(5, seed=3), 3)):
-        default = build_frames(a, k, thetas)
-        monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
-        assert frame_module._chunk_angles(a.shape[0]) == 1
-        single = build_frames(a, k, thetas)
-        monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 2 ** 40)  # every angle in one chunk
-        assert frame_module._chunk_angles(a.shape[0]) >= len(thetas)
-        whole = build_frames(a, k, thetas)
-        monkeypatch.undo()
-        for name in fields:
-            ref = getattr(whole, name)
-            assert ref.shape[0] == len(thetas) == len(whole)
-            assert np.array_equal(getattr(single, name), ref)
-            assert np.array_equal(getattr(default, name), ref)
-        for i in (0, 17, 36):
-            f = build_frame(a, k, thetas[i])
-            one = whole[i]
-            assert one.theta == f.theta and one.kappa == f.kappa
-            assert np.array_equal(one.y_k, f.y_k) and np.array_equal(one.deltas, f.deltas)
+        stack = build_frames(a, k, thetas)
+        for i, theta in enumerate(thetas):
+            f = build_frame(a, k, theta)
+            for name in fields:
+                assert np.array_equal(getattr(stack[i], name), getattr(f, name))
 
 
 def test_rotation_spectra_matches_frames():

@@ -123,6 +123,28 @@ def test_adjugate3_is_bit_identical_to_cofactor_loop():
     assert np.array_equal(_adjugate_batched(m4), _generic_adjugate(m4))
 
 
+def test_g_field_does_not_depend_on_call_size():
+    # one 40,000-point call crosses the size at which NumPy turns products
+    # with a temporary operand into in-place products; 1000-point calls do not
+    from specbound import membership_tolerance
+    from specbound.inequality import g_member_k3
+
+    a = random_complex(6, seed=17)
+    rng = np.random.default_rng(3)
+    s = rng.uniform(-3.0, 3.0, 40_000)
+    t = rng.uniform(-3.0, 3.0, 40_000)
+    parts = [slice(lo, lo + 1000) for lo in range(0, s.size, 1000)]
+    for k in (3, 4):
+        f = build_frame(a, k, 0.4)
+        whole = g_field(f, s, t)
+        pieces = np.concatenate([g_field(f, s[p], t[p]) for p in parts])
+        assert whole.tobytes() == pieces.tobytes()
+    f = build_frame(a, 3, 0.4)
+    tol = membership_tolerance(a, 3)
+    member = np.concatenate([g_member_k3(f, s[p], t[p], tol) for p in parts])
+    assert np.array_equal(g_member_k3(f, s, t, tol), member)
+
+
 def _k3_test_matrices():
     mats = [build_matrix(MatrixSpec(name)) for name in ("toeplitz_eq1", "matrix_A1", "pair_A")]
     return mats + [random_complex(n, seed=s) for n, s in ((4, 3), (5, 17), (6, 301))]
