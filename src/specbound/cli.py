@@ -8,7 +8,8 @@ Subcommands:
 * ``numrange`` numerical range boundary and rank-level half-plane rasters
 * ``gallery``  list the built-in demo matrices
 * ``check``    verify that every eigenvalue satisfies the inequality at all
-  sampled angles and emit a JSON report
+  sampled angles and emit a JSON report; it runs on A/sigma, sigma the power
+  of two nearest max|a_ij|, and reports sigma as ``scale``
 
 Exit codes: 0 success (and, for check, spectrum contained), 1 usage error,
 2 file/input error (including entries too large to evaluate), 3 containment
@@ -46,12 +47,12 @@ from .fileio import (
 )
 from .frame import build_frame, build_frames
 from .gallery import GALLERY, MatrixSpec, build_matrix, gallery_entries
-from .linalg import DimensionError, ParameterError, as_matrix
+from .linalg import DimensionError, ParameterError, _divided, _pow2_scale, as_matrix
 from .trace import Window, auto_window, gamma_curve, gamma_min_curve, hyperbola_set
 
 __all__ = ["RunConfig", "run", "main"]
 
-_REPORT_SCHEMA_VERSION = 1
+_REPORT_SCHEMA_VERSION = 2
 
 
 class UsageError(Exception):
@@ -312,8 +313,11 @@ def _run_gallery(_cfg):
 
 def _run_check(cfg):
     a = _load_matrix(cfg)
-    # First: it overflows for entries too large to evaluate, before the
-    # eigenvalue and frame solves can fail or warn on them.
+    # The check runs on A/sigma, sigma a power of two near max|a_ij|: the
+    # margins and the tolerance are those of the normalised problem, and the
+    # eigenvalues are reported scaled back, which is exact.
+    sigma = _pow2_scale(a)
+    a = _divided(a, sigma)
     tol = membership_tolerance(a, cfg.k)
     eigenvalues = np.linalg.eigvals(a)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
@@ -328,12 +332,13 @@ def _run_check(cfg):
         "matrix": {"n": int(a.shape[0]), "source": _matrix_label(cfg)},
         "k": int(cfg.k),
         "theta_count": int(cfg.theta_count),
+        "scale": sigma,
         "degenerate_angles": int(np.count_nonzero(stack.degenerate)),
         "tolerance": tol,
         "eigenvalues": [
             {
-                "re": float(ev.real),
-                "im": float(ev.imag),
+                "re": float(ev.real) * sigma,
+                "im": float(ev.imag) * sigma,
                 "min_g_over_theta": float(g),
                 "worst_theta": float(th),
             }

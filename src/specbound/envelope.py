@@ -6,6 +6,13 @@ rotation angles, pulled back to the original plane.  With finitely many
 angles the intersection can only be too large, never too small, so
 eigenvalue containment holds at any angle count.
 
+Membership is decided on the normalised problem A/sigma, z/sigma with
+sigma = 2^round(log2 max|a_ij|), a power of two, so dividing by it is exact
+and the regions of 2^e A are those of A scaled by 2^e, bit for bit.  The
+order-k test is the sign-only kernel of :mod:`specbound.inequality` with a
+slack of 1e-12 in A/sigma units, the same for every order; the half-plane
+cut of the rank numerical ranges has the slack 1e-9 sigma (1 + max|A/sigma|).
+
 Regions are reported as boolean rasters rather than polygons because the
 envelope need not be convex or even connected.  :func:`envelope_overlays`
 draws the order-k curve of every rotated frame in the same (unrotated)
@@ -27,9 +34,9 @@ from .frame import (
     build_frames,
     rotation_spectra,
 )
-from .inequality import g_field, g_member_k3
-from .linalg import ParameterError, as_matrix, max_abs
-from .trace import CurveSet, Window, trace_values
+from .inequality import _member, _member_constants, g_field
+from .linalg import ParameterError, _divided, _pow2_scale, as_matrix, max_abs
+from .trace import CurveSet, Window, _finite_values, trace_values
 
 __all__ = [
     "RegionRaster",
@@ -70,12 +77,15 @@ def theta_grid(count):
 
 
 def membership_tolerance(A, k):
-    """Slack on g below which a point still counts as inside.
+    """Slack on g, 1e-9 (1 + max|entry|)^(2k+1), for reading g margins.
 
-    Scaled as (1 + max|entry|)^(2k+1) to match how g itself grows with the
-    matrix magnitude, so boundary eigenvalues are not lost to rounding.
-    Raises ParameterError for an order outside 1..n-1 and OverflowError
-    when the entries are too large for the power.
+    ``check`` compares its margins with it, on A/sigma (see the CLI), and
+    the benchmark checks its outputs with it.  The envelope mask does not
+    use it: it decides membership from the sign-only kernel with its own
+    scale-free slack.  The slack is absolute, so it only means something
+    for a matrix whose largest entry is near 1.  Raises ParameterError for
+    an order outside 1..n-1 and OverflowError when the entries are too
+    large for the power.
     """
     a = np.asarray(A)
     _check_order(int(k), a.shape[0])
@@ -83,13 +93,15 @@ def membership_tolerance(A, k):
 
 
 # (angle, point) pairs per field evaluation in envelope_margins and
-# envelope_overlays; the k = 3 kernel holds about 1 KiB of temporaries per
+# envelope_overlays; the k = 3 field holds about 1 KiB of temporaries per
 # pair.
 _FIELD_BLOCK_PAIRS = 2 ** 14
 
 
-def _halfplane_tolerance(A):
-    return 1e-9 * (1.0 + max_abs(np.asarray(A)))
+def _halfplane_tolerance(a):
+    """1e-9 sigma (1 + max|A/sigma|): the half-plane slack, equivariant under A -> 2^e A."""
+    sigma = _pow2_scale(a)
+    return 1e-9 * sigma * (1.0 + max_abs(a) / sigma)
 
 
 def _angle_list(thetas):
@@ -113,43 +125,40 @@ def envelope_member_mask(A, k, thetas, points, stack=None):
     """Membership of many points at once; returns a boolean array.
 
     ``points`` is any array of complex coordinates in the unrotated plane.
-    A point is a member when g >= -tolerance in every rotated frame.
-    ``stack`` is ``build_frames(A, k, thetas)`` when the caller already has
-    it.
+    A point is a member when g >= 0 in every rotated frame, decided for
+    A/sigma and z/sigma with sigma = 2^round(log2 max|a_ij|): P + eta I must
+    not be negative definite, with P the cubic Hermitian matrix whose
+    inertia gives the sign of g and eta = 1e-12 (see
+    :func:`specbound.inequality._member`).  No determinant or eigenvalue is
+    computed, every order takes the same path, and the result is the same,
+    bit for bit, for 2^e A and 2^e z as for A and z.  A point where the test
+    is not finite is not a member.  ``stack`` is ``build_frames(A, k,
+    thetas)`` when the caller already has it; it is rescaled by sigma, not
+    solved again.  Without it the frames of A/sigma are built.
 
-    The reducer culls: g is evaluated only on the points still alive, and a
+    The reducer culls: the test runs only on the points still alive, and a
     point is dropped at the first angle that rejects it.  Angles are visited
     in bit-reversed order of their position in ``thetas`` (0, m/2, m/4,
     3m/4, ...) so that widely spread angles cull outside points early.  The
     result is the same intersection, bit for bit, whatever the order of
     ``thetas`` and however early a point is dropped.
-
-    For k = 3 the test computes no eigenvalues: g >= -tol holds exactly when
-    (lhs - tol) I - kappa M_3 is not positive definite, which the signs of
-    its three LDL* pivots decide (:func:`specbound.inequality.g_member_k3`;
-    a point where the field is not finite is dropped).  Other orders compare
-    :func:`g_field` with -tol.
     """
     a = as_matrix(A)
-    pts = np.asarray(points, dtype=np.complex128)
-    tol = membership_tolerance(a, k)
+    sigma = _pow2_scale(a)
     if stack is None:
-        stack = build_frames(a, k, _angle_list(thetas))
-    flat = pts.ravel()
+        const = _member_constants(build_frames(_divided(a, sigma), k, _angle_list(thetas)), 1.0)
+    else:
+        const = _member_constants(stack, sigma)
+    flat = _divided(points, sigma).ravel()
     alive = np.arange(flat.size)
-    for i in _bit_reversed(len(stack)):
+    for i in _bit_reversed(len(const)):
         if alive.size == 0:
             break
-        frame = stack[i]
-        z = np.exp(1j * frame.theta) * flat[alive]
-        if stack.k == 3:
-            keep = g_member_k3(frame, z.real, z.imag, tol)
-        else:
-            keep = g_field(frame, z.real, z.imag) >= -tol
-        alive = alive[keep]
+        z = np.exp(1j * const[i][0]) * flat[alive]
+        alive = alive[_member(const[i], z.real, z.imag)]
     member = np.zeros(flat.size, dtype=bool)
     member[alive] = True
-    return member.reshape(pts.shape)
+    return member.reshape(np.shape(points))
 
 
 def envelope_membership(A, k, thetas, p):
@@ -241,7 +250,8 @@ def envelope_overlays(stack, window):
     (angle, node) pairs per call: a block of angles when the grid is small,
     else a band of grid rows of one angle.  Saddle cells are resolved at
     e^{i theta} times the cell center.  The curves come in angle order and
-    are the same, bit for bit, whatever the block size.
+    are the same, bit for bit, whatever the block size.  Raises
+    FloatingPointError when g is not finite at some node.
     """
     grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
                   cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
@@ -259,7 +269,8 @@ def envelope_overlays(stack, window):
         theta = block.theta[:, None, None]
         vals = np.empty((len(block), grid.rows, grid.cols))
         for r in range(0, grid.rows, band):
-            vals[:, r:r + band] = g_field(block, *_rotate(theta, s, t[r:r + band]))
+            vals[:, r:r + band] = _finite_values(partial(g_field, block),
+                                                 *_rotate(theta, s, t[r:r + band]))
         for i in range(len(block)):
             cs = trace_values(vals[i], grid, partial(_rotated_field, block[i]),
                               kind="overlay")

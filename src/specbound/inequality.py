@@ -18,13 +18,21 @@ rasterization and check code calls; :func:`g_value` and :func:`g_min_value`
 run the same evaluator at one point and return an :class:`IneqValue` with
 the pieces broken out.  k = 1 and k = 2 use closed forms for det W_k and the
 extreme eigenvalue of M_k; k >= 3 builds M_k from cofactors (spelled out for
-k = 3) and calls ``eigvalsh``.  :func:`g_member_k3` decides only the sign
-g >= -tol for k = 3, without eigenvalues, for the envelope mask.
+k = 3) and calls ``eigvalsh``.
+
+The envelope mask needs only the sign of g, and decides it for every order
+with one private kernel, :func:`_member`: g >= 0 exactly when the cubic
+Hermitian matrix P = kappa diag(delta_j - s) - (s - delta_{k+1}) W_k* W_k is
+not negative definite, which LDL* pivots decide without a determinant, an
+adjugate or an eigenvalue.  P is homogeneous of degree 3 in (A, z), so the
+mask runs it on A/sigma with a fixed slack (see
+:func:`specbound.envelope.envelope_member_mask`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -37,7 +45,6 @@ __all__ = [
     "g_value",
     "g_min_value",
     "g_field",
-    "g_member_k3",
     "cubic_g1",
     "explicit_g2",
     "g1_constants",
@@ -183,20 +190,14 @@ def _adjugate_batched(m):
     return out
 
 
-def _field_inputs(frame, s, t):
-    """Coordinates and frame quantities broadcast as the field kernels take them.
-
-    Returns (s, lam, c, kappa, delta_next) with lam = s + i t and c the
-    constant part of W_k.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    s, t = np.broadcast_arrays(s, t)
+def _field_components(frame, s, t, which):
+    if which not in ("max", "min"):
+        raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     lam = s + 1j * t
     k = frame.k
     c = _shift_matrix(frame)
-    kappa = frame.kappa
-    delta_next = frame.delta_next
+    kappa, delta_next = frame.kappa, frame.delta_next
     lead = c.ndim - 2
     if lead:
         # A frame stack: its angle axes lead the point axes, and each frame
@@ -205,28 +206,6 @@ def _field_inputs(frame, s, t):
         c = c.reshape(c.shape[:lead] + pad + (k, k))
         kappa = np.reshape(kappa, np.shape(kappa) + pad)
         delta_next = np.reshape(delta_next, np.shape(delta_next) + pad)
-    return s, lam, c, kappa, delta_next
-
-
-def _mk_pieces(c, lam):
-    """det W_k and M_k, one k x k matrix per point, for k >= 3."""
-    k = c.shape[-1]
-    w = c - lam[..., None, None] * np.eye(k)
-    det = _det_batched(w)
-    p = _adjugate_batched(_ct(w)) * det[..., None, None]
-    return det, 0.5 * (p + _ct(p))
-
-
-def _lhs(det, s, delta_next):
-    """|det W_k|^2 (s - delta_{k+1})."""
-    return (det.real ** 2 + det.imag ** 2) * (s - delta_next)
-
-
-def _field_components(frame, s, t, which):
-    if which not in ("max", "min"):
-        raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
-    s, lam, c, kappa, delta_next = _field_inputs(frame, s, t)
-    k = frame.k
     if k == 1:
         det = c[..., 0, 0] - lam
         extreme = np.real(det)
@@ -236,10 +215,13 @@ def _field_components(frame, s, t, which):
         tr = m00 + m11
         extreme = 0.5 * (tr + disc) if which == "max" else 0.5 * (tr - disc)
     else:
-        det, m = _mk_pieces(c, lam)
-        ev = np.linalg.eigvalsh(m)
+        # M_k, the Hermitian part of det(W_k) adj(W_k*), one k x k matrix per point
+        w = c - lam[..., None, None] * np.eye(k)
+        det = _det_batched(w)
+        p = _adjugate_batched(_ct(w)) * det[..., None, None]
+        ev = np.linalg.eigvalsh(0.5 * (p + _ct(p)))
         extreme = ev[..., -1] if which == "max" else ev[..., 0]
-    lhs = _lhs(det, s, delta_next)
+    lhs = (det.real ** 2 + det.imag ** 2) * (s - delta_next)
     rhs = kappa * extreme
     return rhs - lhs, lhs, rhs, extreme, det
 
@@ -256,37 +238,72 @@ def g_field(frame, s, t, which="max"):
     return _field_components(frame, s, t, which)[0]
 
 
-def g_member_k3(frame, s, t, tol):
-    """Boolean array g >= -tol on a k = 3 frame, decided without eigenvalues.
+# Slack of the membership kernel in A/sigma units (see _member).
+_ETA = 1e-12
 
-    g >= -tol  <=>  kappa lambda_max(M_3) >= lhs - tol  <=>  the Hermitian
-    Q = (lhs - tol) I - kappa M_3 is not positive definite.  Q is positive
-    definite exactly when the three pivots of its unpivoted LDL* elimination
-    (q00, q11 - |q01|^2/q00 and the last Schur complement) are positive.
-    Pivots are ratios, so they scale like Q and stay finite wherever g does;
-    leading minors would grow like |A|^21 and overflow long before.  det, M_3
-    and lhs are those of :func:`g_field`; a point where lhs or kappa M_3 is
-    not finite is not a member.  Broadcasting is as in :func:`g_field`.
+
+def _member_constants(stack, sigma):
+    """Per-angle constants of :func:`_member` for the stack's matrix over sigma.
+
+    C = ``_shift_matrix(stack)``, kappa and delta_{k+1} are divided by
+    sigma, sigma^2 and sigma, which is exact for a power of two.  As
+    C + C* = 2 Delta_k, W*W = C*C - 2 s Delta_k + 2 i t Y_k + |lambda|^2 I:
+    diagonal entry j is |C_jj - lambda|^2 plus the squared norm of column j
+    off the diagonal, and entry (j, l), j < l, is (C*C)_jl + 2 i t C_jl.
+    One tuple per angle: (theta, delta_{k+1}, kappa, [(Re C_jj, Im C_jj,
+    column norm) for each j], [(Re (C*C)_jl, Im (C*C)_jl, 2 Im C_jl,
+    2 Re C_jl) for each j < l in row order]).
     """
-    if frame.k != 3:
-        raise ParameterError("g_member_k3 requires a k=3 frame")
+    k = stack.k
+    c = _shift_matrix(stack) / sigma
+    cc = _ct(c) @ c
+    j, l = np.triu_indices(k, 1)
+    diag = c[:, range(k), range(k)]
+    norms = (np.abs(c * (1.0 - np.eye(k))) ** 2).sum(axis=1)
+    columns = np.stack([diag.real, diag.imag, norms], axis=-1)
+    pairs = np.stack([cc.real[:, j, l], cc.imag[:, j, l], 2.0 * c.imag[:, j, l],
+                      2.0 * c.real[:, j, l]], axis=-1)
+    return list(zip(stack.theta.tolist(), (stack.delta_next / sigma).tolist(),
+                    (stack.kappa / sigma / sigma).tolist(), columns.tolist(), pairs.tolist()))
+
+
+def _member(const, s, t):
+    """g >= 0 at the points s + i t of one angle, as a boolean array.
+
+    Where det W_k != 0, M_k = |det W|^2 W^{-*} D W^{-1} with D = diag(delta_j
+    - s), so by Sylvester's law of inertia g >= 0 exactly when P = kappa D -
+    (s - delta_{k+1}) W*W is not negative definite; where det W_k = 0, g = 0
+    and P is not negative definite either.  P needs no determinant and is
+    homogeneous of degree 3 in (A, z).  With ``const`` from
+    :func:`_member_constants`, in A/sigma units, the point is a member unless
+    Q = -(P + _ETA I) is positive definite, which the unpivoted LDL* pivots
+    of Q decide, in real arithmetic on its upper triangle.  Pivots are
+    ratios, so they stay finite wherever Q does; a point where Q is not
+    finite is not a member.  The slack keeps boundary points: eigenvalues of
+    normal matrices lie on the curves, and with no slack some fell short by
+    up to 1.9e-14.
+    """
+    _, dnext, kappa, columns, pairs = const
+    k = len(columns)
+    re, im = {}, {}
     with np.errstate(all="ignore"):
-        s, lam, c, kappa, delta_next = _field_inputs(frame, s, t)
-        det, m = _mk_pieces(c, lam)
-        lhs = _lhs(det, s, delta_next)
-        km = np.asarray(kappa)[..., None, None] * m
-        b = lhs - tol
-        # Q = b I - kappa M; the signs of its off-diagonal entries cancel in
-        # every pivot, so the elimination runs on kappa M directly.
-        q00 = b - km[..., 0, 0].real
-        l01 = km[..., 0, 1] / q00
-        l02 = km[..., 0, 2] / q00
-        q11 = b - km[..., 1, 1].real - (km[..., 1, 0] * l01).real
-        q22 = b - km[..., 2, 2].real - (km[..., 2, 0] * l02).real
-        q12 = km[..., 1, 2] + km[..., 1, 0] * l02
-        q22 -= (np.conj(q12) * (q12 / q11)).real
-        definite = (q00 > 0.0) & (q11 > 0.0) & (q22 > 0.0)
-        finite = np.isfinite(lhs) & np.isfinite(km).all(axis=(-2, -1))
+        x = s - dnext
+        for j, (delta, imag, norm) in enumerate(columns):
+            d = s - delta
+            re[j, j] = x * (d * d + (t - imag) ** 2 + norm) + kappa * d - _ETA
+        for jl, (ccr, cci, yi, yr) in zip(combinations(range(k), 2), pairs):
+            re[jl], im[jl] = x * (ccr - yi * t), x * (cci + yr * t)
+        definite = finite = np.isfinite(sum(re.values()) + sum(im.values()))
+        for j in range(k):
+            p = re[j, j]
+            definite = definite & (p > 0.0)
+            ratio = {l: (re[j, l] / p, im[j, l] / p) for l in range(j + 1, k)}
+            for i, l in combinations_with_replacement(ratio, 2):
+                # the Schur complement: Q_il -= conj(Q_ji) Q_jl / Q_jj
+                (ar, ai), (br, bi) = (re[j, i], im[j, i]), ratio[l]
+                re[i, l] -= ar * br + ai * bi
+                if i < l:
+                    im[i, l] -= ar * bi - ai * br
     return finite & ~definite
 
 

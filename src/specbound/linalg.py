@@ -8,6 +8,8 @@ exception classes raised for bad input across the package live here too.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -49,6 +51,33 @@ def max_abs(a):
     """Largest entry modulus; 0.0 for empty arrays."""
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _pow2_scale(a):
+    """sigma = 2^round(log2 max|a_ij|), or 1.0 when every entry is zero.
+
+    Dividing by a power of two is exact, and sigma(2^e A) = 2^e sigma(A), so
+    A/sigma is the same matrix, bit for bit, for A and 2^e A.
+    """
+    m = max_abs(a)
+    if m == 0.0:
+        return 1.0
+    mant, exp = math.frexp(m)
+    # log2 m = exp + log2(mant), mant in [1/2, 1): it rounds down below 2^(-1/2)
+    return math.ldexp(1.0, exp - (mant < math.sqrt(0.5)))
+
+
+def _divided(z, sigma):
+    """z / sigma as a complex array, each part divided on its own.
+
+    For a power of two the result is exact, signs of zeros included, so
+    dividing by 1 returns z bit for bit.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real = z.real / sigma
+    out.imag = z.imag / sigma
+    return out
 
 
 def _ct(a):

@@ -243,10 +243,24 @@ def trace_implicit(f, window, kind="implicit"):
 
     ``f`` must accept broadcastable coordinate arrays (s, t) and return an
     array of the same shape.  Nodes with f >= 0 count as inside; an empty
-    CurveSet comes back when the sign never changes.
+    CurveSet comes back when the sign never changes.  Raises
+    FloatingPointError when f is not finite at some node.
     """
     grid_s, grid_t = np.meshgrid(*window.node_axes())
-    return trace_values(f(grid_s, grid_t), window, f, kind)
+    return trace_values(_finite_values(f, grid_s, grid_t), window, f, kind)
+
+
+def _finite_values(f, s, t):
+    """f(s, t) as a float array, for tracing.
+
+    Raises FloatingPointError when a value is not finite (matrix entries too
+    large to evaluate); overflow inside ``f`` issues no warning.
+    """
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(s, t), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise FloatingPointError("the field is not finite at some grid node")
+    return vals
 
 
 def trace_values(vals, window, center, kind="implicit"):
@@ -255,7 +269,8 @@ def trace_values(vals, window, center, kind="implicit"):
     ``vals`` has shape (rows, cols): ``vals[j, i]`` is the field at node
     (s_i, t_j) of ``window.node_axes()``.  ``center(s, t)`` evaluates the
     field on 1-d coordinate arrays; it is called once, on the centers of
-    the saddle cells, and only when there are any.  The result is the one
+    the saddle cells, and only when there are any; FloatingPointError is
+    raised when a value there is not finite.  The result is the one
     :func:`trace_implicit` gives for a field with these node values.
 
     Edges get integer ids: the horizontal edge from node (j, i) to
@@ -289,10 +304,8 @@ def trace_values(vals, window, center, kind="implicit"):
     # Resolve saddle cells with one batched center evaluation.
     saddle = np.nonzero((row == 5) | (row == 10))[0]
     if saddle.size:
-        center_vals = np.asarray(
-            center(s_nodes[ci[saddle]] + 0.5 * ds, t_nodes[cj[saddle]] + 0.5 * dt),
-            dtype=float,
-        )
+        center_vals = _finite_values(center, s_nodes[ci[saddle]] + 0.5 * ds,
+                                   t_nodes[cj[saddle]] + 0.5 * dt)
         outside = saddle[~(center_vals >= 0.0)]
         row[outside] = 16 + (row[outside] == 10)
 

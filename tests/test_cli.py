@@ -172,7 +172,11 @@ def test_check_report(tmp_path):
                "--theta-count", "60", "--out", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    # the check runs on A/scale, scale = 2^round(log2 max|a_ij|)
+    a = build_matrix(MatrixSpec("a_tilde"))
+    scale = report["scale"]
+    assert np.log2(scale) == round(np.log2(np.max(np.abs(a))))
     assert report["contained"] is True
     assert report["matrix"] == {"n": 3, "source": "a_tilde"}
     assert len(report["eigenvalues"]) == 3
@@ -250,32 +254,68 @@ def test_non_finite_window_is_a_usage_error(tmp_path, capsys, window, command, f
     assert not out.exists()
 
 
+def _write_matrix(path, a):
+    rows = [" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in a]
+    path.write_text(f"{a.shape[0]} {a.shape[1]}\n" + "\n".join(rows) + "\n")
+
+
+def _assert_contained_at_scale(out, a):
+    # the check runs on A/scale; the eigenvalues come back scaled by it
+    report = json.loads(out.read_text())
+    assert report["schema_version"] == 2 and report["contained"] is True
+    assert report["scale"] == 2.0 ** round(np.log2(np.max(np.abs(a))))
+    got = np.array([complex(e["re"], e["im"]) for e in report["eigenvalues"]])
+    want = np.linalg.eigvals(a)
+    assert np.all(np.min(np.abs(got[:, None] - want[None, :]), axis=1)
+                  <= 1e-12 * np.max(np.abs(a)))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_check_overflow_exits_cleanly(tmp_path, capsys):
-    # entries this large overflow the tolerance; the CLI must neither raise
-    # nor warn
+def test_check_overflow_exits_cleanly(tmp_path):
+    # entries this large once overflowed the tolerance (exit 2); on A/scale
+    # the check is an ordinary one, with no warning
     big = tmp_path / "big.txt"
     big.write_text("2 2\n1e200 1e200\n1e200 1e200\n")
-    rc = main(["check", "--matrix", str(big), "--k", "1", "--out",
-               str(tmp_path / "r.json")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "r.json"
+    rc = main(["check", "--matrix", str(big), "--k", "1", "--out", str(out)])
+    assert rc == 0
+    _assert_contained_at_scale(out, np.full((2, 2), 1e200))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("factor, k", [(1e60, 2), (1e100, 3), (1e150, 3)])
-def test_check_scaled_matrix_exits_cleanly(tmp_path, capsys, factor, k):
-    # 1e60, k=2: g overflows at every angle (once reported as contained with
-    # min_g inf); 1e100 and 1e150, k=3: the tolerance overflows (once the
-    # eigenvalue solve died with a LinAlgError traceback first)
+def test_check_scaled_matrix_exits_cleanly(tmp_path, factor, k):
+    # 1e60, k=2: g once overflowed at every angle (exit 2, and before that a
+    # report of containment with min_g inf); 1e100 and 1e150, k=3: the
+    # tolerance once overflowed.  On A/scale each is an ordinary check.
     a = build_matrix(MatrixSpec("random_complex", {"n": 5, "seed": 3})) * factor
     path = tmp_path / "scaled.txt"
-    rows = [" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) for row in a]
-    path.write_text("5 5\n" + "\n".join(rows) + "\n")
+    _write_matrix(path, a)
     out = tmp_path / "r.json"
     rc = main(["check", "--matrix", str(path), "--k", str(k), "--out", str(out)])
+    assert rc == 0
+    _assert_contained_at_scale(out, a)
+
+
+# g overflows on these: a 3x3 matrix of 1e120 entries at k = 2 once gave an
+# empty curve and seven RuntimeWarnings, a 2x2 one of 1e200 at k = 1 a
+# traceback under -W error::RuntimeWarning.
+OVERFLOWING = (("3 3\n1e120 0 1e120\n0 2e120 0\n1e120 1e120 0\n", 2),
+               ("2 2\n1e200 1e200\n1e200 1e200\n", 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, k", OVERFLOWING, ids=["3x3-1e120-k2", "2x2-1e200-k1"])
+@pytest.mark.parametrize("command, fmt", [("curve", "csv"), ("curve", "svg"),
+                                          ("envelope", "svg"), ("envelope", "csv")])
+def test_overflowing_field_exits_cleanly(tmp_path, capsys, text, k, command, fmt):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    out = tmp_path / f"r.{fmt}"
+    rc = main([command, "--matrix", str(path), "--k", str(k), "--grid", "40x30",
+               "--theta-count", "12", "--format", fmt, "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: arithmetic overflow")
     assert not out.exists()
 
 

@@ -63,15 +63,16 @@ def test_membership_needs_thetas():
 
 
 def _reference_mask(a, k, thetas, points):
-    """Every point at every angle, in the given order, no culling."""
-    pts = np.asarray(points, dtype=np.complex128)
-    tol = membership_tolerance(a, k)
+    """The mask's kernel at every point and angle, in the given order, no culling."""
+    from specbound.inequality import _member, _member_constants
+
+    sigma = 2.0 ** round(np.log2(np.max(np.abs(a))))
+    pts = np.asarray(points, dtype=np.complex128) / sigma
     member = np.ones(pts.shape, dtype=bool)
-    stack = build_frames(a, k, thetas)
-    for i in range(len(stack)):
-        frame = stack[i]
-        z = np.exp(1j * frame.theta) * pts
-        member &= g_field(frame, z.real, z.imag) >= -tol
+    stack = build_frames(a / sigma, k, thetas)
+    for theta, const in zip(stack.theta, _member_constants(stack, 1.0)):
+        z = np.exp(1j * theta) * pts
+        member &= _member(const, z.real, z.imag)
     return member
 
 
@@ -117,36 +118,145 @@ def test_culling_mask_exits_once_every_point_is_dead(monkeypatch):
     ref = _reference_mask(TOEPLITZ, 2, thetas, grid)
     assert not ref.any()
     calls = []
+    member = env._member
 
-    def counted(frame, s, t):
+    def counted(const, s, t):
         calls.append(np.size(s))
-        return g_field(frame, s, t)
+        return member(const, s, t)
 
-    monkeypatch.setattr(env, "g_field", counted)
+    monkeypatch.setattr(env, "_member", counted)
     got = envelope_member_mask(TOEPLITZ, 2, thetas, grid)
     assert np.array_equal(got, ref)
     assert calls[0] == grid.size
     assert len(calls) < len(thetas)
 
 
-@settings(max_examples=40, deadline=None)
-@given(e=st.integers(-30, 30), which=st.integers(0, 3))
-@example(e=30, which=0)
-@example(e=20, which=3)
-@example(e=-30, which=1)
-def test_k3_mask_matches_reference_at_any_scale(e, which):
-    # A -> cA, z -> cz: the k = 3 sign test must agree with g >= -tol from
-    # the eigenvalues wherever g is finite (up to |A| ~ 1e44), with no
-    # RuntimeWarning; unnormalised leading minors overflow from |A| ~ 1e15
-    a0 = (TOEPLITZ, random_complex(5, seed=3), random_complex(6, seed=17),
-          build_matrix(MatrixSpec("pair_A")))[which]
-    c = 10.0 ** e
-    win = auto_window(build_frame(a0, 3), cols=16, rows=12)
+def test_mask_computes_no_determinant_or_eigenvalue(monkeypatch):
+    # one kernel for every order: no eigvalsh, no cofactors, no g_field
+    import specbound.inequality as inequality
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the mask called the field code")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    for module in (inequality, envelope_module):
+        monkeypatch.setattr(module, "g_field", forbidden)
+    for name in ("_det_batched", "_adjugate_batched", "_m2_pieces"):
+        monkeypatch.setattr(inequality, name, forbidden)
+    a = random_complex(6, seed=17)
+    for k in (1, 2, 3, 4, 5):
+        win = auto_window(build_frame(a, k), cols=12, rows=9)
+        member = envelope_raster(a, k, 24, win).bits
+        assert member.any() and not member.all()
+        assert envelope_member_mask(a, k, theta_grid(24), np.linalg.eigvals(a)).all()
+
+
+# The scale properties run on these matrices; k is capped at n - 1.
+SCALE_MATRICES = (TOEPLITZ, random_complex(5, seed=3), random_complex(6, seed=17),
+                  build_matrix(MatrixSpec("pair_A")))
+
+
+def _p_margin(a, k, thetas, points):
+    """min over the angles of lambda_max(P) for A/sigma at z/sigma, by eigvalsh.
+
+    P = kappa diag(delta_j - s) - (s - delta_{k+1}) W*W, formed as a matrix.
+    """
+    from specbound.frame import _shift_matrix
+
+    sigma = 2.0 ** round(np.log2(np.max(np.abs(a))))
+    stack = build_frames(a / sigma, k, thetas)
+    z = np.exp(1j * stack.theta)[:, None] * (np.ravel(points) / sigma)
+    w = _shift_matrix(stack)[:, None] - z[..., None, None] * np.eye(k)
+    d = np.diagonal(w, axis1=-2, axis2=-1).real
+    x = z.real - stack.delta_next[:, None]
+    p = (stack.kappa[:, None, None, None] * (d[..., None] * np.eye(k))
+         - x[..., None, None] * (np.conj(np.swapaxes(w, -1, -2)) @ w))
+    return np.linalg.eigvalsh(p)[..., -1].min(axis=0).reshape(np.shape(points))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(e=st.integers(-30, 30), k=st.integers(1, 4), which=st.integers(0, 3))
+@example(e=30, k=3, which=0)
+@example(e=-30, k=3, which=1)
+@example(e=-20, k=4, which=2)
+def test_mask_is_invariant_under_scaling(e, k, which):
+    # A -> cA, z -> cz leaves the regions as they are: bit for bit for
+    # c = 2^e, and away from a 1e-9 band at the boundary for c = 10^e, with
+    # no RuntimeWarning.  An absolute tolerance on g once made the whole
+    # plane a member at c = 1e-20.
+    a = SCALE_MATRICES[which]
+    k = min(k, a.shape[0] - 1)
+    win = auto_window(build_frame(a, k), cols=16, rows=12)
     s, t = win.cell_centers()
-    grid = c * (s[None, :] + 1j * t[:, None])
+    pts = np.concatenate([(s[None, :] + 1j * t[:, None]).ravel(), np.linalg.eigvals(a)])
     thetas = theta_grid(12)
-    ref = _reference_mask(c * a0, 3, thetas, grid)
-    assert np.array_equal(envelope_member_mask(c * a0, 3, thetas, grid), ref)
+    base = envelope_member_mask(a, k, thetas, pts)
+    assert base.any() and not base.all()
+    assert np.array_equal(envelope_member_mask(2.0 ** e * a, k, thetas, 2.0 ** e * pts), base)
+    c = 10.0 ** e
+    scaled = envelope_member_mask(c * a, k, thetas, c * pts)
+    margin = _p_margin(a, k, thetas, pts)
+    sigma = 2.0 ** round(np.log2(np.max(np.abs(a))))
+    clear = np.abs(margin + 1e-12) > 1e-9 * (1.0 + np.abs(pts) / sigma) ** 3
+    assert np.array_equal(base[clear], margin[clear] >= -1e-12)
+    assert np.array_equal(scaled[clear], base[clear])
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-3, 1.0, 1e60, 1e150])
+def test_far_point_is_not_a_member_at_any_scale(c):
+    a = random_complex(5, seed=3)
+    ev = np.linalg.eigvals(a)
+    p = c * (ev[0] + 10.0 * (1 + 1j))
+    for k in (1, 2, 3):
+        assert not envelope_membership(c * a, k, theta_grid(120), p)
+        assert envelope_member_mask(c * a, k, theta_grid(120), c * ev).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 6), k=st.integers(1, 4),
+       e=st.integers(-30, 30), j=st.integers(0, 23), d=st.floats(1e-3, 10.0),
+       u=st.floats(-10.0, 10.0))
+def test_points_beyond_a_sampled_support_line_are_never_members(seed, n, k, e, j, d, u):
+    # at a sampled angle theta the point lies d max|a_ij| right of the line
+    # Re(e^{i theta} z) = delta_1(theta) that bounds the numerical range;
+    # there P <= -d^3 I in A/sigma units, far below the slack
+    a = 10.0 ** e * random_complex(n, seed)
+    k = min(k, n - 1)
+    thetas = theta_grid(24)
+    unit = np.max(np.abs(a))
+    delta1 = rotation_spectra(a, [thetas[j]])[0, 0]
+    p = np.exp(-1j * thetas[j]) * complex(delta1 + d * unit, u * unit)
+    assert not envelope_membership(a, k, thetas, p)
+
+
+def _normal_matrix(seed, n):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return (q * lam) @ q.conj().T
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 6), e=st.integers(-30, 30))
+def test_eigenvalues_of_normal_matrices_are_members(seed, n, e):
+    # the eigenvalues of a normal matrix lie on its curves, where only the
+    # slack keeps them in
+    a = 10.0 ** e * _normal_matrix(seed, n)
+    ev = np.linalg.eigvals(a)
+    for k in range(1, min(4, n - 1) + 1):
+        assert envelope_member_mask(a, k, theta_grid(24), ev).all(), k
+
+
+@pytest.mark.parametrize("name", ["toeplitz_eq1", "a_tilde", "a_hat", "pair_A", "pair_B",
+                                  "matrix_C", "matrix_F", "matrix_A1", "frank"])
+def test_eigenvalues_of_gallery_matrices_are_members(name):
+    a = build_matrix(MatrixSpec(name))
+    ev = np.linalg.eigvals(a)
+    for k in range(1, min(4, a.shape[0] - 1) + 1):
+        for c in (1.0, 2.0 ** -40, 1e-25, 1e40):
+            assert envelope_member_mask(c * a, k, theta_grid(120), c * ev).all(), (k, c)
 
 
 def _reference_margins(a, k, thetas, points):
@@ -264,6 +374,20 @@ def test_rank_raster_level1_contains_eigenvalues():
         ri = np.argmin(np.abs(t - ev.imag))
         assert r.bits[ri, ci]
     assert r.kind == "rank_numrange" and r.ell == 1 and r.k == 0
+
+
+@pytest.mark.parametrize("c", [2.0 ** -60, 2.0 ** -7, 2.0 ** 9, 2.0 ** 50, 1e-9, 1e-12])
+def test_rank_rasters_do_not_depend_on_the_scale(c):
+    # A -> cA on the window scaled by c: bit for bit for a power of two.  An
+    # absolute cut slack once made every cell a member at c = 1e-12.
+    a = random_complex(5, seed=3)
+    win = auto_window(build_frame(a, 1), cols=60, rows=45)
+    scaled = Window(c * win.s_min, c * win.s_max, c * win.t_min, c * win.t_max,
+                    cols=60, rows=45)
+    for ell in (1, 3):
+        base = rank_numrange_raster(a, ell, 120, win).bits
+        assert not base.all()
+        assert np.array_equal(rank_numrange_raster(c * a, ell, 120, scaled).bits, base)
 
 
 def test_rank_raster_nests_inside_envelope():

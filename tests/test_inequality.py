@@ -123,11 +123,18 @@ def test_adjugate3_is_bit_identical_to_cofactor_loop():
     assert np.array_equal(_adjugate_batched(m4), _generic_adjugate(m4))
 
 
+def _kernel(stack, s, t):
+    """The membership kernel on the stack's own constants, one angle at a time."""
+    from specbound.inequality import _member, _member_constants
+
+    const = _member_constants(stack, 1.0)
+    return np.array([_member(c, si, ti) for c, si, ti in zip(const, s, t)])
+
+
 def test_g_field_does_not_depend_on_call_size():
     # one 40,000-point call crosses the size at which NumPy turns products
     # with a temporary operand into in-place products; 1000-point calls do not
-    from specbound import membership_tolerance
-    from specbound.inequality import g_member_k3
+    from specbound import build_frames
 
     a = random_complex(6, seed=17)
     rng = np.random.default_rng(3)
@@ -139,70 +146,75 @@ def test_g_field_does_not_depend_on_call_size():
         whole = g_field(f, s, t)
         pieces = np.concatenate([g_field(f, s[p], t[p]) for p in parts])
         assert whole.tobytes() == pieces.tobytes()
-    f = build_frame(a, 3, 0.4)
-    tol = membership_tolerance(a, 3)
-    member = np.concatenate([g_member_k3(f, s[p], t[p], tol) for p in parts])
-    assert np.array_equal(g_member_k3(f, s, t, tol), member)
+    # the membership kernel too, at every order
+    for k in (1, 2, 3, 4):
+        stack = build_frames(a, k, [0.4])
+        member = np.concatenate([_kernel(stack, s[None, p], t[None, p])[0] for p in parts])
+        assert np.array_equal(_kernel(stack, s[None], t[None])[0], member)
 
 
-def _k3_test_matrices():
+def _kernel_test_matrices():
     mats = [build_matrix(MatrixSpec(name)) for name in ("toeplitz_eq1", "matrix_A1", "pair_A")]
     return mats + [random_complex(n, seed=s) for n, s in ((4, 3), (5, 17), (6, 301))]
 
 
-def test_k3_sign_test_matches_g_field():
-    from specbound import build_frames, membership_tolerance, theta_grid
-    from specbound.inequality import g_member_k3
+def test_member_kernel_sign_matches_g_field():
+    # P = kappa D - (s - delta_{k+1}) W*W has an eigenvalue >= 0 exactly when
+    # g >= 0: the kernel agrees with the sign of g wherever |g| is clear of
+    # rounding, at every order and angle
+    from specbound import build_frames, theta_grid
 
-    for a in _k3_test_matrices():
-        tol = membership_tolerance(a, 3)
-        win = auto_window(build_frame(a, 3), cols=60, rows=45)
-        s, t = win.cell_centers()
-        grid = s[None, :] + 1j * t[:, None]
-        stack = build_frames(a, 3, theta_grid(24))
-        z = np.exp(1j * stack.theta)[:, None, None] * grid
-        ref = g_field(stack, z.real, z.imag) >= -tol
-        assert ref.any() and not ref.all()
-        assert np.array_equal(g_member_k3(stack, z.real, z.imag, tol), ref)
-        for i in (0, 7, 23):
-            got = g_member_k3(stack[i], z[i].real, z[i].imag, tol)
-            assert np.array_equal(got, ref[i])
+    for a in _kernel_test_matrices():
+        for k in range(1, min(4, a.shape[0] - 1) + 1):
+            win = auto_window(build_frame(a, k), cols=60, rows=45)
+            s, t = win.cell_centers()
+            grid = s[None, :] + 1j * t[:, None]
+            stack = build_frames(a, k, theta_grid(24))
+            z = np.exp(1j * stack.theta)[:, None, None] * grid
+            g = g_field(stack, z.real, z.imag)
+            clear = np.abs(g) > 1e-9 * np.max(np.abs(g))
+            got = _kernel(stack, z.real, z.imag)
+            assert (g >= 0.0).any() and (g < 0.0).any()
+            assert np.array_equal(got[clear], g[clear] >= 0.0), (k, a.shape)
 
 
-def test_k3_sign_test_boundary_is_a_member():
+def test_k3_sign_test_boundary_is_a_member(monkeypatch):
     # H(A) = diag(4, 3, 2, -10) and a skew part that only couples e_1 to e_4:
-    # W_3 is diagonal, kappa = 1, and at s = 1.5 every quantity is a dyadic
-    # rational, so g = 7.03125 - 40.4296875 = -33.3984375 exactly and Q is
-    # diag(5.625, 4.6875, 0) at tol = 33.3984375: singular, so g = -tol counts
-    from specbound.inequality import g_member_k3
+    # W_3 is diagonal, kappa = 1, and P = diag(d_j (1 - x d_j)) with
+    # d_j = delta_j - s and x = s + 10.  At s = 4, det W_3 = 0, so g = 0, and
+    # P = diag(0, -15, -58) exactly: the boundary point is a member even
+    # without the slack, and just right of it P < 0
+    import specbound.inequality as inequality
+    from specbound import build_frames
 
     a = np.diag([4.0, 3.0, 2.0, -10.0]).astype(complex)
     a[3, 0], a[0, 3] = 1.0, -1.0
-    f = build_frame(a, 3)
-    tol = 33.3984375
-    assert f.kappa == 1.0 and not f.y_k.any()
-    assert g_field(f, 1.5, 0.0) == -tol
-    assert g_member_k3(f, 1.5, 0.0, tol)
-    assert g_member_k3(f, 1.5, 0.0, np.nextafter(tol, np.inf))
-    assert not g_member_k3(f, 1.5, 0.0, np.nextafter(tol, 0.0))
+    stack = build_frames(a, 3, [0.0])
+    assert stack.kappa[0] == 1.0 and not stack.y_k.any()
+    assert g_field(stack[0], 4.0, 0.0) == 0.0
+    right = np.nextafter(4.0, np.inf)
+    points = np.array([[4.0, right, 4.0 + 1e-11]])
+    member = _kernel(stack, points, np.zeros_like(points))[0]
+    # the slack of 1e-12 keeps a point whose P exceeds -1e-12, no further
+    assert member.tolist() == [True, True, False]
+    monkeypatch.setattr(inequality, "_ETA", 0.0)
+    member = _kernel(stack, points, np.zeros_like(points))[0]
+    assert member.tolist() == [True, False, False]
 
 
 def test_k3_sign_test_drops_non_finite_points():
-    # far out the field overflows; the sign test drops those points and warns
+    # far out the kernel's entries overflow; it drops those points and warns
     # about nothing (RuntimeWarnings are errors in this suite)
-    from specbound import membership_tolerance
-    from specbound.inequality import g_member_k3
+    from specbound import build_frames
 
     a = random_complex(5, seed=3)
-    f = build_frame(a, 3)
-    tol = membership_tolerance(a, 3)
-    s = np.array([1e200, -1e200, 1e120])
-    t = np.array([0.0, 1e200, -1e150])
-    assert not g_member_k3(f, s, t, tol).any()
-    ev = np.exp(1j * f.theta) * np.linalg.eigvals(a)
-    assert g_member_k3(f, ev.real, ev.imag, tol).all()
-    with pytest.raises(ParameterError):
-        g_member_k3(build_frame(a, 2), 0.0, 0.0, tol)
+    s = np.array([1e200, -1e200, 1e120, np.nan, np.inf, 0.0])
+    t = np.array([0.0, 1e200, -1e150, 0.0, 0.0, np.inf])
+    for k in (1, 2, 3, 4):
+        stack = build_frames(a, k, [0.0])
+        assert not _kernel(stack, s[None], t[None]).any()
+        ev = np.linalg.eigvals(a)
+        assert _kernel(stack, ev.real[None], ev.imag[None]).all()
 
 
 def _inverse_reference(frame, s, t, which):
