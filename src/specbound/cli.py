@@ -48,7 +48,7 @@ from .fileio import (
 from .frame import build_frame, build_frames
 from .gallery import GALLERY, MatrixSpec, build_matrix, gallery_entries
 from .linalg import DimensionError, ParameterError, _divided, _pow2_scale, as_matrix
-from .trace import Window, auto_window, gamma_curve, gamma_min_curve, hyperbola_set
+from .trace import Window, auto_window, gamma_curves, hyperbola_set
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -231,9 +231,8 @@ def _run_curve(cfg):
     a = _load_matrix(cfg)
     frame = build_frame(a, cfg.k, 0.0)
     window = cfg.window or auto_window(frame, cols=cfg.grid[0], rows=cfg.grid[1])
-    curves = [gamma_curve(frame, window)]
-    if cfg.include_gamma_min:
-        curves.append(gamma_min_curve(frame, window))
+    which = ("max", "min") if cfg.include_gamma_min else ("max",)
+    curves = list(gamma_curves(frame, window, which))
     if cfg.include_hyperbolas:
         curves.append(hyperbola_set(frame.deltas, cfg.k, window))
     out = _require_out(cfg)
@@ -268,9 +267,6 @@ def _run_envelope(cfg):
     if cfg.fmt == "csv":
         write_curves_csv(out, [envelope_overlays(stack, window)])
         return 0
-    # The raster first: after its large arrays glibc serves the overlays'
-    # block temporaries from the heap instead of faulting in fresh pages on
-    # every call (default 800x600 figure: overlays 1.9 s -> 1.2 s).
     raster = envelope_raster(a, cfg.k, cfg.theta_count, window, stack=stack)
     overlays = envelope_overlays(stack, window)
     write_svg(out, window, [overlays], eigenvalues=np.linalg.eigvals(a), raster=raster)

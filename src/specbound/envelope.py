@@ -16,7 +16,12 @@ cut of the rank numerical ranges has the slack 1e-9 sigma (1 + max|A/sigma|).
 Regions are reported as boolean rasters rather than polygons because the
 envelope need not be convex or even connected.  :func:`envelope_overlays`
 draws the order-k curve of every rotated frame in the same (unrotated)
-plane, for figures that show how the envelope is cut out.
+plane, for figures that show how the envelope is cut out; it traces a block
+of angles per marching-squares pass, the block bounded by a fixed number of
+grid nodes.  :func:`rank_numrange_raster` cuts each raster row by each
+half-plane as an interval: the members of a row form a prefix or a suffix
+of it, whose length is found by bisection for all (angle, row) pairs at
+once, with the same complex product per probe as a test of every cell.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .frame import (
 )
 from .inequality import _member, _member_constants, g_field
 from .linalg import ParameterError, _divided, _pow2_scale, as_matrix, max_abs
-from .trace import CurveSet, Window, _finite_values, trace_values
+from .trace import CurveSet, Window, _finite_values, trace_batch
 
 __all__ = [
     "RegionRaster",
@@ -238,6 +243,20 @@ def _rotated_field(frame, s, t):
     return g_field(frame, *_rotate(frame.theta, s, t))
 
 
+# (angle, row) pairs per bisection step in rank_numrange_raster.
+_RANK_BLOCK_PAIRS = 2 ** 16
+
+
+# Grid nodes per marching-squares pass in envelope_overlays, 8 bytes of node
+# values each: about 2 MiB, or one angle when a grid holds more.  Freeing the
+# first block's values also lifts glibc's dynamic mmap threshold above the
+# field's temporaries (2.3 MB per call at k = 2), so they come from the heap
+# instead of fresh pages: in a fresh process, the default 800x600 k = 2
+# overlays took 1.7-2.0 s and 222k minor faults with 2^16 nodes, and
+# 0.9-1.1 s and 12k with 2^18.
+_TRACE_BLOCK_NODES = 2 ** 18
+
+
 def envelope_overlays(stack, window):
     """The order-k curve of every frame of the stack, drawn in the window's plane.
 
@@ -246,34 +265,40 @@ def envelope_overlays(stack, window):
     vertices meet the window edges exactly.  Each curve is traced on one node
     grid at half the raster resolution, max(2, ceil(cols/2)) x
     max(2, ceil(rows/2)) nodes, because an overlay is drawn as a thin line
-    over the raster.  g is evaluated on at most ``_FIELD_BLOCK_PAIRS``
-    (angle, node) pairs per call: a block of angles when the grid is small,
-    else a band of grid rows of one angle.  Saddle cells are resolved at
-    e^{i theta} times the cell center.  The curves come in angle order and
-    are the same, bit for bit, whatever the block size.  Raises
-    FloatingPointError when g is not finite at some node.
+    over the raster.  The angles are traced in blocks of at most
+    ``_TRACE_BLOCK_NODES`` grid nodes (one angle when the grid is larger),
+    each block in one batched marching-squares pass.  Within a block, g is
+    evaluated on at most ``_FIELD_BLOCK_PAIRS`` (angle, node) pairs per
+    call: a few angles when the grid is small, else a band of grid rows of
+    one angle.  Saddle cells are resolved at e^{i theta} times the cell
+    center.  The curves come in angle order and are the same, bit for bit,
+    whatever the block sizes.  Raises FloatingPointError when g is not
+    finite at some node.
     """
     grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
                   cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
     s, t = grid.node_axes()
     t = t[:, None]
+    nodes = grid.cols * grid.rows
+    traced = max(1, _TRACE_BLOCK_NODES // nodes)
+    angles = max(1, _FIELD_BLOCK_PAIRS // nodes)
+    band = max(1, _FIELD_BLOCK_PAIRS // grid.cols)
     polylines = []
     closed = []
-    # Small blocks also keep the field's temporaries out of fresh pages: on a
-    # 400x300 grid, one call per angle spent two thirds of its time faulting
-    # them in (2.3 s against 0.7 s in bands, 120 angles, k = 2).
-    angles = max(1, _FIELD_BLOCK_PAIRS // (grid.cols * grid.rows))
-    band = max(1, _FIELD_BLOCK_PAIRS // grid.cols)
-    for lo in range(0, len(stack), angles):
-        block = stack[lo:lo + angles]
-        theta = block.theta[:, None, None]
+    # Small field calls also keep the field's temporaries out of fresh pages:
+    # on a 400x300 grid, one call per angle spent two thirds of its time
+    # faulting them in (2.3 s against 0.7 s in bands, 120 angles, k = 2).
+    for lo in range(0, len(stack), traced):
+        block = stack[lo:lo + traced]
         vals = np.empty((len(block), grid.rows, grid.cols))
-        for r in range(0, grid.rows, band):
-            vals[:, r:r + band] = _finite_values(partial(g_field, block),
-                                                 *_rotate(theta, s, t[r:r + band]))
-        for i in range(len(block)):
-            cs = trace_values(vals[i], grid, partial(_rotated_field, block[i]),
-                              kind="overlay")
+        for a in range(0, len(block), angles):
+            sub = block[a:a + angles]
+            theta = sub.theta[:, None, None]
+            for r in range(0, grid.rows, band):
+                vals[a:a + angles, r:r + band] = _finite_values(
+                    partial(g_field, sub), *_rotate(theta, s, t[r:r + band]))
+        centers = [partial(_rotated_field, block[i]) for i in range(len(block))]
+        for cs in trace_batch(vals, grid, centers, ["overlay"] * len(block)):
             polylines.extend(cs.polylines)
             closed.extend(cs.closed_flags)
     return CurveSet(polylines=tuple(polylines), closed_flags=tuple(closed),
@@ -286,6 +311,16 @@ def rank_numrange_raster(A, ell, theta_count, window):
     Level ell = 1 is the half-plane approximation of the numerical range
     itself; higher levels use the ell-th eigenvalue of the rotated Hermitian
     part as the cut.
+
+    A cell (row r, column j) is a member when, at every angle theta,
+    Re(e^{i theta} (s_j + i t_r)) <= delta_ell(theta) + tol, with the
+    product rounded as NumPy's complex array product rounds it.  In one row
+    and at one angle that real part is monotone in s_j (rounding is
+    monotone and the cell centers increase), so the members form a prefix
+    of the row when cos theta >= 0 and a suffix otherwise.  Each boundary is
+    found by bisection over a block of (angle, row) pairs at once, at most
+    ``_RANK_BLOCK_PAIRS`` of them, each probe evaluated with that same
+    product, and a row's members are the intersection of its intervals.
     """
     a = as_matrix(A)
     n = a.shape[0]
@@ -293,14 +328,30 @@ def rank_numrange_raster(A, ell, theta_count, window):
         raise ParameterError(f"rank level must satisfy 1 <= ell <= {n}, got {ell}")
     thetas = theta_grid(theta_count)
     spectra = rotation_spectra(a, thetas)
-    grid = _cell_grid(window)
+    s, t = window.cell_centers()
+    cols = s.size
+    jt = 1j * t
     tol = _halfplane_tolerance(a)
-    bits = np.ones(grid.shape, dtype=bool)
-    for theta, deltas in zip(thetas, spectra):
-        rotated = np.exp(1j * theta) * grid
-        bits &= rotated.real <= deltas[ell - 1] + tol
-        if not bits.any():
-            break
+    first = np.zeros(t.size, dtype=np.intp)
+    stop = np.full(t.size, cols)
+    step = max(1, _RANK_BLOCK_PAIRS // t.size)
+    for lo in range(0, thetas.size, step):
+        phase = np.exp(1j * thetas[lo:lo + step])[:, None]
+        cut = (spectra[lo:lo + step, ell - 1] + tol)[:, None]
+        prefix = np.broadcast_to(phase.real >= 0.0, (len(phase), t.size))
+        # Per (angle, row) pair, the number of cells of the row that pass the
+        # angle's test, counted from the left edge for a prefix and from the
+        # right edge for a suffix, found one bit at a time from the top.
+        count = np.zeros(prefix.shape, dtype=np.intp)
+        for bit in reversed(range(cols.bit_length())):
+            wider = count + (1 << bit)
+            at = np.minimum(wider, cols) - 1
+            z = phase * (s[np.where(prefix, at, cols - 1 - at)] + jt)
+            count = np.where((wider <= cols) & (z.real <= cut), wider, count)
+        first = np.maximum(first, np.where(prefix, 0, cols - count).max(axis=0))
+        stop = np.minimum(stop, np.where(prefix, count, cols).min(axis=0))
+    column = np.arange(cols)
+    bits = (column >= first[:, None]) & (column < stop[:, None])
     bits.setflags(write=False)
     return RegionRaster(
         window=window, bits=bits, theta_count=int(theta_count), k=0, ell=int(ell),

@@ -1,7 +1,10 @@
 """Matrix file parsing and figure/data emission (SVG, CSV, PGM, JSON).
 
 All writers format numbers deterministically, so identical inputs produce
-byte-identical files.
+byte-identical files.  The SVG and CSV writers format whole columns at once:
+raster rows become rectangles by a run-length encoding of each row, and
+path and CSV coordinates are mapped as arrays and formatted from lists, with
+the same numbers and formats as one cell or vertex at a time.
 """
 
 from __future__ import annotations
@@ -110,6 +113,24 @@ def _mapper(window):
     return to_px
 
 
+def _raster_rects(bits, w, h):
+    """One rect element per run of member cells in a row, rows top to bottom.
+
+    The runs are the steps of each row padded with a non-member cell at
+    both ends: +1 starts a run and -1 ends it.
+    """
+    ph = h / bits.shape[0]
+    pw = w / bits.shape[1]
+    padded = np.zeros((bits.shape[0], bits.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = bits
+    steps = np.diff(padded, axis=1)
+    r, c0 = np.nonzero(steps == 1)
+    c1 = np.nonzero(steps == -1)[1]
+    rect = '<rect x="{:.4f}" y="{:.4f}" width="{:.4f}" height="' + f'{ph:.4f}' + '"/>'
+    return list(map(rect.format, (c0 * pw).tolist(), (r * ph).tolist(),
+                    ((c1 - c0) * pw).tolist()))
+
+
 def svg_document(window, curve_sets, eigenvalues=(), vlines=(), raster=None,
                  extra_attrs=None):
     """Build an SVG figure as a string.
@@ -131,23 +152,7 @@ def svg_document(window, curve_sets, eigenvalues=(), vlines=(), raster=None,
     ]
     if raster is not None:
         parts.append('<g class="raster" fill="#c9d8ef">')
-        bits = raster.bits
-        ph = h / bits.shape[0]
-        pw = w / bits.shape[1]
-        for r in range(bits.shape[0]):
-            row = bits[r]
-            c = 0
-            while c < row.size:
-                if row[c]:
-                    c0 = c
-                    while c < row.size and row[c]:
-                        c += 1
-                    parts.append(
-                        f'<rect x="{c0 * pw:.4f}" y="{r * ph:.4f}" '
-                        f'width="{(c - c0) * pw:.4f}" height="{ph:.4f}"/>'
-                    )
-                else:
-                    c += 1
+        parts += _raster_rects(raster.bits, w, h)
         parts.append("</g>")
     for value in vlines:
         x, _ = to_px(float(value), 0.0)
@@ -165,8 +170,9 @@ def svg_document(window, curve_sets, eigenvalues=(), vlines=(), raster=None,
         for poly, closed in zip(cs.polylines, cs.closed_flags):
             if len(poly) < 2:
                 continue
-            coords = [to_px(p[0], p[1]) for p in poly]
-            d = "M " + " L ".join(f"{x:.4f},{y:.4f}" for x, y in coords)
+            poly = np.asarray(poly, dtype=float)
+            x, y = to_px(poly[:, 0], poly[:, 1])
+            d = "M " + " L ".join(map("{:.4f},{:.4f}".format, x.tolist(), y.tolist()))
             if closed:
                 d += " Z"
             parts.append(f'<path class="curve" {style}{attrs} d="{d}"/>')
@@ -200,8 +206,11 @@ def curves_csv(curve_sets):
     curve_id = 0
     for cs in curve_sets:
         for poly in cs.polylines:
-            for s, t in poly:
-                rows.append(f"{curve_id},{cs.kind},{float(s)!r},{float(t)!r}")
+            prefix = f"{curve_id},{cs.kind},"
+            poly = np.asarray(poly, dtype=float).reshape(-1, 2)
+            rows += [prefix + s + "," + t
+                     for s, t in zip(map(repr, poly[:, 0].tolist()),
+                                     map(repr, poly[:, 1].tolist()))]
             curve_id += 1
     return "\n".join(rows) + "\n"
 

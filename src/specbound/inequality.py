@@ -79,9 +79,9 @@ class CrossingCondition:
 
 
 def _ineq_value(frame, s, t, which):
-    g, lhs, rhs, extreme, det = _field_components(frame, float(s), float(t), which)
-    return IneqValue(g=float(g), lhs=float(lhs), rhs=float(rhs),
-                     lambda_max_mk=float(extreme), det_wk=complex(det))
+    g, lhs, extreme, det = _field_components(frame, float(s), float(t), (which,))
+    return IneqValue(g=float(g[0]), lhs=float(lhs), rhs=float(frame.kappa * extreme[0]),
+                     lambda_max_mk=float(extreme[0]), det_wk=complex(det))
 
 
 def g_value(frame, s, t):
@@ -191,8 +191,16 @@ def _adjugate_batched(m):
 
 
 def _field_components(frame, s, t, which):
-    if which not in ("max", "min"):
-        raise ParameterError(f"which must be 'max' or 'min', got {which!r}")
+    """g, lhs, the extreme eigenvalues of M_k and det W_k at the points.
+
+    ``which`` is a tuple of "max" and "min".  det W_k, M_k and lhs are
+    evaluated once; g has a leading axis with one field per item, and the
+    extreme eigenvalues are a list with one entry per item.  g is
+    rhs - lhs with rhs = kappa times the extreme eigenvalue.
+    """
+    for side in which:
+        if side not in ("max", "min"):
+            raise ParameterError(f"which must be 'max' or 'min', got {side!r}")
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     lam = s + 1j * t
     k = frame.k
@@ -208,22 +216,26 @@ def _field_components(frame, s, t, which):
         delta_next = np.reshape(delta_next, np.shape(delta_next) + pad)
     if k == 1:
         det = c[..., 0, 0] - lam
-        extreme = np.real(det)
+        extreme = [np.real(det)] * len(which)
     elif k == 2:
         m00, m11, moff, det = _m2_pieces(c, lam)
         disc = np.sqrt((m00 - m11) ** 2 + 4.0 * np.abs(moff) ** 2)
         tr = m00 + m11
-        extreme = 0.5 * (tr + disc) if which == "max" else 0.5 * (tr - disc)
+        del m00, m11, moff  # free the pieces before the extremes of a pair
+        extreme = [0.5 * (tr + disc) if side == "max" else 0.5 * (tr - disc)
+                   for side in which]
     else:
         # M_k, the Hermitian part of det(W_k) adj(W_k*), one k x k matrix per point
         w = c - lam[..., None, None] * np.eye(k)
         det = _det_batched(w)
         p = _adjugate_batched(_ct(w)) * det[..., None, None]
         ev = np.linalg.eigvalsh(0.5 * (p + _ct(p)))
-        extreme = ev[..., -1] if which == "max" else ev[..., 0]
+        extreme = [ev[..., -1] if side == "max" else ev[..., 0] for side in which]
     lhs = (det.real ** 2 + det.imag ** 2) * (s - delta_next)
-    rhs = kappa * extreme
-    return rhs - lhs, lhs, rhs, extreme, det
+    g = np.empty((len(which),) + lhs.shape)
+    for i, e in enumerate(extreme):
+        np.subtract(kappa * e, lhs, out=g[i, ...])
+    return g, lhs, extreme, det
 
 
 def g_field(frame, s, t, which="max"):
@@ -233,9 +245,13 @@ def g_field(frame, s, t, which="max"):
     :class:`FrameStack`; for a stack of m angles, ``s`` and ``t`` have a
     leading axis of length m (or 1) that pairs each angle with its points.
     ``which="min"`` evaluates the companion field (lambda_min in place of
-    lambda_max).
+    lambda_max).  A tuple such as ``("max", "min")`` gives the fields
+    stacked on a new leading axis, from one evaluation of det W_k and M_k;
+    each is the same, bit for bit, as its own call.
     """
-    return _field_components(frame, s, t, which)[0]
+    if isinstance(which, str):
+        return _field_components(frame, s, t, (which,))[0][0]
+    return _field_components(frame, s, t, tuple(which))[0]
 
 
 # Slack of the membership kernel in A/sigma units (see _member).

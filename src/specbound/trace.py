@@ -6,19 +6,25 @@ cells disambiguated by an extra sample at the cell center.  Cell segments are
 linked into polylines in a deterministic sequential pass, so repeated runs
 produce identical output.
 
-:func:`trace_implicit` samples a function on the window's node grid and
-hands the values to :func:`trace_values`, the marching-squares pass.  The
-pass works on integer edge ids: it builds every active cell's segments from
-one case table with NumPy, links them, and only then looks up the crossing
-coordinates.  Callers that already hold node values, such as the envelope
-overlays (one block of rotation angles per field call), call
-:func:`trace_values` directly.
+:func:`trace_batch` is the one marching-squares pass.  It takes a batch of
+fields sampled on one node grid, with the batch on a leading axis, and works
+on integer edge ids that carry the field's index: it builds every active
+cell's segments from one case table with NumPy, links the whole batch's
+segments in one call, and only then computes the crossing coordinates.  No
+chain crosses two fields, so each field's polylines are those of tracing it
+alone.  :func:`trace_values` is a batch of one over values already sampled,
+and :func:`trace_implicit` samples a function on the window's node grid and
+traces it so.  :func:`gamma_curves` traces the order-k curve and its
+lambda_min companion as a batch of two from one field pass, and the envelope
+overlays trace a block of rotation angles per pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +37,8 @@ __all__ = [
     "auto_window",
     "trace_implicit",
     "trace_values",
+    "trace_batch",
+    "gamma_curves",
     "gamma_curve",
     "gamma_min_curve",
     "hyperbola_set",
@@ -196,43 +204,47 @@ class _Chain:
 
 
 def _link_segments(segments):
-    """Join edge-to-edge segments into chains; deterministic in input order."""
+    """Join edge-to-edge segments into chains; deterministic in input order.
+
+    A segment that touches no chain end starts a chain, one that touches one
+    end extends that chain (reversed first if the end is its head), and one
+    that touches two ends closes a chain or joins the two chains.
+    """
     chains = []
     ends = {}
-
-    def _attach(chain, at, e):
-        if chain.edges[-1] == at:
-            chain.edges.append(e)
-        else:
-            chain.edges.reverse()
-            chain.edges.append(e)
-
+    pop = ends.pop
     for u, v in segments:
-        cu = ends.pop(u, None)
-        cv = ends.pop(v, None)
+        cu = pop(u, None)
+        cv = pop(v, None)
         if cu is None and cv is None:
             chain = _Chain(len(chains), u, v)
             chains.append(chain)
-            ends[u] = chain
-            ends[v] = chain
+            ends[u] = ends[v] = chain
         elif cv is None:
-            _attach(cu, u, v)
+            edges = cu.edges
+            if edges[-1] != u:
+                edges.reverse()
+            edges.append(v)
             ends[v] = cu
         elif cu is None:
-            _attach(cv, v, u)
+            edges = cv.edges
+            if edges[-1] != v:
+                edges.reverse()
+            edges.append(u)
             ends[u] = cv
         elif cu is cv:
             cu.closed = True
         else:
-            _attach(cu, u, v)  # cu now ends ... u, v
-            cu.edges.pop()  # drop the duplicate v; splice cv instead
+            # cu now ends with u and cv starts with v
+            edges = cu.edges
+            if edges[-1] != u:
+                edges.reverse()
             if cv.edges[0] != v:
                 cv.edges.reverse()
-            cu.edges.extend(cv.edges)
+            edges.extend(cv.edges)
             cu.ident = min(cu.ident, cv.ident)
             cv.edges = None
-            other = cu.edges[-1]
-            ends[other] = cu
+            ends[edges[-1]] = cu
     live = [c for c in chains if c.edges is not None]
     live.sort(key=lambda c: c.ident)
     return live
@@ -268,97 +280,127 @@ def trace_values(vals, window, center, kind="implicit"):
 
     ``vals`` has shape (rows, cols): ``vals[j, i]`` is the field at node
     (s_i, t_j) of ``window.node_axes()``.  ``center(s, t)`` evaluates the
-    field on 1-d coordinate arrays; it is called once, on the centers of
-    the saddle cells, and only when there are any; FloatingPointError is
-    raised when a value there is not finite.  The result is the one
-    :func:`trace_implicit` gives for a field with these node values.
+    field on 1-d coordinate arrays, at the saddle cells' centers.  This is
+    :func:`trace_batch` on a batch of one.
+    """
+    return trace_batch(np.asarray(vals, dtype=float)[None], window, (center,), (kind,))[0]
 
-    Edges get integer ids: the horizontal edge from node (j, i) to
-    (j, i + 1) is j (cols - 1) + i, and the vertical edge from (j, i) to
-    (j + 1, i) is rows (cols - 1) + j cols + i.
+
+def trace_batch(vals, window, centers, kinds):
+    """Marching squares over a batch of fields sampled on one node grid.
+
+    ``vals`` has shape (batch, rows, cols): ``vals[b, j, i]`` is field b at
+    node (s_i, t_j) of ``window.node_axes()``.  ``centers[b](s, t)``
+    evaluates field b on 1-d coordinate arrays; it is called once, on the
+    centers of field b's saddle cells, and only when there are any;
+    FloatingPointError is raised when a value there is not finite.  Returns
+    one CurveSet per field, of kind ``kinds[b]``, the same that tracing the
+    field on its own gives.
+
+    Edges get integer ids that carry the field's index b: with E = rows
+    (cols - 1) + (rows - 1) cols edges per grid, the horizontal edge from
+    node (j, i) to (j, i + 1) is b E + j (cols - 1) + i, and the vertical
+    edge from (j, i) to (j + 1, i) is b E + rows (cols - 1) + j cols + i.
+    Every active cell's segments come from one case table, all segments of
+    the batch are linked in one pass, and no chain crosses two fields, so
+    each field's polylines come out in the order and with the vertices of
+    its own pass.
     """
     rows, cols = window.rows, window.cols
     vals = np.asarray(vals, dtype=float)
-    if vals.shape != (rows, cols):
-        raise ParameterError("the field must have one value per grid node")
+    if vals.ndim != 3 or vals.shape[1:] != (rows, cols) or not (
+            len(vals) == len(centers) == len(kinds)):
+        raise ParameterError("need one value per grid node, a center and a kind per field")
+    count = len(vals)
     s_nodes, t_nodes = window.node_axes()
     ds = s_nodes[1] - s_nodes[0]
     dt = t_nodes[1] - t_nodes[0]
     inside = vals >= 0.0
 
-    b0 = inside[:-1, :-1]
-    b1 = inside[:-1, 1:]
-    b2 = inside[1:, 1:]
-    b3 = inside[1:, :-1]
+    b0 = inside[:, :-1, :-1]
+    b1 = inside[:, :-1, 1:]
+    b2 = inside[:, 1:, 1:]
+    b3 = inside[:, 1:, :-1]
     case = (
         b0.astype(np.uint8)
         + (b1.astype(np.uint8) << 1)
         + (b2.astype(np.uint8) << 2)
         + (b3.astype(np.uint8) << 3)
     )
-    cj, ci = np.nonzero((case != 0) & (case != 15))
-    if cj.size == 0:
-        return CurveSet(polylines=(), closed_flags=(), window=window, kind=kind)
-    row = case[cj, ci].astype(np.intp)
+    cb, cj, ci = np.nonzero((case != 0) & (case != 15))
+    row = case[cb, cj, ci].astype(np.intp)
 
-    # Resolve saddle cells with one batched center evaluation.
+    # Resolve saddle cells with one center evaluation per field.
     saddle = np.nonzero((row == 5) | (row == 10))[0]
-    if saddle.size:
-        center_vals = _finite_values(center, s_nodes[ci[saddle]] + 0.5 * ds,
-                                   t_nodes[cj[saddle]] + 0.5 * dt)
-        outside = saddle[~(center_vals >= 0.0)]
+    for b in sorted(set(cb[saddle].tolist())):
+        cells = saddle[cb[saddle] == b]
+        center_vals = _finite_values(centers[b], s_nodes[ci[cells]] + 0.5 * ds,
+                                     t_nodes[cj[cells]] + 0.5 * dt)
+        outside = cells[~(center_vals >= 0.0)]
         row[outside] = 16 + (row[outside] == 10)
 
     # Global ids of each cell's bottom, right, top and left edges, then the
     # segments of every active cell in cell order.
     h_count = rows * (cols - 1)
-    bottom = cj * (cols - 1) + ci
-    left = h_count + cj * cols + ci
+    per_grid = h_count + (rows - 1) * cols
+    bottom = cb * per_grid + cj * (cols - 1) + ci
+    left = cb * per_grid + h_count + cj * cols + ci
     local = np.stack([bottom, left + 1, bottom + (cols - 1), left], axis=1)
     pairs = local[np.arange(cj.size)[:, None, None], _SEGMENT_EDGES[row]]
-    segments = pairs[_SEGMENT_USED[row]]
+    chains = _link_segments(pairs[_SEGMENT_USED[row]].tolist())
 
-    # Crossing coordinates of every sign-change edge, in ascending edge id.
-    hj, hi = np.nonzero(inside[:, :-1] != inside[:, 1:])
-    v1 = vals[hj, hi]
-    h_s = s_nodes[hi] + v1 / (v1 - vals[hj, hi + 1]) * ds
-    vj, vi = np.nonzero(inside[:-1, :] != inside[1:, :])
-    v1 = vals[vj, vi]
-    v_t = t_nodes[vj] + v1 / (v1 - vals[vj + 1, vi]) * dt
-    edge_ids = np.concatenate([hj * (cols - 1) + hi, h_count + vj * cols + vi])
-    edge_s = np.concatenate([h_s, s_nodes[vi]])
-    edge_t = np.concatenate([t_nodes[hj], v_t])
+    # Crossing coordinates of the chains' edges, all at once.
+    edges = np.fromiter(itertools.chain.from_iterable(c.edges for c in chains), dtype=np.intp)
+    b, e = np.divmod(edges, per_grid)
+    vertical = e >= h_count
+    j, i = np.divmod(e - h_count * vertical, cols - 1 + vertical)
+    v1 = vals[b, j, i]
+    tau = v1 / (v1 - vals[b, j + vertical, i + ~vertical])
+    s = np.where(vertical, s_nodes[i], s_nodes[i] + tau * ds)
+    t = np.where(vertical, t_nodes[j] + tau * dt, t_nodes[j])
+    xy = np.column_stack([s, t])
+    xy.setflags(write=False)
 
-    chains = _link_segments(segments.tolist())
-    at = np.searchsorted(edge_ids, np.concatenate([c.edges for c in chains]))
-    polylines = []
+    polylines = [[] for _ in range(count)]
+    closed = [[] for _ in range(count)]
     end = 0
     for chain in chains:
-        idx = at[end:end + len(chain.edges)]
-        end += len(chain.edges)
-        poly = np.column_stack([edge_s[idx], edge_t[idx]])
-        poly.setflags(write=False)
-        polylines.append(poly)
-    return CurveSet(
-        polylines=tuple(polylines),
-        closed_flags=tuple(c.closed for c in chains),
-        window=window,
-        kind=kind,
+        start, end = end, end + len(chain.edges)
+        polylines[b[start]].append(xy[start:end])
+        closed[b[start]].append(chain.closed)
+    return tuple(
+        CurveSet(polylines=tuple(p), closed_flags=tuple(c), window=window, kind=kind)
+        for p, c, kind in zip(polylines, closed, kinds)
     )
+
+
+_GAMMA_KINDS = {"max": "gamma_max", "min": "gamma_min"}
+
+
+def gamma_curves(frame, window, which=("max", "min")):
+    """Trace the order-k curve ("max") and its companion ("min") from one field pass.
+
+    g and its lambda_min companion share det W_k and M_k, so both are
+    evaluated on the node grid at once and traced as a batch.  Returns one
+    CurveSet per item of ``which``, each the same, bit for bit, as its own
+    :func:`gamma_curve` or :func:`gamma_min_curve`.
+    """
+    which = tuple(which)
+    grid_s, grid_t = np.meshgrid(*window.node_axes())
+    vals = _finite_values(partial(g_field, frame, which=which), grid_s, grid_t)
+    centers = [partial(g_field, frame, which=side) for side in which]
+    curves = trace_batch(vals, window, centers, [_GAMMA_KINDS[side] for side in which])
+    return tuple(_flag_degenerate(cs, frame) for cs in curves)
 
 
 def gamma_curve(frame, window):
     """Trace the order-k bounding curve (zero set of g) on the window."""
-    cs = trace_implicit(lambda s, t: g_field(frame, s, t), window, kind="gamma_max")
-    return _flag_degenerate(cs, frame)
+    return gamma_curves(frame, window, ("max",))[0]
 
 
 def gamma_min_curve(frame, window):
     """Trace the lambda_min companion curve on the window."""
-    cs = trace_implicit(
-        lambda s, t: g_field(frame, s, t, which="min"), window, kind="gamma_min"
-    )
-    return _flag_degenerate(cs, frame)
+    return gamma_curves(frame, window, ("min",))[0]
 
 
 def _flag_degenerate(cs, frame):

@@ -28,6 +28,7 @@ from specbound import (
     trace_implicit,
 )
 from specbound.envelope import envelope_overlays
+from specbound.gallery import gallery_entries
 from conftest import random_complex
 
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
@@ -413,6 +414,75 @@ def test_rank_raster_validates_level():
         rank_numrange_raster(TOEPLITZ, 5, 10, win)
 
 
+def _reference_rank_raster(a, ell, theta_count, window):
+    """The rank raster one angle at a time, over the whole complex grid.
+
+    The loop rank_numrange_raster replaced; it makes the same complex
+    product and comparison at every cell, so the two must agree bit for bit.
+    """
+    thetas = theta_grid(theta_count)
+    s, t = window.cell_centers()
+    grid = s[None, :] + 1j * t[:, None]
+    tol = envelope_module._halfplane_tolerance(a)
+    bits = np.ones(grid.shape, dtype=bool)
+    for theta, deltas in zip(thetas, rotation_spectra(a, thetas)):
+        bits &= (np.exp(1j * theta) * grid).real <= deltas[ell - 1] + tol
+    return bits
+
+
+def test_rank_raster_matches_per_angle_reference(monkeypatch):
+    # every level of the gallery and of seeded n = 5 and n = 12 matrices; 4
+    # angles put cos theta at about +-6e-17, and 2 x 2 is the smallest grid;
+    # the matrices of the benchmark figures also at 400 x 300, and with one
+    # angle per bisection block
+    mats = [(name, build_matrix(MatrixSpec(name))) for name, _, _ in gallery_entries()]
+    mats += [("seeded", random_complex(n, seed=seed)) for n, seed in ((5, 11), (5, 12), (12, 4))]
+    for name, a in mats:
+        box = numerical_range_boundary(a, 120).window
+        grids = [(2, 2), (37, 23)]
+        if name in ("toeplitz_eq1", "matrix_A1", "pair_A"):
+            grids.append((400, 300))
+        for cols, rows in grids:
+            win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=cols, rows=rows)
+            for ell in range(1, a.shape[0] + 1):
+                for count in (3, 4, 120):
+                    got = rank_numrange_raster(a, ell, count, win).bits
+                    assert np.array_equal(got, _reference_rank_raster(a, ell, count, win))
+    monkeypatch.setattr(envelope_module, "_RANK_BLOCK_PAIRS", 1)
+    for name, a in mats[:3]:
+        box = numerical_range_boundary(a, 120).window
+        win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=37, rows=23)
+        for ell in range(1, a.shape[0] + 1):
+            got = rank_numrange_raster(a, ell, 120, win).bits
+            assert np.array_equal(got, _reference_rank_raster(a, ell, 120, win))
+
+
+def test_rank_raster_memory_is_bounded():
+    # one bisection over all 20000 x 48 (angle, row) pairs held 67 MiB; the
+    # blocks hold less than the spectra themselves (6 MiB)
+    box = numerical_range_boundary(TOEPLITZ, 120).window
+    win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=64, rows=48)
+    tracemalloc.start()
+    try:
+        rank_numrange_raster(TOEPLITZ, 2, 20000, win)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
+def test_rank_raster_of_a_window_wholly_outside_or_inside():
+    box = numerical_range_boundary(TOEPLITZ, 120).window
+    c = np.trace(TOEPLITZ) / 4
+    outside = Window(box.s_max + 1.0, box.s_max + 2.0, box.t_min, box.t_max, cols=37, rows=23)
+    inside = Window(c.real - 1e-3, c.real + 1e-3, c.imag - 1e-3, c.imag + 1e-3, cols=37, rows=23)
+    for win, member in ((outside, False), (inside, True)):
+        for count in (3, 4, 120):
+            got = rank_numrange_raster(TOEPLITZ, 1, count, win).bits
+            assert np.all(got == member)
+            assert np.array_equal(got, _reference_rank_raster(TOEPLITZ, 1, count, win))
+
+
 def test_numrange_hermitian_is_real_segment():
     a = np.diag([3.0, 1.0, -2.0]).astype(complex)
     cs = numerical_range_boundary(a, 72)
@@ -671,20 +741,40 @@ def _same_curves(got, want):
 
 
 def test_overlays_do_not_depend_on_the_block_size(monkeypatch):
-    # a budget of one (angle, node) pair evaluates one grid row of one angle
-    # per call; a huge budget evaluates all 16 angles (16416 pairs) in one
+    # a field budget of one (angle, node) pair evaluates one grid row of one
+    # angle per call; a huge one evaluates all 16 angles (16416 pairs) in one
     # call, past the size at which NumPy elides temporaries into in-place
-    # products, so the k = 3 cofactor products are checked across it too.
-    cases = ((TOEPLITZ, 2, (1, 10 ** 9)), (build_matrix(MatrixSpec("pair_A")), 1, (1, 10 ** 9)),
-             (random_complex(5, seed=3), 3, (1, 10 ** 9)))
-    for a, k, budgets in cases:
+    # products, so the k = 3 cofactor products are checked across it too.  A
+    # trace budget of one node traces one angle per marching-squares pass, a
+    # huge one all 16 angles in one pass.
+    cases = (TOEPLITZ, 2), (build_matrix(MatrixSpec("pair_A")), 1), (random_complex(5, seed=3), 3)
+    for a, k in cases:
         window = auto_window(build_frame(a, k), cols=75, rows=53)
         stack = build_frames(a, k, theta_grid(16))
         default = envelope_overlays(stack, window)
-        for pairs in budgets:
-            monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", pairs)
-            assert _same_curves(envelope_overlays(stack, window), default)
-        monkeypatch.undo()
+        for pairs in (1, 10 ** 9, None):
+            for nodes in (1, 10 ** 9, None):
+                if pairs is not None:
+                    monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", pairs)
+                if nodes is not None:
+                    monkeypatch.setattr(envelope_module, "_TRACE_BLOCK_NODES", nodes)
+                assert _same_curves(envelope_overlays(stack, window), default)
+                monkeypatch.undo()
+
+
+def test_overlay_memory_is_bounded():
+    # the default 800 x 600 figure traces on a 400 x 300 node grid: one
+    # marching-squares pass over all 16 angles held 22 MiB
+    window = auto_window(build_frame(TOEPLITZ, 2))
+    stack = build_frames(TOEPLITZ, 2, theta_grid(16))
+    tracemalloc.start()
+    try:
+        overlays = envelope_overlays(stack, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(overlays.polylines) >= 16
+    assert peak < 8 * 2 ** 20
 
 
 def test_raster_from_a_given_stack_is_the_same(monkeypatch):

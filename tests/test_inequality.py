@@ -259,6 +259,27 @@ def test_g_field_matches_inverse_reference(k):
             assert abs(got - want) <= 1e-9 * (abs(ref[1]) + abs(ref[2]) + abs(want))
 
 
+def test_g_field_pair_is_each_field_bit_for_bit():
+    # ("max", "min") shares det W_k and M_k; each field is its own call, on a
+    # frame and on a frame stack, at the closed-form and the generic orders
+    from specbound import build_frames
+
+    a = random_complex(6, seed=17)
+    rng = np.random.default_rng(5)
+    s = rng.uniform(-3.0, 3.0, (7, 9))
+    t = rng.uniform(-3.0, 3.0, (7, 9))
+    for k in (1, 2, 3, 4):
+        for frame, pts in ((build_frame(a, k, 0.4), (s, t)),
+                           (build_frames(a, k, [0.0, 1.1, 2.5]), (s[None], t[None]))):
+            pair = g_field(frame, *pts, which=("max", "min"))
+            for got, side in zip(pair, ("max", "min")):
+                want = g_field(frame, *pts, which=side)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert g_field(frame, *pts, which=("min",))[0].tobytes() == pair[1].tobytes()
+    with pytest.raises(ParameterError):
+        g_field(build_frame(a, 2), 0.0, 0.0, which=("max", "median"))
+
+
 def test_g_field_rejects_unknown_which():
     a = random_complex(5, seed=3)
     for k in (1, 2, 3):

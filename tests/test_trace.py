@@ -15,10 +15,11 @@ from specbound import (
     trace_implicit,
 )
 from specbound.inequality import g_field
-from specbound.trace import trace_values
+from specbound.trace import gamma_curves, trace_batch, trace_values
 from conftest import random_complex
 
 A_TILDE = build_matrix(MatrixSpec("a_tilde"))
+TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
 
 
 def test_window_validation():
@@ -178,6 +179,81 @@ def test_trace_values_takes_sampled_nodes():
         trace_values(np.ones((40, 30)), win, center)
     with pytest.raises(ParameterError):
         trace_implicit(lambda s, t: np.ones(3), win)
+
+
+def _same_curves(got, want):
+    return (got.kind == want.kind and got.window == want.window
+            and got.closed_flags == want.closed_flags
+            and len(got.polylines) == len(want.polylines)
+            and all(np.array_equal(p.view(np.int64), q.view(np.int64))
+                    for p, q in zip(got.polylines, want.polylines)))
+
+
+def test_trace_batch_equals_one_field_at_a_time():
+    # saddles of both kinds (the 4 x 4 grid puts the middle cell's center at
+    # the origin), a circle and a field with no crossing, on one grid; the
+    # saddle centers of each field are sampled once, by its own function
+    win = Window(-1.5, 1.5, -1.5, 1.5, cols=4, rows=4)
+    fields = [lambda s, t: s * t + 0.1, lambda s, t: 1.0 - s * s - t * t,
+              lambda s, t: s + 9.0, lambda s, t: -s * t - 0.1, lambda s, t: s * t]
+    calls = []
+
+    def counted(b):
+        def center(s, t):
+            calls.append((b, len(s)))
+            return fields[b](s, t)
+        return center
+
+    vals = np.stack([f(*np.meshgrid(*win.node_axes())) for f in fields])
+    kinds = [f"f{b}" for b in range(len(fields))]
+    got = trace_batch(vals, win, [counted(b) for b in range(len(fields))], kinds)
+    assert calls == [(0, 1), (3, 1), (4, 1)]
+    assert got[2].polylines == ()
+    for b, f in enumerate(fields):
+        assert _same_curves(got[b], trace_implicit(f, win, kind=kinds[b]))
+    f2 = build_frame(random_complex(5, seed=8), 2)
+    win = auto_window(f2, cols=90, rows=70)
+    centers = [lambda s, t: g_field(f2, s, t, which="min"), lambda s, t: g_field(f2, s, t)]
+    vals = np.stack([g_field(f2, *np.meshgrid(*win.node_axes()), which=w) for w in ("min", "max")])
+    got = trace_batch(vals, win, centers, ["lo", "hi"])
+    for b, kind in enumerate(("lo", "hi")):
+        assert _same_curves(got[b], trace_values(vals[b], win, centers[b], kind=kind))
+    with pytest.raises(ParameterError):
+        trace_batch(vals, win, [None], ["x", "y"])
+    with pytest.raises(ParameterError):
+        trace_batch(vals[0], win, [None], ["x"])
+
+
+# Windows whose max field has a saddle cell, found by a search: saddle cells
+# are rare on a curve's own grid (the node of a k = 1 curve is an X, which
+# never makes one on an axis-aligned grid), and no k = 1 curve gave one.
+_SADDLE_WINDOWS = {
+    2: Window(-1.855, 7.27, -0.886, 1.934, cols=6, rows=6),
+    3: Window(-4.388, 9.456, -0.158, 1.026, cols=6, rows=6),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gamma_pair_from_one_field_pass_matches_separate_calls(k):
+    cases = [(a, auto_window(build_frame(a, k), cols=cols, rows=rows))
+             for a in (A_TILDE, TOEPLITZ, random_complex(5, seed=8)) if k < a.shape[0]
+             for cols, rows in ((41, 31), (160, 120))]
+    if k in _SADDLE_WINDOWS:
+        cases.append((TOEPLITZ, _SADDLE_WINDOWS[k]))
+    saddles = 0
+    for a, win in cases:
+        f = build_frame(a, k)
+        pair = gamma_curves(f, win)
+        alone = (gamma_curve(f, win), gamma_min_curve(f, win))
+        for side, got, one in zip(("max", "min"), pair, alone):
+            want = trace_implicit(lambda s, t: g_field(f, s, t, which=side), win,
+                                  kind=f"gamma_{side}")
+            assert _same_curves(got, want) and _same_curves(one, want)
+            assert got.warnings == one.warnings
+        b = g_field(f, *np.meshgrid(*win.node_axes())) >= 0.0
+        saddles += np.count_nonzero((b[:-1, :-1] == b[1:, 1:]) & (b[:-1, 1:] == b[1:, :-1])
+                                    & (b[:-1, :-1] != b[:-1, 1:]))
+    assert saddles > 0 or k == 1
 
 
 def test_gamma_curve_passes_near_loop_top():
