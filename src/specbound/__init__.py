@@ -9,7 +9,6 @@ figures and machine-readable region data.
 from .linalg import (
     DimensionError,
     ParameterError,
-    as_matrix,
     hermitian_part,
     largest_singular_value_sq,
     max_abs,
@@ -17,15 +16,12 @@ from .linalg import (
 )
 from .frame import FrameStack, SpectralFrame, build_frame, build_frames, rotation_spectra, w_matrix
 from .inequality import (
-    CrossingCondition,
-    IneqValue,
     crossing_condition,
     cubic_g1,
     explicit_g2,
     g_field,
     g_min_value,
     g_value,
-    g1_constants,
     g2_constants,
     union_poly_value,
 )
@@ -52,7 +48,6 @@ from .envelope import (
 )
 from .gallery import (
     GALLERY,
-    DiagonalCaseReport,
     MatrixSpec,
     build_matrix,
     diagonal_case_report,
@@ -64,17 +59,8 @@ from .gallery import (
     simultaneous_merge_deltas,
     splitmix64_uniforms,
 )
-from .fileio import (
-    MatrixFileError,
-    curves_csv,
-    parse_matrix_file,
-    svg_document,
-    write_curves_csv,
-    write_json_report,
-    write_pgm,
-    write_svg,
-)
-from .cli import RunConfig, main, run
+from .fileio import MatrixFileError, parse_matrix_file
+from .cli import main
 
 __version__ = "0.1.0"
 
@@ -84,15 +70,11 @@ __all__ = [
     "MatrixFileError",
     "SpectralFrame",
     "FrameStack",
-    "IneqValue",
-    "CrossingCondition",
     "Window",
     "CurveSet",
     "RegionRaster",
     "MatrixSpec",
-    "DiagonalCaseReport",
     "GALLERY",
-    "as_matrix",
     "max_abs",
     "hermitian_part",
     "skew_part",
@@ -106,7 +88,6 @@ __all__ = [
     "g_field",
     "cubic_g1",
     "explicit_g2",
-    "g1_constants",
     "g2_constants",
     "union_poly_value",
     "crossing_condition",
@@ -134,13 +115,5 @@ __all__ = [
     "diagonal_gamma_prediction",
     "diagonal_case_report",
     "parse_matrix_file",
-    "svg_document",
-    "curves_csv",
-    "write_svg",
-    "write_curves_csv",
-    "write_pgm",
-    "write_json_report",
-    "RunConfig",
-    "run",
     "main",
 ]

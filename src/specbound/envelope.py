@@ -16,18 +16,20 @@ cut of the rank numerical ranges has the slack 1e-9 sigma (1 + max|A/sigma|).
 Regions are reported as boolean rasters rather than polygons because the
 envelope need not be convex or even connected.  :func:`envelope_overlays`
 draws the order-k curve of every rotated frame in the same (unrotated)
-plane, for figures that show how the envelope is cut out; it traces a block
-of angles per marching-squares pass, the block bounded by a fixed number of
-grid nodes.  :func:`rank_numrange_raster` cuts each raster row by each
-half-plane as an interval: the members of a row form a prefix or a suffix
-of it, whose length is found by bisection for all (angle, row) pairs at
-once, with the same complex product per probe as a test of every cell.
+plane, for figures that show how the envelope is cut out; each angle is one
+item of the sampler and tracer of :mod:`specbound.trace`, whose budgets
+bound the angles per field call and per marching-squares pass.
+:func:`envelope_margins` evaluates g on blocks of (angle, point) pairs
+under the same pair budget.  :func:`rank_numrange_raster` cuts each raster
+row by each half-plane as an interval: the members of a row form a prefix
+or a suffix of it, whose length is found by bisection for all (angle, row)
+pairs at once, with the same complex product per probe as a test of every
+cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .frame import (
 )
 from .inequality import _member, _member_constants, g_field
 from .linalg import ParameterError, _divided, _pow2_scale, as_matrix, max_abs
-from .trace import CurveSet, Window, _finite_values, trace_batch
+from .trace import _FIELD_BLOCK_PAIRS, CurveSet, Window, _joined, _trace_grid
 
 __all__ = [
     "RegionRaster",
@@ -95,12 +97,6 @@ def membership_tolerance(A, k):
     a = np.asarray(A)
     _check_order(int(k), a.shape[0])
     return 1e-9 * (1.0 + max_abs(a)) ** (2 * k + 1)
-
-
-# (angle, point) pairs per field evaluation in envelope_margins and
-# envelope_overlays; the k = 3 field holds about 1 KiB of temporaries per
-# pair.
-_FIELD_BLOCK_PAIRS = 2 ** 14
 
 
 def _halfplane_tolerance(a):
@@ -238,23 +234,8 @@ def _rotate(theta, s, t):
     return ph.real * s - ph.imag * t, ph.imag * s + ph.real * t
 
 
-def _rotated_field(frame, s, t):
-    """g of one frame at e^{i theta} (s + i t), theta the frame's angle."""
-    return g_field(frame, *_rotate(frame.theta, s, t))
-
-
 # (angle, row) pairs per bisection step in rank_numrange_raster.
 _RANK_BLOCK_PAIRS = 2 ** 16
-
-
-# Grid nodes per marching-squares pass in envelope_overlays, 8 bytes of node
-# values each: about 2 MiB, or one angle when a grid holds more.  Freeing the
-# first block's values also lifts glibc's dynamic mmap threshold above the
-# field's temporaries (2.3 MB per call at k = 2), so they come from the heap
-# instead of fresh pages: in a fresh process, the default 800x600 k = 2
-# overlays took 1.7-2.0 s and 222k minor faults with 2^16 nodes, and
-# 0.9-1.1 s and 12k with 2^18.
-_TRACE_BLOCK_NODES = 2 ** 18
 
 
 def envelope_overlays(stack, window):
@@ -265,44 +246,22 @@ def envelope_overlays(stack, window):
     vertices meet the window edges exactly.  Each curve is traced on one node
     grid at half the raster resolution, max(2, ceil(cols/2)) x
     max(2, ceil(rows/2)) nodes, because an overlay is drawn as a thin line
-    over the raster.  The angles are traced in blocks of at most
-    ``_TRACE_BLOCK_NODES`` grid nodes (one angle when the grid is larger),
-    each block in one batched marching-squares pass.  Within a block, g is
-    evaluated on at most ``_FIELD_BLOCK_PAIRS`` (angle, node) pairs per
-    call: a few angles when the grid is small, else a band of grid rows of
-    one angle.  Saddle cells are resolved at e^{i theta} times the cell
-    center.  The curves come in angle order and are the same, bit for bit,
-    whatever the block sizes.  Raises FloatingPointError when g is not
-    finite at some node.
+    over the raster.  Each angle is an item of the tracer in
+    :mod:`specbound.trace`, which evaluates g in bounded blocks of angles or
+    of grid rows and traces a block of angles per marching-squares pass.
+    Saddle cells are resolved at e^{i theta} times the cell center.  The
+    curves come in angle order and are the same, bit for bit, whatever the
+    block sizes.  Raises FloatingPointError when g is not finite at some
+    node.
     """
     grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
                   cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
-    s, t = grid.node_axes()
-    t = t[:, None]
-    nodes = grid.cols * grid.rows
-    traced = max(1, _TRACE_BLOCK_NODES // nodes)
-    angles = max(1, _FIELD_BLOCK_PAIRS // nodes)
-    band = max(1, _FIELD_BLOCK_PAIRS // grid.cols)
-    polylines = []
-    closed = []
-    # Small field calls also keep the field's temporaries out of fresh pages:
-    # on a 400x300 grid, one call per angle spent two thirds of its time
-    # faulting them in (2.3 s against 0.7 s in bands, 120 angles, k = 2).
-    for lo in range(0, len(stack), traced):
-        block = stack[lo:lo + traced]
-        vals = np.empty((len(block), grid.rows, grid.cols))
-        for a in range(0, len(block), angles):
-            sub = block[a:a + angles]
-            theta = sub.theta[:, None, None]
-            for r in range(0, grid.rows, band):
-                vals[a:a + angles, r:r + band] = _finite_values(
-                    partial(g_field, sub), *_rotate(theta, s, t[r:r + band]))
-        centers = [partial(_rotated_field, block[i]) for i in range(len(block))]
-        for cs in trace_batch(vals, grid, centers, ["overlay"] * len(block)):
-            polylines.extend(cs.polylines)
-            closed.extend(cs.closed_flags)
-    return CurveSet(polylines=tuple(polylines), closed_flags=tuple(closed),
-                    window=window, kind="overlay")
+
+    def sample(lo, hi, s, t):
+        return g_field(stack[lo:hi], *_rotate(stack.theta[lo:hi, None, None], s, t))
+
+    curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
+    return _joined(curves, window, "overlay")
 
 
 def rank_numrange_raster(A, ell, theta_count, window):

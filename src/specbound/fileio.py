@@ -59,7 +59,8 @@ def parse_matrix_file(path):
 
     Line 1 holds two integers "n m"; each of the following n lines holds m
     whitespace-separated entries, each either ``re`` or ``re,im`` in decimal
-    or scientific notation.  NaN and infinity are rejected.
+    or scientific notation.  NaN and infinity are rejected, and so is any
+    non-blank line after the n rows.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -86,6 +87,9 @@ def parse_matrix_file(path):
             )
         for c, token in enumerate(tokens):
             out[r, c] = _parse_token(token, line_no, c + 1)
+    for line_no, line in enumerate(lines[n + 1:], start=n + 2):
+        if line.strip():
+            raise MatrixFileError(f"expected {n} data rows, found more", line=line_no)
     return out
 
 

@@ -6,17 +6,25 @@ cells disambiguated by an extra sample at the cell center.  Cell segments are
 linked into polylines in a deterministic sequential pass, so repeated runs
 produce identical output.
 
+One sampler and tracer serves every curve: :func:`trace_implicit`, the
+order-k curve and its lambda_min companion (:func:`gamma_curves`), the
+region-boundary hyperbolas (:func:`hyperbola_set`) and the envelope
+overlays.  It evaluates a batch of fields on the node grid in row bands of
+at most ``_FIELD_BLOCK_PAIRS`` values per call, so memory stays bounded at
+any grid size, and traces them in :func:`trace_batch` passes of at most
+``_TRACE_BLOCK_NODES`` values.  Both budgets are defined here, and the
+results are the same, bit for bit, whatever they are.  A call evaluates
+whole items: the curve and its companion are one item, so they share det
+W_k and M_k in every call, while each hyperbola and each overlay angle is
+an item of its own.
+
 :func:`trace_batch` is the one marching-squares pass.  It takes a batch of
 fields sampled on one node grid, with the batch on a leading axis, and works
 on integer edge ids that carry the field's index: it builds every active
 cell's segments from one case table with NumPy, links the whole batch's
 segments in one call, and only then computes the crossing coordinates.  No
 chain crosses two fields, so each field's polylines are those of tracing it
-alone.  :func:`trace_values` is a batch of one over values already sampled,
-and :func:`trace_implicit` samples a function on the window's node grid and
-traces it so.  :func:`gamma_curves` traces the order-k curve and its
-lambda_min companion as a batch of two from one field pass, and the envelope
-overlays trace a block of rotation angles per pass.
+alone.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ __all__ = [
     "CurveSet",
     "auto_window",
     "trace_implicit",
-    "trace_values",
     "trace_batch",
     "gamma_curves",
     "gamma_curve",
@@ -258,32 +265,99 @@ def trace_implicit(f, window, kind="implicit"):
     CurveSet comes back when the sign never changes.  Raises
     FloatingPointError when f is not finite at some node.
     """
-    grid_s, grid_t = np.meshgrid(*window.node_axes())
-    return trace_values(_finite_values(f, grid_s, grid_t), window, f, kind)
+    def sample(lo, hi, s, t):
+        return np.expand_dims(f(*np.broadcast_arrays(s, t)), 0)
+
+    return _trace_grid(window, 1, sample, [kind])[0]
 
 
-def _finite_values(f, s, t):
-    """f(s, t) as a float array, for tracing.
+def _finite_values(f, *args):
+    """f(*args) as a float array, for tracing.
 
     Raises FloatingPointError when a value is not finite (matrix entries too
     large to evaluate); overflow inside ``f`` issues no warning.
     """
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(s, t), dtype=float)
+        vals = np.asarray(f(*args), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("the field is not finite at some grid node")
     return vals
 
 
-def trace_values(vals, window, center, kind="implicit"):
-    """Marching squares over field values already sampled on the node grid.
+# Field values per call of a sampled field in _trace_grid, and (angle,
+# point) pairs per call in envelope_margins; the k = 3 field holds about
+# 1 KiB of temporaries per point.  Small calls also keep the temporaries out
+# of fresh pages: on a 400x300 grid, one call per overlay angle spent two
+# thirds of its time faulting them in (2.3 s against 0.7 s in bands, 120
+# angles, k = 2).
+_FIELD_BLOCK_PAIRS = 2 ** 14
 
-    ``vals`` has shape (rows, cols): ``vals[j, i]`` is the field at node
-    (s_i, t_j) of ``window.node_axes()``.  ``center(s, t)`` evaluates the
-    field on 1-d coordinate arrays, at the saddle cells' centers.  This is
-    :func:`trace_batch` on a batch of one.
+# Field values per marching-squares pass in _trace_grid, 8 bytes each: about
+# 2 MiB, or one item when an item holds more.  Freeing the first block's
+# values also lifts glibc's dynamic mmap threshold above the field's
+# temporaries (2.3 MB per call at k = 2), so they come from the heap
+# instead of fresh pages: in a fresh process, the default 800x600 k = 2
+# overlays took 1.7-2.0 s and 222k minor faults with 2^16 nodes, and
+# 0.9-1.1 s and 12k with 2^18.
+_TRACE_BLOCK_NODES = 2 ** 18
+
+
+def _trace_grid(window, items, sample, kinds):
+    """Sample a batch of fields on the window's node grid and trace them.
+
+    The batch is ``items`` items of ``len(kinds) // items`` fields each, an
+    item being what one call evaluates at once.  ``sample(lo, hi, s, t)``
+    gives the fields of items lo..hi-1, stacked on a leading axis, at the
+    points s + i t of two arrays that broadcast together: a row of node
+    abscissae and a column of node ordinates for a band of the grid, or two
+    1-d arrays for the centers of saddle cells.  Each call gets whole items
+    and at most ``_FIELD_BLOCK_PAIRS`` values: a few items when the grid is
+    small, else a band of grid rows of one item.  Each marching-squares pass
+    takes whole items and at most ``_TRACE_BLOCK_NODES`` values, or one item
+    when an item holds more.  Returns one CurveSet per field, the same, bit
+    for bit, whatever the budgets.  Raises FloatingPointError when a field
+    is not finite at some node, and ParameterError when ``sample`` does not
+    give one value per node.
     """
-    return trace_batch(np.asarray(vals, dtype=float)[None], window, (center,), (kind,))[0]
+    width = len(kinds) // items
+
+    def at_centers(f, s, t):
+        item, field = divmod(f, width)
+        return sample(item, item + 1, s, t).reshape(width, -1)[field]
+
+    rows, cols = window.rows, window.cols
+    s_nodes, t_nodes = window.node_axes()
+    t_nodes = t_nodes[:, None]
+    item_values = width * rows * cols
+    per_pass = max(1, _TRACE_BLOCK_NODES // item_values)
+    per_call = max(1, _FIELD_BLOCK_PAIRS // item_values)
+    band = max(1, _FIELD_BLOCK_PAIRS // (width * cols))
+    curves = []
+    for lo in range(0, items, per_pass):
+        hi = min(lo + per_pass, items)
+        vals = np.empty(((hi - lo) * width, rows, cols))
+        for a in range(lo, hi, per_call):
+            b = min(a + per_call, hi)
+            for r in range(0, rows, band):
+                part = vals[(a - lo) * width:(b - lo) * width, r:r + band]
+                values = _finite_values(sample, a, b, s_nodes, t_nodes[r:r + band])
+                if values.shape != part.shape:
+                    raise ParameterError("need one value per grid node")
+                part[...] = values
+        fields = range(lo * width, hi * width)
+        curves += trace_batch(vals, window, [partial(at_centers, f) for f in fields],
+                              [kinds[f] for f in fields])
+    return curves
+
+
+def _joined(curves, window, kind):
+    """One CurveSet holding the polylines of ``curves`` in order."""
+    return CurveSet(
+        polylines=tuple(itertools.chain.from_iterable(cs.polylines for cs in curves)),
+        closed_flags=tuple(itertools.chain.from_iterable(cs.closed_flags for cs in curves)),
+        window=window,
+        kind=kind,
+    )
 
 
 def trace_batch(vals, window, centers, kinds):
@@ -386,10 +460,8 @@ def gamma_curves(frame, window, which=("max", "min")):
     :func:`gamma_curve` or :func:`gamma_min_curve`.
     """
     which = tuple(which)
-    grid_s, grid_t = np.meshgrid(*window.node_axes())
-    vals = _finite_values(partial(g_field, frame, which=which), grid_s, grid_t)
-    centers = [partial(g_field, frame, which=side) for side in which]
-    curves = trace_batch(vals, window, centers, [_GAMMA_KINDS[side] for side in which])
+    curves = _trace_grid(window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=which),
+                         [_GAMMA_KINDS[side] for side in which])
     return tuple(_flag_degenerate(cs, frame) for cs in curves)
 
 
@@ -427,25 +499,15 @@ def hyperbola_set(deltas, k, window):
         raise ParameterError("k must be positive")
     if np.any(np.diff(d) > 0):
         raise ParameterError("deltas must be non-increasing")
-    polylines = []
-    closed = []
-    for j in range(k + 1):
-        for i in range(j + 1, k + 1):
-            center = 0.5 * (d[j] + d[i])
-            rad_sq = (0.5 * (d[j] - d[i])) ** 2
-            cs = trace_implicit(
-                lambda s, t, c=center, r2=rad_sq: (s - c) ** 2 - t ** 2 - r2,
-                window,
-                kind="hyperbola",
-            )
-            polylines.extend(cs.polylines)
-            closed.extend(cs.closed_flags)
-    return CurveSet(
-        polylines=tuple(polylines),
-        closed_flags=tuple(closed),
-        window=window,
-        kind="hyperbola",
-    )
+    pairs = list(itertools.combinations(range(k + 1), 2))
+    center = np.array([0.5 * (d[j] + d[i]) for j, i in pairs])
+    rad_sq = np.array([(0.5 * (d[j] - d[i])) ** 2 for j, i in pairs])
+
+    def sample(lo, hi, s, t):
+        return (s - center[lo:hi, None, None]) ** 2 - t ** 2 - rad_sq[lo:hi, None, None]
+
+    curves = _trace_grid(window, len(pairs), sample, ["hyperbola"] * len(pairs))
+    return _joined(curves, window, "hyperbola")
 
 
 def point_in_polygon(s, t, polygon):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_parse_matrix_file_errors(tmp_path):
     p.write_text("2 2\n1 nan\n0 0\n")
     with pytest.raises(MatrixFileError):
         parse_matrix_file(p)
+
+    # a row past the declared n was once dropped, and check exited 0
+    p.write_text("2 2\n1 0\n0 1\n5 5\n")
+    with pytest.raises(MatrixFileError) as err:
+        parse_matrix_file(p)
+    assert err.value.line == 4
+    assert main(["check", "--matrix", str(p), "--k", "1", "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+    p.write_text("2 2\n1 0\n0 1\n\n5 5\n\n")
+    with pytest.raises(MatrixFileError) as err:
+        parse_matrix_file(p)
+    assert err.value.line == 5
+    p.write_text("2 2\n1 0\n0 1\n\n  \n")
+    assert np.array_equal(parse_matrix_file(p), np.eye(2))
 
 
 def test_gallery_command(capsys):
@@ -317,6 +332,21 @@ def test_overflowing_field_exits_cleanly(tmp_path, capsys, text, k, command, fmt
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: arithmetic overflow")
     assert not out.exists()
+
+
+def test_curve_memory_is_bounded(tmp_path):
+    # the curve, its companion and the hyperbolas are sampled in row bands:
+    # whole-grid sampling peaked at 58.6 MiB here
+    args = ["curve", "--gallery", "random_complex:n=6,seed=3", "--k", "3", "--grid", "400x300",
+            "--with-gamma-min", "--with-hyperbolas", "--out", str(tmp_path / "c.svg")]
+    tracemalloc.start()
+    try:
+        rc = main(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 20 * 2 ** 20
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specbound.envelope as envelope_module
+import specbound.trace as trace_module
 from specbound import (
     MatrixSpec,
     ParameterError,
@@ -19,6 +20,9 @@ from specbound import (
     envelope_membership,
     envelope_raster,
     g_field,
+    gamma_curve,
+    gamma_min_curve,
+    hyperbola_set,
     membership_tolerance,
     numerical_range_boundary,
     point_in_polygon,
@@ -28,6 +32,7 @@ from specbound import (
     trace_implicit,
 )
 from specbound.envelope import envelope_overlays
+from specbound.trace import gamma_curves
 from specbound.gallery import gallery_entries
 from conftest import random_complex
 
@@ -741,25 +746,54 @@ def _same_curves(got, want):
 
 
 def test_overlays_do_not_depend_on_the_block_size(monkeypatch):
-    # a field budget of one (angle, node) pair evaluates one grid row of one
-    # angle per call; a huge one evaluates all 16 angles (16416 pairs) in one
-    # call, past the size at which NumPy elides temporaries into in-place
+    # a field budget of one value evaluates one grid row of one item per
+    # call; a huge one evaluates all 16 angles (16416 pairs) in one call,
+    # past the size at which NumPy elides temporaries into in-place
     # products, so the k = 3 cofactor products are checked across it too.  A
-    # trace budget of one node traces one angle per marching-squares pass, a
-    # huge one all 16 angles in one pass.
+    # trace budget of one value traces one item per marching-squares pass, a
+    # huge one all items in one pass.  The same holds for the gamma pair (one
+    # item of two fields) and the hyperbolas (one item per pair).
     cases = (TOEPLITZ, 2), (build_matrix(MatrixSpec("pair_A")), 1), (random_complex(5, seed=3), 3)
     for a, k in cases:
-        window = auto_window(build_frame(a, k), cols=75, rows=53)
+        frame = build_frame(a, k)
+        window = auto_window(frame, cols=75, rows=53)
         stack = build_frames(a, k, theta_grid(16))
-        default = envelope_overlays(stack, window)
-        for pairs in (1, 10 ** 9, None):
-            for nodes in (1, 10 ** 9, None):
-                if pairs is not None:
-                    monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", pairs)
-                if nodes is not None:
-                    monkeypatch.setattr(envelope_module, "_TRACE_BLOCK_NODES", nodes)
-                assert _same_curves(envelope_overlays(stack, window), default)
-                monkeypatch.undo()
+        traced = [lambda: (envelope_overlays(stack, window),),
+                  lambda: gamma_curves(frame, window),
+                  lambda: (hyperbola_set(frame.deltas, k, window),)]
+        for trace in traced:
+            default = trace()
+            for pairs in (1, 10 ** 9, None):
+                for nodes in (1, 10 ** 9, None):
+                    if pairs is not None:
+                        monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", pairs)
+                    if nodes is not None:
+                        monkeypatch.setattr(trace_module, "_TRACE_BLOCK_NODES", nodes)
+                    got = trace()
+                    monkeypatch.undo()
+                    assert len(got) == len(default)
+                    assert all(_same_curves(g, d) for g, d in zip(got, default))
+
+
+def test_gamma_pair_shares_every_field_call_on_a_large_grid(monkeypatch):
+    # over 2^18 nodes the pair is still one item: every call, on a band of
+    # the node grid or at saddle centers, evaluates both extremes
+    frame = build_frame(random_complex(5, seed=3), 3)
+    window = auto_window(frame, cols=600, rows=450)
+    calls = []
+
+    def counted(frame, s, t, which="max"):
+        calls.append((np.ndim(t), which))
+        return g_field(frame, s, t, which=which)
+
+    monkeypatch.setattr(trace_module, "g_field", counted)
+    pair = gamma_curves(frame, window)
+    monkeypatch.undo()
+    assert window.cols * window.rows > 2 ** 18
+    assert sum(ndim == 2 for ndim, _ in calls) > 1
+    assert all(which == ("max", "min") for _, which in calls)
+    assert all(_same_curves(g, w) for g, w in
+               zip(pair, (gamma_curve(frame, window), gamma_min_curve(frame, window))))
 
 
 def test_overlay_memory_is_bounded():

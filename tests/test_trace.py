@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specbound import (
+    CurveSet,
     MatrixSpec,
     ParameterError,
     Window,
@@ -15,7 +16,7 @@ from specbound import (
     trace_implicit,
 )
 from specbound.inequality import g_field
-from specbound.trace import gamma_curves, trace_batch, trace_values
+from specbound.trace import gamma_curves, trace_batch
 from conftest import random_complex
 
 A_TILDE = build_matrix(MatrixSpec("a_tilde"))
@@ -155,7 +156,11 @@ def test_trace_matches_per_cell_reference():
             assert np.array_equal(p.view(np.int64), q.view(np.int64))
 
 
-def test_trace_values_takes_sampled_nodes():
+def _trace_one(vals, window, center, kind="implicit"):
+    return trace_batch(np.asarray(vals)[None], window, [center], [kind])[0]
+
+
+def test_trace_batch_of_one_takes_sampled_nodes():
     # the origin is the center of the one saddle cell; the field is sampled
     # at the saddle center once, and not at all when nothing crosses
     win = Window(-1.0, 1.0, -1.0, 1.0, cols=40, rows=30)
@@ -167,18 +172,20 @@ def test_trace_values_takes_sampled_nodes():
         centers.append(len(s))
         return f(s, t)
 
-    got = trace_values(vals, win, center, kind="x")
+    got = _trace_one(vals, win, center, kind="x")
     want = trace_implicit(f, win, kind="x")
     assert (got.kind, got.window, got.closed_flags) == ("x", win, want.closed_flags)
     assert len(got.polylines) == len(want.polylines) == 2
     assert all(np.array_equal(p, q) for p, q in zip(got.polylines, want.polylines))
     assert centers == [1]
-    assert trace_values(np.ones((30, 40)), win, center).polylines == ()
+    assert _trace_one(np.ones((30, 40)), win, center).polylines == ()
     assert centers == [1]
     with pytest.raises(ParameterError):
-        trace_values(np.ones((40, 30)), win, center)
+        _trace_one(np.ones((40, 30)), win, center)
     with pytest.raises(ParameterError):
         trace_implicit(lambda s, t: np.ones(3), win)
+    with pytest.raises(ParameterError):
+        trace_implicit(lambda s, t: 1.0, win)
 
 
 def _same_curves(got, want):
@@ -217,7 +224,7 @@ def test_trace_batch_equals_one_field_at_a_time():
     vals = np.stack([g_field(f2, *np.meshgrid(*win.node_axes()), which=w) for w in ("min", "max")])
     got = trace_batch(vals, win, centers, ["lo", "hi"])
     for b, kind in enumerate(("lo", "hi")):
-        assert _same_curves(got[b], trace_values(vals[b], win, centers[b], kind=kind))
+        assert _same_curves(got[b], _trace_one(vals[b], win, centers[b], kind=kind))
     with pytest.raises(ParameterError):
         trace_batch(vals, win, [None], ["x", "y"])
     with pytest.raises(ParameterError):
@@ -338,6 +345,46 @@ def test_hyperbola_degenerate_pair_is_line_cross():
     verts = np.vstack(cs.polylines)
     assert np.max(np.minimum(np.abs(verts[:, 0] - verts[:, 1]),
                              np.abs(verts[:, 0] + verts[:, 1]))) <= 2 * win.cell_diagonal
+
+
+def _reference_hyperbola_set(deltas, k, window):
+    """hyperbola_set as one trace_implicit pass per pair, the earlier loop."""
+    d = np.asarray(deltas, dtype=float)
+    polylines = []
+    closed = []
+    for j in range(k + 1):
+        for i in range(j + 1, k + 1):
+            center = 0.5 * (d[j] + d[i])
+            rad_sq = (0.5 * (d[j] - d[i])) ** 2
+            cs = trace_implicit(
+                lambda s, t, c=center, r2=rad_sq: (s - c) ** 2 - t ** 2 - r2,
+                window,
+                kind="hyperbola",
+            )
+            polylines.extend(cs.polylines)
+            closed.extend(cs.closed_flags)
+    return CurveSet(polylines=tuple(polylines), closed_flags=tuple(closed), window=window,
+                    kind="hyperbola")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hyperbola_set_in_one_pass_matches_the_pair_loop(k):
+    # equal deltas make the line pair; the seeded deltas are arbitrary reals;
+    # the 2x2 and 401x301 grids are the smallest and one over the field
+    # budget, so a pair is sampled in row bands there
+    rng = np.random.default_rng(k)
+    delta_sets = [[5.0, 3.5, 1.0, 0.0], [2.0, 2.0, 2.0, 2.0], [1.0, 1.0, -0.5, -0.5],
+                  np.sort(rng.normal(size=k + 1))[::-1] * 3.7,
+                  build_frame(TOEPLITZ, k).deltas]
+    for deltas in delta_sets:
+        d = np.asarray(deltas, dtype=float)[:k + 1]
+        lo, hi = float(d[-1]) - 2.5, float(d[0]) + 2.5
+        for cols, rows in ((2, 2), (37, 23), (401, 301)):
+            win = Window(lo, hi + 0.013, -3.1, 2.9, cols=cols, rows=rows)
+            got = hyperbola_set(d, k, win)
+            want = _reference_hyperbola_set(d, k, win)
+            assert (got.kind, got.window) == ("hyperbola", win)
+            assert _same_curves(got, want)
 
 
 def test_hyperbola_validation():
