@@ -8,8 +8,15 @@ Subcommands:
 * ``numrange`` numerical range boundary and rank-level half-plane rasters
 * ``gallery``  list the built-in demo matrices
 * ``check``    verify that every eigenvalue satisfies the inequality at all
-  sampled angles and emit a JSON report; it runs on A/sigma, sigma the power
-  of two nearest max|a_ij|, and reports sigma as ``scale``
+  sampled angles and emit a JSON report, with sigma as ``scale``
+
+Every subcommand that reads a matrix runs on A/sigma, sigma the power of two
+nearest max|a_ij| (:func:`specbound.linalg._normalised`, called once per
+run): frames, fields, masks, traces, rasters and windows are computed on
+A/sigma, a ``--window`` is divided by sigma on the way in, and vertices,
+windows, delta lines and eigenvalues are multiplied by sigma just before
+they are written, which is exact.  So the outputs of 2^e A are those of A
+with every coordinate scaled by 2^e.
 
 Exit codes: 0 success (and, for check, spectrum contained), 1 usage error,
 2 file/input error (including entries too large to evaluate), 3 containment
@@ -23,7 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -47,7 +54,7 @@ from .fileio import (
 )
 from .frame import build_frame, build_frames
 from .gallery import GALLERY, MatrixSpec, build_matrix, gallery_entries
-from .linalg import DimensionError, ParameterError, _divided, _pow2_scale, as_matrix
+from .linalg import DimensionError, ParameterError, _normalised, as_matrix
 from .trace import Window, auto_window, gamma_curves, hyperbola_set
 
 __all__ = ["RunConfig", "run", "main"]
@@ -196,6 +203,7 @@ def _config_from_args(ns):
 
 
 def _load_matrix(cfg):
+    """(A/sigma, sigma) for the run's matrix."""
     if (cfg.matrix_path is None) == (cfg.gallery_spec is None):
         raise UsageError("give exactly one of --matrix and --gallery")
     if cfg.matrix_path is not None:
@@ -205,8 +213,26 @@ def _load_matrix(cfg):
                 f"matrix file holds a {m.shape[0]}x{m.shape[1]} matrix; "
                 "a square matrix is required"
             )
-        return as_matrix(m)
-    return as_matrix(build_matrix(cfg.gallery_spec))
+    else:
+        m = build_matrix(cfg.gallery_spec)
+    return _normalised(as_matrix(m))
+
+
+def _window_times(window, c):
+    """The window with its bounds multiplied by c, a power of two: exact."""
+    return replace(window, s_min=window.s_min * c, s_max=window.s_max * c,
+                   t_min=window.t_min * c, t_max=window.t_max * c)
+
+
+def _curves_times(cs, c):
+    """The curve set with its vertices and window multiplied by c."""
+    return replace(cs, polylines=tuple(p * c for p in cs.polylines),
+                   window=_window_times(cs.window, c))
+
+
+def _unit_window(cfg, sigma):
+    """The ``--window``, if one was given, in units of A/sigma."""
+    return None if cfg.window is None else _window_times(cfg.window, 1.0 / sigma)
 
 
 def _require_out(cfg):
@@ -228,13 +254,15 @@ def _matrix_label(cfg):
 def _run_curve(cfg):
     if cfg.fmt not in ("svg", "csv"):
         raise UsageError(f"curve output supports svg and csv, not {cfg.fmt!r}")
-    a = _load_matrix(cfg)
+    a, sigma = _load_matrix(cfg)
     frame = build_frame(a, cfg.k, 0.0)
-    window = cfg.window or auto_window(frame, cols=cfg.grid[0], rows=cfg.grid[1])
+    window = _unit_window(cfg, sigma) or auto_window(frame, cols=cfg.grid[0],
+                                                     rows=cfg.grid[1])
     which = ("max", "min") if cfg.include_gamma_min else ("max",)
     curves = list(gamma_curves(frame, window, which))
     if cfg.include_hyperbolas:
         curves.append(hyperbola_set(frame.deltas, cfg.k, window))
+    curves = [_curves_times(cs, sigma) for cs in curves]
     out = _require_out(cfg)
     if cfg.fmt == "csv":
         write_curves_csv(out, curves)
@@ -244,9 +272,9 @@ def _run_curve(cfg):
             # The lambda_min companion is only worked out in closed form for
             # k = 2; higher orders are emitted but marked as experimental.
             extra[id(curves[1])] = {"data-experimental": "true"}
-        eigenvalues = np.linalg.eigvals(a)
-        write_svg(out, window, curves, eigenvalues=eigenvalues,
-                  vlines=frame.deltas[: cfg.k + 1], extra_attrs=extra)
+        write_svg(out, _window_times(window, sigma), curves,
+                  eigenvalues=np.linalg.eigvals(a) * sigma,
+                  vlines=frame.deltas[: cfg.k + 1] * sigma, extra_attrs=extra)
     for cs in curves:
         for note in cs.warnings:
             print(f"warning: {note}", file=sys.stderr)
@@ -256,20 +284,21 @@ def _run_curve(cfg):
 def _run_envelope(cfg):
     if cfg.fmt not in ("svg", "csv", "pgm"):
         raise UsageError(f"envelope output supports svg, csv and pgm, not {cfg.fmt!r}")
-    a = _load_matrix(cfg)
-    frame = build_frame(a, cfg.k, 0.0)
-    window = cfg.window or auto_window(frame, cols=cfg.grid[0], rows=cfg.grid[1])
+    a, sigma = _load_matrix(cfg)
+    window = _unit_window(cfg, sigma) or auto_window(
+        build_frame(a, cfg.k, 0.0), cols=cfg.grid[0], rows=cfg.grid[1])
     out = _require_out(cfg)
     stack = build_frames(a, cfg.k, theta_grid(cfg.theta_count))
     if cfg.fmt == "pgm":
         write_pgm(out, envelope_raster(a, cfg.k, cfg.theta_count, window, stack=stack))
         return 0
+    overlays = _curves_times(envelope_overlays(stack, window), sigma)
     if cfg.fmt == "csv":
-        write_curves_csv(out, [envelope_overlays(stack, window)])
+        write_curves_csv(out, [overlays])
         return 0
     raster = envelope_raster(a, cfg.k, cfg.theta_count, window, stack=stack)
-    overlays = envelope_overlays(stack, window)
-    write_svg(out, window, [overlays], eigenvalues=np.linalg.eigvals(a), raster=raster)
+    write_svg(out, _window_times(window, sigma), [overlays],
+              eigenvalues=np.linalg.eigvals(a) * sigma, raster=raster)
     return 0
 
 
@@ -278,26 +307,27 @@ def _run_numrange(cfg):
         raise UsageError(f"numrange output supports svg, csv and pgm, not {cfg.fmt!r}")
     if cfg.k < 0:
         raise UsageError(f"numrange --k is a rank level >= 0, got {cfg.k}")
-    a = _load_matrix(cfg)
-    boundary = numerical_range_boundary(a, cfg.theta_count)
+    a, sigma = _load_matrix(cfg)
     out = _require_out(cfg)
+    window = _unit_window(cfg, sigma)
+    # a PGM on a given window is the rank raster alone
+    if cfg.fmt != "pgm" or window is None:
+        boundary = numerical_range_boundary(a, cfg.theta_count)
     if cfg.fmt == "csv":
-        write_curves_csv(out, [boundary])
+        write_curves_csv(out, [_curves_times(boundary, sigma)])
         return 0
-    window = cfg.window
     if window is None:
         bw = boundary.window
         window = Window(bw.s_min, bw.s_max, bw.t_min, bw.t_max,
                         cols=cfg.grid[0], rows=cfg.grid[1])
     if cfg.fmt == "pgm":
-        ell = cfg.k if cfg.k >= 1 else 1
-        raster = rank_numrange_raster(a, ell, cfg.theta_count, window)
-        write_pgm(out, raster)
+        write_pgm(out, rank_numrange_raster(a, max(cfg.k, 1), cfg.theta_count, window))
         return 0
     raster = None
     if cfg.k >= 1:
         raster = rank_numrange_raster(a, cfg.k, cfg.theta_count, window)
-    write_svg(out, window, [boundary], eigenvalues=np.linalg.eigvals(a), raster=raster)
+    write_svg(out, _window_times(window, sigma), [_curves_times(boundary, sigma)],
+              eigenvalues=np.linalg.eigvals(a) * sigma, raster=raster)
     return 0
 
 
@@ -308,12 +338,7 @@ def _run_gallery(_cfg):
 
 
 def _run_check(cfg):
-    a = _load_matrix(cfg)
-    # The check runs on A/sigma, sigma a power of two near max|a_ij|: the
-    # margins and the tolerance are those of the normalised problem, and the
-    # eigenvalues are reported scaled back, which is exact.
-    sigma = _pow2_scale(a)
-    a = _divided(a, sigma)
+    a, sigma = _load_matrix(cfg)
     tol = membership_tolerance(a, cfg.k)
     eigenvalues = np.linalg.eigvals(a)
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))

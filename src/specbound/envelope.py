@@ -7,11 +7,12 @@ angles the intersection can only be too large, never too small, so
 eigenvalue containment holds at any angle count.
 
 Membership is decided on the normalised problem A/sigma, z/sigma with
-sigma = 2^round(log2 max|a_ij|), a power of two, so dividing by it is exact
-and the regions of 2^e A are those of A scaled by 2^e, bit for bit.  The
-order-k test is the sign-only kernel of :mod:`specbound.inequality` with a
-slack of 1e-12 in A/sigma units, the same for every order; the half-plane
-cut of the rank numerical ranges has the slack 1e-9 sigma (1 + max|A/sigma|).
+sigma = 2^round(log2 max|a_ij|) from :func:`specbound.linalg._normalised`, a
+power of two, so dividing by it is exact and the regions of 2^e A are those
+of A scaled by 2^e, bit for bit.  The order-k test is the sign-only kernel
+of :mod:`specbound.inequality` with a slack of 1e-12 in A/sigma units, the
+same for every order; the half-plane cut of the rank numerical ranges has
+the slack 1e-9 (1 + max|A/sigma|) in the same units.
 
 Regions are reported as boolean rasters rather than polygons because the
 envelope need not be convex or even connected.  :func:`envelope_overlays`
@@ -42,7 +43,7 @@ from .frame import (
     rotation_spectra,
 )
 from .inequality import _member, _member_constants, g_field
-from .linalg import ParameterError, _divided, _pow2_scale, as_matrix, max_abs
+from .linalg import ParameterError, _divided, _normalised, as_matrix, max_abs
 from .trace import _FIELD_BLOCK_PAIRS, CurveSet, Window, _joined, _trace_grid
 
 __all__ = [
@@ -99,12 +100,6 @@ def membership_tolerance(A, k):
     return 1e-9 * (1.0 + max_abs(a)) ** (2 * k + 1)
 
 
-def _halfplane_tolerance(a):
-    """1e-9 sigma (1 + max|A/sigma|): the half-plane slack, equivariant under A -> 2^e A."""
-    sigma = _pow2_scale(a)
-    return 1e-9 * sigma * (1.0 + max_abs(a) / sigma)
-
-
 def _angle_list(thetas):
     thetas = [float(t) for t in thetas]
     if not thetas:
@@ -144,10 +139,9 @@ def envelope_member_mask(A, k, thetas, points, stack=None):
     result is the same intersection, bit for bit, whatever the order of
     ``thetas`` and however early a point is dropped.
     """
-    a = as_matrix(A)
-    sigma = _pow2_scale(a)
+    a, sigma = _normalised(as_matrix(A))
     if stack is None:
-        const = _member_constants(build_frames(_divided(a, sigma), k, _angle_list(thetas)), 1.0)
+        const = _member_constants(build_frames(a, k, _angle_list(thetas)), 1.0)
     else:
         const = _member_constants(stack, sigma)
     flat = _divided(points, sigma).ravel()
@@ -280,17 +274,20 @@ def rank_numrange_raster(A, ell, theta_count, window):
     found by bisection over a block of (angle, row) pairs at once, at most
     ``_RANK_BLOCK_PAIRS`` of them, each probe evaluated with that same
     product, and a row's members are the intersection of its intervals.
+    The cut is made on A/sigma and the cell centers over sigma, as in
+    :func:`envelope_member_mask`, with the slack tol = 1e-9 (1 + max|A/sigma|).
     """
-    a = as_matrix(A)
+    a, sigma = _normalised(as_matrix(A))
     n = a.shape[0]
     if not 1 <= ell <= n:
         raise ParameterError(f"rank level must satisfy 1 <= ell <= {n}, got {ell}")
     thetas = theta_grid(theta_count)
     spectra = rotation_spectra(a, thetas)
     s, t = window.cell_centers()
+    s, t = s / sigma, t / sigma
     cols = s.size
     jt = 1j * t
-    tol = _halfplane_tolerance(a)
+    tol = 1e-9 * (1.0 + max_abs(a))
     first = np.zeros(t.size, dtype=np.intp)
     stop = np.full(t.size, cols)
     step = max(1, _RANK_BLOCK_PAIRS // t.size)

@@ -67,6 +67,17 @@ def _pow2_scale(a):
     return math.ldexp(1.0, exp - (mant < math.sqrt(0.5)))
 
 
+def _normalised(a):
+    """(A/sigma, sigma) with sigma = :func:`_pow2_scale` of A.
+
+    The one place sigma is chosen: A/sigma has max|a_ij| in [2^(-1/2),
+    2^(1/2)) unless A is zero, and results computed on it are those of A
+    divided by sigma, so multiplying them by sigma is exact.
+    """
+    sigma = _pow2_scale(a)
+    return _divided(a, sigma), sigma
+
+
 def _divided(z, sigma):
     """z / sigma as a complex array, each part divided on its own.
 

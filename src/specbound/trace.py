@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .inequality import g_field
-from .linalg import ParameterError, max_abs
+from .linalg import ParameterError, _pow2_scale, max_abs
 
 __all__ = [
     "Window",
@@ -130,16 +130,21 @@ def auto_window(frame, margin=0.25, cols=800, rows=600):
 
     The s range spans [delta_{k+1} - margin*span, delta_1 + margin*span +
     sqrt(kappa)] with span = delta_1 - delta_n, the t range is symmetric with
-    half-width max(sqrt(kappa) + span, 1)(1 + margin), and the rectangle is
-    widened if needed so the row-wise Gershgorin box of the rotated matrix
-    (hence its whole spectrum) fits inside.
+    half-width max(sqrt(kappa) + span, sigma)(1 + margin), and the rectangle
+    is widened if needed so the row-wise Gershgorin box of the rotated matrix
+    (hence its whole spectrum) fits inside.  A range of s narrower than
+    1e-12 (sigma + |s_max|) is widened by the half-width on each side.
+    sigma is the power of two nearest the largest entry of the rotated
+    matrix, so the window of 2^e A is that of A scaled by 2^e, bit for bit;
+    the CLI computes it on A/sigma, where sigma = 1.
     """
+    unit = _pow2_scale(frame.a_rot)
     deltas = frame.deltas
     span = float(deltas[0] - deltas[-1])
     sk = float(np.sqrt(frame.kappa))
     s_lo = frame.delta_next - margin * span
     s_hi = float(deltas[0]) + margin * span + sk
-    t_half = max(sk + span, 1.0) * (1.0 + margin)
+    t_half = max(sk + span, unit) * (1.0 + margin)
 
     a = frame.a_rot
     centers = np.diag(a)
@@ -148,7 +153,7 @@ def auto_window(frame, margin=0.25, cols=800, rows=600):
     s_hi = max(s_hi, float(np.max(centers.real + radii)))
     t_half = max(t_half, float(np.max(np.abs(centers.imag) + radii)))
 
-    if s_hi - s_lo < 1e-12 * (1.0 + abs(s_hi)):
+    if s_hi - s_lo < 1e-12 * (unit + abs(s_hi)):
         s_lo -= t_half
         s_hi += t_half
     return Window(s_lo, s_hi, -t_half, t_half, cols=cols, rows=rows)

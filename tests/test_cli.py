@@ -1,8 +1,13 @@
 import json
+import re
+import tempfile
 import tracemalloc
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from specbound import MatrixFileError, MatrixSpec, build_matrix, main, parse_matrix_file
 from specbound.fileio import curves_csv
@@ -312,26 +317,168 @@ def test_check_scaled_matrix_exits_cleanly(tmp_path, factor, k):
     _assert_contained_at_scale(out, a)
 
 
-# g overflows on these: a 3x3 matrix of 1e120 entries at k = 2 once gave an
-# empty curve and seven RuntimeWarnings, a 2x2 one of 1e200 at k = 1 a
-# traceback under -W error::RuntimeWarning.
+# g of A overflows on these: a 3x3 matrix of 1e120 entries at k = 2 once gave
+# an empty curve and seven RuntimeWarnings, a 2x2 one of 1e200 at k = 1 a
+# traceback under -W error::RuntimeWarning, and later both exited 2.  Every
+# subcommand now runs on A/scale, so they are ordinary matrices.
 OVERFLOWING = (("3 3\n1e120 0 1e120\n0 2e120 0\n1e120 1e120 0\n", 2),
                ("2 2\n1e200 1e200\n1e200 1e200\n", 1))
+
+
+SVG_NS = "http://www.w3.org/2000/svg"
+
+
+def _assert_well_formed(data, fmt, cols, rows):
+    if fmt == "pgm":
+        header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
+        assert data.startswith(header) and len(data) == len(header) + cols * rows
+        pixels = np.frombuffer(data, dtype=np.uint8, offset=len(header))
+        assert set(pixels.tolist()) <= {0, 255}
+    elif fmt == "csv":
+        lines = data.decode("ascii").splitlines()
+        assert lines[0] == "curve_id,kind,s,t" and len(lines) > 1
+        xy = np.array([[float(v) for v in line.split(",")[2:]] for line in lines[1:]])
+        assert np.all(np.isfinite(xy)) and np.max(np.abs(xy)) > 1e100
+    else:
+        root = ET.fromstring(data)
+        assert any(e.get("class") == "curve" for e in root.iter(f"{{{SVG_NS}}}path"))
+        assert float(root.get("data-s-max")) > 1e100
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("text, k", OVERFLOWING, ids=["3x3-1e120-k2", "2x2-1e200-k1"])
 @pytest.mark.parametrize("command, fmt", [("curve", "csv"), ("curve", "svg"),
-                                          ("envelope", "svg"), ("envelope", "csv")])
-def test_overflowing_field_exits_cleanly(tmp_path, capsys, text, k, command, fmt):
+                                          ("envelope", "svg"), ("envelope", "csv"),
+                                          ("envelope", "pgm")])
+def test_overflowing_field_exits_cleanly(tmp_path, text, k, command, fmt):
     path = tmp_path / "big.txt"
     path.write_text(text)
     out = tmp_path / f"r.{fmt}"
     rc = main([command, "--matrix", str(path), "--k", str(k), "--grid", "40x30",
                "--theta-count", "12", "--format", fmt, "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: arithmetic overflow")
-    assert not out.exists()
+    assert rc == 0
+    _assert_well_formed(out.read_bytes(), fmt, 40, 30)
+
+
+def test_numrange_pgm_on_a_given_window_needs_no_boundary(tmp_path, monkeypatch):
+    # the boundary once was traced for every numrange job, so two angles gave
+    # "numerical range boundary needs at least 3 angles" (exit 1)
+    import specbound.cli as cli
+    from specbound import rank_numrange_raster
+
+    def no_boundary(*args, **kwargs):
+        raise AssertionError("the boundary is neither written nor sets the window")
+
+    monkeypatch.setattr(cli, "numerical_range_boundary", no_boundary)
+    out = tmp_path / "nr.pgm"
+    assert main(["numrange", "--gallery", "pair_A", "--k", "1", "--theta-count", "2",
+                 "--window=-2,2,-2,2", "--grid", "20x10", "--format", "pgm",
+                 "--out", str(out)]) == 0
+    bits = rank_numrange_raster(build_matrix(MatrixSpec("pair_A")), 1, 2,
+                                Window(-2.0, 2.0, -2.0, 2.0, cols=20, rows=10)).bits
+    assert np.count_nonzero(bits) == 70
+    assert out.read_bytes() == b"P5\n20 10\n255\n" + np.where(bits, 255, 0).astype(np.uint8).tobytes()
+
+
+def test_envelope_on_a_given_window_solves_no_window_frame(tmp_path, monkeypatch):
+    import specbound.cli as cli
+    from specbound import build_frames, envelope_raster, theta_grid
+    from specbound.envelope import envelope_overlays
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("only auto_window needs the frame at angle 0")
+
+    monkeypatch.setattr(cli, "build_frame", no_frame)
+    a = build_matrix(MatrixSpec("pair_A"))
+    win = Window(-3.0, 4.0, -2.5, 2.5, cols=40, rows=30)
+    outs = {}
+    for fmt in ("pgm", "svg", "csv"):
+        out = tmp_path / f"e.{fmt}"
+        assert main(["envelope", "--gallery", "pair_A", "--k", "2", "--theta-count", "24",
+                     "--window=-3,4,-2.5,2.5", "--grid", "40x30", "--format", fmt,
+                     "--out", str(out)]) == 0
+        outs[fmt] = out.read_bytes()
+    bits = envelope_raster(a, 2, 24, win).bits
+    assert outs["pgm"] == b"P5\n40 30\n255\n" + np.where(bits, 255, 0).astype(np.uint8).tobytes()
+    overlays = envelope_overlays(build_frames(a, 2, theta_grid(24)), win)
+    assert outs["csv"].decode() == curves_csv([overlays])
+    assert outs["svg"].count(b'class="curve"') == len(overlays.polylines)
+
+
+# Every subcommand and format the scale property runs: (command, format,
+# extra arguments); {window} is the window -3,4,-2.5,2.5 scaled with A.
+SCALE_RUNS = (("curve", "svg", ["--with-gamma-min", "--with-hyperbolas"]),
+              ("curve", "csv", ["--with-gamma-min", "--with-hyperbolas"]),
+              ("envelope", "pgm", []), ("envelope", "svg", []), ("envelope", "csv", []),
+              ("envelope", "pgm", ["--window={window}"]),
+              ("numrange", "pgm", []), ("numrange", "svg", []), ("numrange", "csv", []),
+              ("check", "json", []))
+SCALE_SOURCES = ("toeplitz_eq1", "pair_A", "random_complex:n=5,seed=3")
+_WINDOW_ATTRS = re.compile(r' data-([st])-(min|max)="(?:np\.float64\()?([^")]*)\)?"')
+
+
+def _outputs(directory, a, k, c):
+    """The bytes of every run of SCALE_RUNS on c A, in order."""
+    path = directory / "m.txt"
+    _write_matrix(path, c * a)
+    window = ",".join(repr(c * x) for x in (-3.0, 4.0, -2.5, 2.5))
+    outs = []
+    for i, (command, fmt, extra) in enumerate(SCALE_RUNS):
+        out = directory / f"{i}.{fmt}"
+        argv = [command, "--matrix", str(path), "--k", str(k), "--theta-count", "12",
+                "--grid", "24x18", "--out", str(out)]
+        argv += [arg.format(window=window) for arg in extra]
+        if command != "check":
+            argv += ["--format", fmt]
+        assert main(argv) == 0, argv
+        outs.append(out.read_bytes())
+    return outs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(e=st.integers(-1000, 1000), which=st.integers(0, len(SCALE_SOURCES) - 1),
+       k=st.integers(1, 3))
+@example(e=400, which=0, k=1)
+@example(e=-1000, which=2, k=3)
+@example(e=1000, which=1, k=2)
+def test_outputs_scale_with_the_matrix(e, which, k):
+    # every output of 2^e A is that of A with each coordinate times 2^e; at
+    # 2^400 curve and envelope once exited 2 (the field of A overflowed), and
+    # at 2^-400 the default window was 1e120 times too wide
+    from specbound.cli import _parse_gallery
+
+    a = build_matrix(_parse_gallery(SCALE_SOURCES[which], None))
+    c = 2.0 ** e
+    assert np.array_equal(c * a / c, a)
+    with tempfile.TemporaryDirectory() as base, tempfile.TemporaryDirectory() as scaled:
+        want = _outputs(Path(base), a, k, 1.0)
+        got = _outputs(Path(scaled), a, k, c)
+    for (_, fmt, _), w, g in zip(SCALE_RUNS, want, got):
+        if fmt == "pgm":
+            assert g == w
+        elif fmt == "csv":
+            w_rows = [row.split(",") for row in w.decode().splitlines()]
+            g_rows = [row.split(",") for row in g.decode().splitlines()]
+            assert len(g_rows) == len(w_rows) > 1 and g_rows[0] == w_rows[0]
+            for wr, gr in zip(w_rows[1:], g_rows[1:]):
+                assert gr[:2] == wr[:2]
+                assert [float(x) for x in gr[2:]] == [c * float(x) for x in wr[2:]]
+        elif fmt == "svg":
+            w_text, g_text = w.decode(), g.decode()
+            assert _WINDOW_ATTRS.sub("", g_text) == _WINDOW_ATTRS.sub("", w_text)
+            w_bounds = [float(m[2]) for m in _WINDOW_ATTRS.findall(w_text)]
+            g_bounds = [float(m[2]) for m in _WINDOW_ATTRS.findall(g_text)]
+            assert len(w_bounds) == 4 and g_bounds == [c * x for x in w_bounds]
+        else:
+            w_rep, g_rep = json.loads(w), json.loads(g)
+            assert g_rep.pop("scale") == c * w_rep.pop("scale")
+            w_evs, g_evs = w_rep.pop("eigenvalues"), g_rep.pop("eigenvalues")
+            for we, ge in zip(w_evs, g_evs):
+                assert (ge.pop("re"), ge.pop("im")) == (c * we.pop("re"), c * we.pop("im"))
+            assert g_evs == w_evs and len(w_evs) == a.shape[0]
+            del w_rep["matrix"]["source"], g_rep["matrix"]["source"]
+            assert g_rep == w_rep
 
 
 def test_curve_memory_is_bounded(tmp_path):

@@ -34,6 +34,7 @@ from specbound import (
 from specbound.envelope import envelope_overlays
 from specbound.trace import gamma_curves
 from specbound.gallery import gallery_entries
+from specbound.linalg import _normalised, max_abs
 from conftest import random_complex
 
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
@@ -428,7 +429,8 @@ def _reference_rank_raster(a, ell, theta_count, window):
     thetas = theta_grid(theta_count)
     s, t = window.cell_centers()
     grid = s[None, :] + 1j * t[:, None]
-    tol = envelope_module._halfplane_tolerance(a)
+    unit, sigma = _normalised(a)
+    tol = 1e-9 * sigma * (1.0 + max_abs(unit))
     bits = np.ones(grid.shape, dtype=bool)
     for theta, deltas in zip(thetas, rotation_spectra(a, thetas)):
         bits &= (np.exp(1j * theta) * grid).real <= deltas[ell - 1] + tol

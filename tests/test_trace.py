@@ -419,6 +419,24 @@ def test_auto_window_contains_eigenvalues():
             assert win.contains(ev.real, ev.imag)
 
 
+def test_auto_window_scales_with_the_matrix():
+    # the window of A is sigma times that of A/sigma, bit for bit, so the CLI
+    # (which works on A/sigma) and a caller with A's own frame agree; the
+    # floor and the width test once were absolute, and matrix_C's windows at
+    # k = 1 and 2, where the floor binds, differed
+    from specbound import gallery_entries
+    from specbound.linalg import _normalised
+
+    for name, _, _ in gallery_entries():
+        a = build_matrix(MatrixSpec(name))
+        unit, sigma = _normalised(a)
+        for k in range(1, min(3, a.shape[0] - 1) + 1):
+            win = auto_window(build_frame(a, k), cols=60, rows=45)
+            w1 = auto_window(build_frame(unit, k), cols=60, rows=45)
+            assert (win.s_min, win.s_max, win.t_min, win.t_max) == (
+                sigma * w1.s_min, sigma * w1.s_max, sigma * w1.t_min, sigma * w1.t_max), (name, k)
+
+
 def test_point_in_polygon():
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     assert point_in_polygon(0.5, 0.5, square)
