@@ -346,7 +346,9 @@ def numerical_range_boundary(A, theta_count):
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     pad = 0.05 * max(float(np.max(hi - lo)), 1e-6) + 1e-9
-    window = Window(lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
+    # Python floats, which the SVG writer's !r formats as plain numbers
+    (s_min, t_min), (s_max, t_max) = (lo - pad).tolist(), (hi + pad).tolist()
+    window = Window(s_min, s_max, t_min, t_max)
     return CurveSet(
         polylines=(pts,), closed_flags=(True,), window=window, kind="numrange",
     )

@@ -29,9 +29,16 @@ def test_parse_matrix_file_complex_and_scientific(tmp_path):
     assert m[3, 0] == 4.0
 
 
-def test_parse_matrix_file_rectangular_allowed():
+def test_parse_matrix_file_rectangular_allowed(tmp_path):
     # squareness is the command's concern, not the parser's
-    pass
+    p = tmp_path / "rect.txt"
+    p.write_text("2 3\n1 2 3\n4 5 6\n")
+    m = parse_matrix_file(p)
+    assert m.shape == (2, 3) and np.array_equal(m, [[1, 2, 3], [4, 5, 6]])
+    for command in ("curve", "envelope", "numrange", "check"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--matrix", str(p), "--out", str(out)]) == 2, command
+        assert not out.exists(), command
 
 
 def test_parse_matrix_file_errors(tmp_path):
@@ -414,7 +421,7 @@ SCALE_RUNS = (("curve", "svg", ["--with-gamma-min", "--with-hyperbolas"]),
               ("numrange", "pgm", []), ("numrange", "svg", []), ("numrange", "csv", []),
               ("check", "json", []))
 SCALE_SOURCES = ("toeplitz_eq1", "pair_A", "random_complex:n=5,seed=3")
-_WINDOW_ATTRS = re.compile(r' data-([st])-(min|max)="(?:np\.float64\()?([^")]*)\)?"')
+_WINDOW_ATTRS = re.compile(r' data-([st])-(min|max)="([^"]*)"')
 
 
 def _outputs(directory, a, k, c):
@@ -467,6 +474,8 @@ def test_outputs_scale_with_the_matrix(e, which, k):
         elif fmt == "svg":
             w_text, g_text = w.decode(), g.decode()
             assert _WINDOW_ATTRS.sub("", g_text) == _WINDOW_ATTRS.sub("", w_text)
+            # every kind writes its window as four plain numbers: the numrange
+            # SVG once wrote data-s-min="np.float64(...)"
             w_bounds = [float(m[2]) for m in _WINDOW_ATTRS.findall(w_text)]
             g_bounds = [float(m[2]) for m in _WINDOW_ATTRS.findall(g_text)]
             assert len(w_bounds) == 4 and g_bounds == [c * x for x in w_bounds]
@@ -573,18 +582,24 @@ def test_every_export_resolves():
                                           ("envelope", "json"), ("numrange", "json")])
 def test_unsupported_format_is_rejected_before_any_work(tmp_path, capsys, monkeypatch,
                                                         command, fmt):
+    # the parser rejects each of these argument lists, so no runner starts
     import specbound.cli as cli
 
     def no_work(*args, **kwargs):
-        raise AssertionError("matrix work started before the format was checked")
+        raise AssertionError("matrix work started before the usage error")
 
-    for name in ("build_frame", "build_frames", "numerical_range_boundary"):
+    for name in ("build_matrix", "parse_matrix_file", "build_frame", "build_frames",
+                 "numerical_range_boundary"):
         monkeypatch.setattr(cli, name, no_work)
-    rc = main([command, "--gallery", "toeplitz_eq1", "--k", "2", "--format", fmt,
-               "--out", str(tmp_path / f"x.{fmt}")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / f"x.{fmt}").exists()
+    out = str(tmp_path / f"x.{fmt}")
+    source = ["--gallery", "toeplitz_eq1"]
+    for argv in ([*source, "--format", fmt, "--out", out],   # unsupported format
+                 [*source, "--format", "svg"],               # no --out
+                 ["--format", "svg", "--out", out],          # no matrix source
+                 [*source, "--matrix", "m.txt", "--out", out]):  # both sources
+        assert main([command, "--k", "2", *argv]) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+        assert not (tmp_path / f"x.{fmt}").exists(), argv
 
 
 def test_envelope_svg_solves_the_frames_once(tmp_path, monkeypatch):
@@ -616,19 +631,39 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
     cli._parser.cache_clear()
     seen = []
-    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    for command in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, command, lambda ns: seen.append(ns) or 0)
     try:
         assert main(["envelope", "--gallery", "toeplitz_eq1", "--k", "3", "--grid", "40x30",
                      "--theta-count", "7", "--format", "pgm", "--out", "x"]) == 0
-        assert main(["numrange", "--gallery", "matrix_A1"]) == 0
-        assert main(["curve", "--gallery", "pair_A", "--with-gamma-min"]) == 0
-        assert main(["check", "--gallery", "a_tilde"]) == 0
+        assert main(["numrange", "--gallery", "matrix_A1", "--out", "y"]) == 0
+        assert main(["curve", "--gallery", "pair_A", "--with-gamma-min", "--out", "z"]) == 0
+        assert main(["check", "--gallery", "a_tilde", "--window=-1,1,-2,2"]) == 0
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
     env, nr, curve, check = seen
+    assert env.command == "envelope" and env.window is None
     assert (env.k, env.grid, env.theta_count, env.fmt) == (3, (40, 30), 7, "pgm")
-    assert (nr.k, nr.grid, nr.theta_count, nr.fmt, nr.out) == (0, (800, 600), 120, "svg", None)
-    assert nr.gallery_spec.name == "matrix_A1"
-    assert (curve.k, curve.include_gamma_min, curve.include_hyperbolas) == (1, True, False)
-    assert (check.k, check.fmt, check.include_gamma_min) == (1, "json", False)
+    assert (nr.k, nr.grid, nr.theta_count, nr.fmt, nr.out) == (0, (800, 600), 120, "svg", "y")
+    assert (nr.gallery, nr.matrix) == ("matrix_A1", None)
+    assert (curve.k, curve.with_gamma_min, curve.with_hyperbolas) == (1, True, False)
+    assert (check.k, check.out, check.window) == (1, None, [-1.0, 1.0, -2.0, 2.0])
+    assert not hasattr(check, "fmt") and not hasattr(check, "with_gamma_min")
+
+
+def test_readme_command_lines_parse():
+    # every example in the README's "Command line" block is accepted by the
+    # parser, so the docs name no flag or format that it rejects
+    import shlex
+
+    import specbound.cli as cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("specbound ")]
+    assert len(lines) >= 8
+    for line in lines:
+        ns = cli._parser().parse_args(shlex.split(line)[1:])
+        assert ns.command in cli._RUNNERS, line
