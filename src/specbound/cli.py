@@ -29,8 +29,8 @@ its eigenvalues in the report.  Both are exact.  So the outputs of 2^e A
 are those of A with every coordinate scaled by 2^e.
 
 Exit codes: 0 success (and, for check, spectrum contained), 1 usage error,
-2 file/input error (including entries too large to evaluate), 3 containment
-violation reported by check.
+2 file/input error (including entries too large to evaluate and a job too
+large for memory), 3 containment violation reported by check.
 """
 
 from __future__ import annotations
@@ -345,6 +345,9 @@ def main(argv=None):
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: arithmetic overflow, matrix entries too large: {exc}",
               file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this job: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,7 +26,10 @@ Hermitian matrix P = kappa diag(delta_j - s) - (s - delta_{k+1}) W_k* W_k is
 not negative definite, which LDL* pivots decide without a determinant, an
 adjugate or an eigenvalue.  P is homogeneous of degree 3 in (A, z), so the
 mask runs it on A/sigma with a fixed slack (see
-:func:`specbound.envelope.envelope_member_mask`).
+:func:`specbound.envelope.envelope_member_mask`).  Its constants,
+from :func:`_member_constants`, carry a leading angle axis and the kernel is
+elementwise, so one call decides a block of angles, each on its own row of
+points, exactly as one call per angle would.
 """
 
 from __future__ import annotations
@@ -259,16 +262,19 @@ _ETA = 1e-12
 
 
 def _member_constants(stack, sigma):
-    """Per-angle constants of :func:`_member` for the stack's matrix over sigma.
+    """Constants of :func:`_member` for the stack's matrix over sigma, per angle.
 
     C = ``_shift_matrix(stack)``, kappa and delta_{k+1} are divided by
     sigma, sigma^2 and sigma, which is exact for a power of two.  As
     C + C* = 2 Delta_k, W*W = C*C - 2 s Delta_k + 2 i t Y_k + |lambda|^2 I:
     diagonal entry j is |C_jj - lambda|^2 plus the squared norm of column j
     off the diagonal, and entry (j, l), j < l, is (C*C)_jl + 2 i t C_jl.
-    One tuple per angle: (theta, delta_{k+1}, kappa, [(Re C_jj, Im C_jj,
-    column norm) for each j], [(Re (C*C)_jl, Im (C*C)_jl, 2 Im C_jl,
-    2 Re C_jl) for each j < l in row order]).
+    Returns (theta, delta_{k+1}, kappa, columns, pairs), arrays whose
+    leading axis is the angle: ``columns`` is (m, k, 3), holding (Re C_jj,
+    Im C_jj, column norm) for each j, and ``pairs`` is (m, k(k-1)/2, 4),
+    holding (Re (C*C)_jl, Im (C*C)_jl, 2 Im C_jl, 2 Re C_jl) for each j < l
+    in row order.  Index every array with one angle for its scalars, or with
+    ``[rows, None]`` for the (b, 1) constants of a block of angles.
     """
     k = stack.k
     c = _shift_matrix(stack) / sigma
@@ -279,12 +285,11 @@ def _member_constants(stack, sigma):
     columns = np.stack([diag.real, diag.imag, norms], axis=-1)
     pairs = np.stack([cc.real[:, j, l], cc.imag[:, j, l], 2.0 * c.imag[:, j, l],
                       2.0 * c.real[:, j, l]], axis=-1)
-    return list(zip(stack.theta.tolist(), (stack.delta_next / sigma).tolist(),
-                    (stack.kappa / sigma / sigma).tolist(), columns.tolist(), pairs.tolist()))
+    return stack.theta, stack.delta_next / sigma, stack.kappa / sigma / sigma, columns, pairs
 
 
 def _member(const, s, t):
-    """g >= 0 at the points s + i t of one angle, as a boolean array.
+    """g >= 0 at the points s + i t, as a boolean array.
 
     Where det W_k != 0, M_k = |det W|^2 W^{-*} D W^{-1} with D = diag(delta_j
     - s), so by Sylvester's law of inertia g >= 0 exactly when P = kappa D -
@@ -298,16 +303,24 @@ def _member(const, s, t):
     finite is not a member.  The slack keeps boundary points: eigenvalues of
     normal matrices lie on the curves, and with no slack some fell short by
     up to 1.9e-14.
+
+    Every operation is elementwise, so the constants broadcast against the
+    points: one angle's scalars with any array of points, or the (b, 1)
+    constants of a block of b angles with (b, p) points, row i being the
+    points rotated by angle i.  Each element is the same, bit for bit, as
+    the one-angle call on that point.
     """
     _, dnext, kappa, columns, pairs = const
-    k = len(columns)
+    k = columns.shape[-2]
     re, im = {}, {}
     with np.errstate(all="ignore"):
         x = s - dnext
-        for j, (delta, imag, norm) in enumerate(columns):
+        for j in range(k):
+            delta, imag, norm = (columns[..., j, i] for i in range(3))
             d = s - delta
             re[j, j] = x * (d * d + (t - imag) ** 2 + norm) + kappa * d - _ETA
-        for jl, (ccr, cci, yi, yr) in zip(combinations(range(k), 2), pairs):
+        for n, jl in enumerate(combinations(range(k), 2)):
+            ccr, cci, yi, yr = (pairs[..., n, i] for i in range(4))
             re[jl], im[jl] = x * (ccr - yi * t), x * (cci + yr * t)
         definite = finite = np.isfinite(sum(re.values()) + sum(im.values()))
         for j in range(k):

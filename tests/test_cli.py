@@ -266,6 +266,25 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.svg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["curve", "envelope", "numrange", "check"])
+def test_out_of_memory_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, command):
+    # a grid such as 100000x100000 makes NumPy raise ArrayMemoryError, a
+    # MemoryError; the runner raises one here instead of allocating it
+    import specbound.cli as cli
+
+    def too_large(ns):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setitem(cli._RUNNERS, command, too_large)
+    out = tmp_path / "x.out"
+    argv = [command, "--gallery", "toeplitz_eq1", "--k", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("window", ["0,inf,0,1", "0,1,-1e308,1e308"])
 @pytest.mark.parametrize("command, fmt", [("envelope", "pgm"), ("curve", "svg"),

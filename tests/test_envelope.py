@@ -70,16 +70,20 @@ def test_membership_needs_thetas():
 
 
 def _reference_mask(a, k, thetas, points):
-    """The mask's kernel at every point and angle, in the given order, no culling."""
+    """The mask's kernel at every point and angle, in the given order, no culling.
+
+    Each call gets one angle's constants as scalars, so the mask's blocks of
+    angles are compared with one-angle calls.
+    """
     from specbound.inequality import _member, _member_constants
 
     sigma = 2.0 ** round(np.log2(np.max(np.abs(a))))
     pts = np.asarray(points, dtype=np.complex128) / sigma
     member = np.ones(pts.shape, dtype=bool)
-    stack = build_frames(a / sigma, k, thetas)
-    for theta, const in zip(stack.theta, _member_constants(stack, 1.0)):
+    const = _member_constants(build_frames(a / sigma, k, thetas), 1.0)
+    for i, theta in enumerate(const[0]):
         z = np.exp(1j * theta) * pts
-        member &= _member(const, z.real, z.imag)
+        member &= _member([c[i] for c in const], z.real, z.imag)
     return member
 
 
@@ -113,9 +117,24 @@ def test_culling_mask_zero_d_point():
     assert not envelope_member_mask(TOEPLITZ, 2, thetas, ev + 40.0)
 
 
-def test_culling_mask_exits_once_every_point_is_dead(monkeypatch):
-    import specbound.envelope as env
+def _counted_member_calls(monkeypatch):
+    """(angles, points) of every membership call the mask makes from now on."""
+    calls = []
+    member = envelope_module._member
 
+    def counted(const, s, t):
+        # a lone angle comes as one flat row of points
+        calls.append(np.shape(s) if np.ndim(s) == 2 else (1, np.size(s)))
+        return member(const, s, t)
+
+    monkeypatch.setattr(envelope_module, "_member", counted)
+    return calls
+
+
+def test_culling_mask_exits_once_every_point_is_dead(monkeypatch):
+    # the first call covers every point; a call is a block of angles, so the
+    # angles evaluated are the leading axes of the calls, and the mask stops
+    # before it has evaluated every angle
     f = build_frame(TOEPLITZ, 2)
     far = float(f.deltas[0]) + 100.0
     win = Window(far, far + 10.0, -5.0, 5.0, cols=20, rows=15)
@@ -124,18 +143,53 @@ def test_culling_mask_exits_once_every_point_is_dead(monkeypatch):
     thetas = theta_grid(64)
     ref = _reference_mask(TOEPLITZ, 2, thetas, grid)
     assert not ref.any()
-    calls = []
-    member = env._member
-
-    def counted(const, s, t):
-        calls.append(np.size(s))
-        return member(const, s, t)
-
-    monkeypatch.setattr(env, "_member", counted)
+    calls = _counted_member_calls(monkeypatch)
     got = envelope_member_mask(TOEPLITZ, 2, thetas, grid)
     assert np.array_equal(got, ref)
-    assert calls[0] == grid.size
-    assert len(calls) < len(thetas)
+    assert calls[0] == (envelope_module._MASK_BLOCK_PAIRS // grid.size, grid.size)
+    assert sum(rows for rows, _ in calls) < len(thetas)
+
+
+@pytest.mark.parametrize("pairs", [1, 2 ** 30])
+def test_culling_mask_does_not_depend_on_the_block_size(monkeypatch, pairs):
+    # one angle per call, or every angle in one call: the same bits as the
+    # one-angle reference, on shuffled and odd-count angle lists
+    monkeypatch.setattr(envelope_module, "_MASK_BLOCK_PAIRS", pairs)
+    rng = np.random.default_rng(13)
+    mats = [TOEPLITZ, build_matrix(MatrixSpec("pair_A")), random_complex(6, seed=301)]
+    for a in mats:
+        for k in range(1, min(5, a.shape[0] - 1) + 1):
+            win = auto_window(build_frame(a, k), cols=30, rows=21)
+            s, t = win.cell_centers()
+            grid = s[None, :] + 1j * t[:, None]
+            for thetas in (theta_grid(37), rng.permutation(theta_grid(24)),
+                           rng.uniform(-4.0, 4.0, 9)):
+                ref = _reference_mask(a, k, thetas, grid)
+                assert ref.any() and not ref.all(), (k, len(thetas))
+                got = envelope_member_mask(a, k, thetas, grid)
+                assert np.array_equal(got, ref), (k, len(thetas))
+
+
+@pytest.mark.parametrize("pairs", [None, 500])
+def test_culling_mask_calls_hold_at_most_the_block_pairs(monkeypatch, pairs):
+    # the mask's memory bound: no call holds more than _MASK_BLOCK_PAIRS
+    # (angle, point) pairs, unless a single angle alone has more live points
+    if pairs is not None:
+        monkeypatch.setattr(envelope_module, "_MASK_BLOCK_PAIRS", pairs)
+    budget = envelope_module._MASK_BLOCK_PAIRS
+    calls = _counted_member_calls(monkeypatch)
+    thetas = theta_grid(120)
+    for k in (2, 3):
+        win = auto_window(build_frame(TOEPLITZ, k), cols=80, rows=60)
+        s, t = win.cell_centers()
+        grid = s[None, :] + 1j * t[:, None]
+        calls.clear()
+        got = envelope_member_mask(TOEPLITZ, k, thetas, grid)
+        assert np.array_equal(got, _reference_mask(TOEPLITZ, k, thetas, grid))
+        assert calls[0] == (1, grid.size)
+        assert any(rows > 1 for rows, _ in calls)
+        for rows, live in calls:
+            assert rows * live <= budget or (rows == 1 and live > budget), (rows, live)
 
 
 def test_mask_computes_no_determinant_or_eigenvalue(monkeypatch):

@@ -124,11 +124,15 @@ def test_adjugate3_is_bit_identical_to_cofactor_loop():
 
 
 def _kernel(stack, s, t):
-    """The membership kernel on the stack's own constants, one angle at a time."""
+    """The membership kernel on the stack's own constants, one angle at a time.
+
+    Each call gets one angle's constants as scalars.
+    """
     from specbound.inequality import _member, _member_constants
 
     const = _member_constants(stack, 1.0)
-    return np.array([_member(c, si, ti) for c, si, ti in zip(const, s, t)])
+    return np.array([_member([c[i] for c in const], si, ti)
+                     for i, (si, ti) in enumerate(zip(s, t))])
 
 
 def test_g_field_does_not_depend_on_call_size():
