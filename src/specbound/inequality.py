@@ -17,8 +17,9 @@ evaluates g over whole coordinate arrays at once and is what the tracing,
 rasterization and check code calls; :func:`g_value` and :func:`g_min_value`
 run the same evaluator at one point and return an :class:`IneqValue` with
 the pieces broken out.  k = 1 and k = 2 use closed forms for det W_k and the
-extreme eigenvalue of M_k; k >= 3 builds M_k from cofactors (spelled out for
-k = 3) and calls ``eigvalsh``.
+extreme eigenvalue of M_k; k = 3 builds M_k from spelled-out cofactors and
+k >= 4 from one batched inverse, det(W_k) adj(W_k*) = |det W_k|^2 W_k^{-*},
+and both call ``eigvalsh``.
 
 The envelope mask needs only the sign of g, and decides it for every order
 with one private kernel, :func:`_member`: g >= 0 exactly when the cubic
@@ -125,7 +126,7 @@ def _m2_pieces(c, lam):
     return m00, m11, moff, det
 
 
-# In the cofactor products below, the temporary operand comes first.  NumPy
+# In the products that form M_k, the temporary operand comes first.  NumPy
 # turns ``temporary * array`` on large arrays into an in-place product; with
 # the temporary on the right it swaps the operands to do so, and the swapped
 # complex product rounds differently, so a value of g would depend on how
@@ -140,26 +141,18 @@ def _det3(w):
     )
 
 
-def _det_batched(w):
-    k = w.shape[-1]
-    if k == 2:
-        return w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
-    if k == 3:
-        return _det3(w)
-    return np.linalg.det(w)
-
-
-# (-1)^(i+j) for the 3 x 3 cofactors; multiplying by it rounds exactly as the
-# integer sign of the generic cofactor loop does.
+# (-1)^(i+j) for the 3 x 3 cofactors; multiplying by it rounds exactly as an
+# integer sign ``(-1) ** (i + j) * minor`` does.
 _SIGNS3 = np.array([[1, -1, 1], [-1, 1, -1], [1, -1, 1]])
 
 
 def _adjugate3(m):
-    """adj(m) of 3 x 3 blocks, the generic cofactor loop spelled out.
+    """adj(m) of 3 x 3 blocks, with adj(m) m = det(m) I.
 
-    Cofactor (i, j) is the 2 x 2 minor without row j and column i, taken with
-    the same products in the same order as the loop, so the result is the
-    same bit for bit; it only skips the loop's fancy-indexed copies.
+    Cofactor (i, j) is the 2 x 2 minor without row j and column i, spelled
+    out, so no fancy-indexed copy of a minor is made.  The tests keep a
+    generic cofactor loop with the same products in the same order, and the
+    two agree bit for bit.
     """
     m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
@@ -175,21 +168,6 @@ def _adjugate3(m):
     out[..., 2, 1] = m00 * m21 - m01 * m20
     out[..., 2, 2] = m00 * m11 - m01 * m10
     out *= _SIGNS3
-    return out
-
-
-def _adjugate_batched(m):
-    """adj(m) of k x k blocks, k >= 3, with adj(m) m = det(m) I."""
-    k = m.shape[-1]
-    if k == 3:
-        return _adjugate3(m)
-    out = np.empty_like(m)
-    for i in range(k):
-        cols = [c for c in range(k) if c != i]
-        for j in range(k):
-            rows = [r for r in range(k) if r != j]
-            sub = m[..., rows, :][..., :, cols]
-            out[..., i, j] = (-1) ** (i + j) * _det_batched(sub)
     return out
 
 
@@ -230,8 +208,16 @@ def _field_components(frame, s, t, which):
     else:
         # M_k, the Hermitian part of det(W_k) adj(W_k*), one k x k matrix per point
         w = c - lam[..., None, None] * np.eye(k)
-        det = _det_batched(w)
-        p = _adjugate_batched(_ct(w)) * det[..., None, None]
+        if k == 3:
+            det = _det3(w)
+            p = _adjugate3(_ct(w)) * det[..., None, None]
+        else:
+            # det(W) adj(W*) = |det W|^2 W^{-*}.  Where det W = 0 that is 0, so
+            # a singular block is inverted as I, which one batched inverse
+            # would otherwise reject for the whole call.
+            det = np.linalg.det(w)
+            winv = np.linalg.inv(np.where((det == 0)[..., None, None], np.eye(k), w))
+            p = _ct(winv) * (det.real ** 2 + det.imag ** 2)[..., None, None]
         ev = np.linalg.eigvalsh(0.5 * (p + _ct(p)))
         extreme = [ev[..., -1] if side == "max" else ev[..., 0] for side in which]
     lhs = (det.real ** 2 + det.imag ** 2) * (s - delta_next)

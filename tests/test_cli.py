@@ -328,6 +328,18 @@ def test_check_overflow_exits_cleanly(tmp_path):
     _assert_contained_at_scale(out, np.full((2, 2), 1e200))
 
 
+def test_check_at_singular_w_exits_cleanly(tmp_path):
+    # A = diag(5, 4, 3, 2, 1, 0): at theta = 0 the eigenvalues 5, 4, 3 and 2
+    # make W_4 singular, and those blocks share one batched inverse with
+    # regular ones
+    path = tmp_path / "diag.txt"
+    _write_matrix(path, np.diag([5.0, 4.0, 3.0, 2.0, 1.0, 0.0]))
+    out = tmp_path / "r.json"
+    rc = main(["check", "--matrix", str(path), "--k", "4", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["contained"] is True
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("factor, k", [(1e60, 2), (1e100, 3), (1e150, 3)])
 def test_check_scaled_matrix_exits_cleanly(tmp_path, factor, k):

@@ -193,17 +193,17 @@ def test_culling_mask_calls_hold_at_most_the_block_pairs(monkeypatch, pairs):
 
 
 def test_mask_computes_no_determinant_or_eigenvalue(monkeypatch):
-    # one kernel for every order: no eigvalsh, no cofactors, no g_field
+    # one kernel for every order: no eigvalsh, no cofactors, no inverse, no g_field
     import specbound.inequality as inequality
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the mask called the field code")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    monkeypatch.setattr(np.linalg, "det", forbidden)
+    for name in ("eigvalsh", "det", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     for module in (inequality, envelope_module):
         monkeypatch.setattr(module, "g_field", forbidden)
-    for name in ("_det_batched", "_adjugate_batched", "_m2_pieces"):
+    for name in ("_det3", "_adjugate3", "_m2_pieces"):
         monkeypatch.setattr(inequality, name, forbidden)
     a = random_complex(6, seed=17)
     for k in (1, 2, 3, 4, 5):

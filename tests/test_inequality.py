@@ -91,22 +91,31 @@ def test_field_product_rounds_as_scalar_product():
     assert _product(x[3, 0], y[3, 0]) == expected[3, 0]
 
 
-def _generic_adjugate(m):
-    """The generic cofactor loop of the field kernel, for any k."""
-    from specbound.inequality import _det_batched
+def _generic_det(m):
+    """det of k x k blocks: the 2 x 2 product spelled out, else np.linalg.det."""
+    if m.shape[-1] == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.linalg.det(m)
 
+
+def _generic_adjugate(m):
+    """adj(m) of k x k blocks from k^2 cofactors, for any k >= 2.
+
+    It shares no code with the field kernel, so it is the oracle of the
+    spelled-out k = 3 cofactors and of the batched inverse at k >= 4.
+    """
     k = m.shape[-1]
     out = np.empty_like(m)
     for i in range(k):
         cols = [c for c in range(k) if c != i]
         for j in range(k):
             rows = [r for r in range(k) if r != j]
-            out[..., i, j] = (-1) ** (i + j) * _det_batched(m[..., rows, :][..., :, cols])
+            out[..., i, j] = (-1) ** (i + j) * _generic_det(m[..., rows, :][..., :, cols])
     return out
 
 
 def test_adjugate3_is_bit_identical_to_cofactor_loop():
-    from specbound.inequality import _adjugate_batched
+    from specbound.inequality import _adjugate3
 
     rng = np.random.default_rng(21)
     for trial in range(40):
@@ -117,10 +126,8 @@ def test_adjugate3_is_bit_identical_to_cofactor_loop():
             m[rng.random(m.shape) < 0.3] = 0.0
         elif trial % 4 == 3:
             m = np.conj(np.swapaxes(m, -1, -2))  # the kernel passes W* as a view
-        got = _adjugate_batched(m)
+        got = _adjugate3(m)
         assert got.tobytes() == _generic_adjugate(m).tobytes()
-    m4 = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    assert np.array_equal(_adjugate_batched(m4), _generic_adjugate(m4))
 
 
 def _kernel(stack, s, t):
@@ -145,7 +152,7 @@ def test_g_field_does_not_depend_on_call_size():
     s = rng.uniform(-3.0, 3.0, 40_000)
     t = rng.uniform(-3.0, 3.0, 40_000)
     parts = [slice(lo, lo + 1000) for lo in range(0, s.size, 1000)]
-    for k in (3, 4):
+    for k in (3, 4, 5):
         f = build_frame(a, k, 0.4)
         whole = g_field(f, s, t)
         pieces = np.concatenate([g_field(f, s[p], t[p]) for p in parts])
@@ -224,8 +231,9 @@ def test_k3_sign_test_drops_non_finite_points():
 def _inverse_reference(frame, s, t, which):
     """(g, lhs, rhs, extreme, det) at one point, with M_k = |det W_k|^2 H(W_k^{-*}).
 
-    det(W) adj(W*) = |det W|^2 (W*)^{-1}, so this route shares no cofactor
-    or determinant code with the field kernel.
+    det(W) adj(W*) = |det W|^2 (W*)^{-1}.  At k = 3 this route shares no
+    code with the field kernel; at k >= 4 the kernel uses the same identity,
+    and :func:`_cofactor_reference` is the independent route.
     """
     w = w_matrix(frame, s, t)
     det = np.linalg.det(w)
@@ -263,9 +271,65 @@ def test_g_field_matches_inverse_reference(k):
             assert abs(got - want) <= 1e-9 * (abs(ref[1]) + abs(ref[2]) + abs(want))
 
 
+def _cofactor_reference(frame, s, t, which):
+    """(g, lhs, rhs) at one point, with M_k = H(det(W_k) adj(W_k*)) by cofactors."""
+    w = w_matrix(frame, s, t)
+    det = _generic_det(w)
+    p = det * _generic_adjugate(w.conj().T)
+    ev = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
+    lhs = abs(det) ** 2 * (s - frame.delta_next)
+    rhs = frame.kappa * (ev[-1] if which == "max" else ev[0])
+    return rhs - lhs, lhs, rhs
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_g_field_matches_cofactor_reference(k):
+    # at k >= 4 the kernel inverts W_k; the cofactor loop is the independent route
+    mats = [random_complex(7, seed=seed) for seed in (3, 12, 40)]
+    mats.append(build_matrix(MatrixSpec("frank", {"n": 7})))
+    for a in mats:
+        for theta in (0.0, 2.2):
+            f = build_frame(a, k, theta)
+            ss, tt = _grid_points(f, per_axis=9)
+            for which in ("max", "min"):
+                field = g_field(f, ss, tt, which=which)
+                for s, t, g in zip(ss.ravel(), tt.ravel(), field.ravel()):
+                    ref, lhs, rhs = _cofactor_reference(f, s, t, which)
+                    assert abs(g - ref) <= 1e-9 * (abs(lhs) + abs(rhs))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_g_field_is_zero_where_w_is_singular(k):
+    # H(A) = diag(5, 4, 3, 2, 1, 0) and a skew part that only couples e_1 to
+    # e_6: at the angles 0 and pi, W_k is diagonal and kappa = 1, so W_k is
+    # singular at s = delta_j, t = 0, j <= k.  There det W_k = 0 makes M_k = 0
+    # and g = 0 exactly, also when the singular blocks share a call with
+    # regular ones.
+    from specbound import build_frames
+
+    a = np.diag([5.0, 4.0, 3.0, 2.0, 1.0, 0.0]).astype(complex)
+    a[5, 0], a[0, 5] = 1.0, -1.0
+    stack = build_frames(a, k, [0.0, np.pi])
+    assert np.array_equal(stack.kappa, [1.0, 1.0]) and not stack.y_k.any()
+    regular = np.array([0.5, 0.25, -2.5])
+    s = np.concatenate([stack.deltas[:, :k], np.tile(regular, (2, 1))], axis=1)
+    t = np.zeros_like(s)
+    g = g_field(stack, s, t, which=("max", "min"))
+    assert g.shape == (2,) + s.shape
+    assert np.all(g[:, :, :k] == 0.0)
+    assert np.all(np.isfinite(g)) and np.all(g[:, :, k:] != 0.0)
+    for i in range(2):
+        assert g_field(stack[i], s[i], t[i], which=("max", "min")).tobytes() == g[:, i].tobytes()
+    frame = build_frame(a, k)
+    g = g_field(frame, s[0], t[0], which=("max", "min"))
+    assert np.all(g[:, :k] == 0.0) and np.all(g[:, k:] != 0.0)
+    v = g_value(frame, float(frame.deltas[k - 1]), 0.0)
+    assert v.det_wk == 0.0 and v.lambda_max_mk == 0.0 and v.g == 0.0
+
+
 def test_g_field_pair_is_each_field_bit_for_bit():
     # ("max", "min") shares det W_k and M_k; each field is its own call, on a
-    # frame and on a frame stack, at the closed-form and the generic orders
+    # frame and on a frame stack, on every path of the kernel (k = 1, 2, 3, 4)
     from specbound import build_frames
 
     a = random_complex(6, seed=17)
