@@ -29,8 +29,9 @@ its eigenvalues in the report.  Both are exact.  So the outputs of 2^e A
 are those of A with every coordinate scaled by 2^e.
 
 Exit codes: 0 success (and, for check, spectrum contained), 1 usage error,
-2 file/input error (including entries too large to evaluate and a job too
-large for memory), 3 containment violation reported by check.
+2 file/input error (including entries too large to evaluate, an
+eigensolver that does not converge and a job too large for memory), 3
+containment violation reported by check.
 """
 
 from __future__ import annotations
@@ -348,6 +349,9 @@ def main(argv=None):
         return 2
     except MemoryError as exc:
         print(f"error: not enough memory for this job: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed on this matrix: {exc}", file=sys.stderr)
         return 2
 
 

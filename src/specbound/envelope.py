@@ -38,8 +38,8 @@ import numpy as np
 from .frame import (
     _antipode,
     _check_order,
-    _paired_chunks,
     _rotated_hermitian,
+    _solve_chunks,
     build_frames,
     rotation_spectra,
 )
@@ -351,13 +351,20 @@ def numerical_range_boundary(A, theta_count):
         raise ParameterError("numerical range boundary needs at least 3 angles")
     thetas = theta_grid(theta_count)
     z = np.empty(theta_count, dtype=np.complex128)
-    for chunk, opposite in _paired_chunks(thetas, a.shape[0]):
-        _, h = _rotated_hermitian(a, thetas[chunk])
-        w, v = np.linalg.eigh(h)
-        z[chunk] = _top_rayleigh(a, v)
+
+    def reduce(solved, paired):
+        w, v = solved
+        # the top eigenvector at theta + pi is the bottom one at theta
+        return _top_rayleigh(a, v), _top_rayleigh(a, _antipode(w, v)[1]) if paired else None
+
+    def store(chunk, opposite, reduced):
+        z[chunk], bottom = reduced
         if opposite is not None:
-            # the top eigenvector at theta + pi is the bottom one at theta
-            z[opposite] = _top_rayleigh(a, _antipode(w, v)[1])
+            z[opposite] = bottom
+
+    _solve_chunks(thetas, a.shape[0],
+                  lambda chunk_thetas: np.linalg.eigh(_rotated_hermitian(a, chunk_thetas)[1]),
+                  reduce, store)
     pts = np.column_stack([z.real, z.imag])
     pts.setflags(write=False)
 

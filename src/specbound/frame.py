@@ -8,15 +8,19 @@ Y = U* S U, the leading k x k block of Y, the (n-k) x k coupling block, and
 ``kappa``, the squared largest singular value of that coupling block.
 
 :func:`build_frames` returns a :class:`FrameStack`: the field quantities
-(deltas, Y_k, kappa, ...) of many angles as arrays with a leading angle axis,
-which :func:`specbound.inequality.g_field` evaluates in one call.  The
-eigenproblems are solved one chunk of angles at a time; the chunk holds as
-many angles as fit a fixed byte budget for the n x n work arrays, so peak
-memory stays bounded for large n (every angle fits one chunk for small n).
-Only the columns of Y the stack keeps are formed, as U* (S U_cols): the
-first k, which give Y_k and the coupling block.  The stack keeps no n x n
-array per angle, and its frames are the same, bit for bit, whatever the
-chunk size.
+(deltas, Y_k, kappa, ...) of many angles as arrays with a leading angle
+axis, which :func:`specbound.inequality.g_field` evaluates in one call.  The
+eigenproblems are solved one chunk of angles at a time, and the chunks being
+solved together hold at most a fixed byte budget of n x n work arrays, so
+peak memory stays bounded for large n (every angle fits one chunk for small
+n).  Where the CPUs left over by BLAS allow it, the chunks are solved on a
+few threads, since NumPy's eigensolvers release the interpreter lock; each
+thread's chunk then holds its share of the budget, and the results are
+reduced and written on the calling thread in chunk order.  Only the columns
+of Y the stack keeps are formed, as U* (S U_cols): the first k, which give
+Y_k and the coupling block.  The stack keeps no n x n array per angle, and
+its frames are the same, bit for bit, whatever the chunk size and the thread
+count.
 
 Since H(e^{i(theta + pi)} A) = -H(e^{i theta} A), an angle and its antipode
 share their eigenvectors, with the eigenvalues negated and in reverse
@@ -38,6 +42,7 @@ and Y.  Frames and stacks are immutable and cheap to share between workers.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,13 +60,53 @@ __all__ = ["SpectralFrame", "FrameStack", "build_frame", "build_frames",
 
 _DEGENERACY_RTOL = 1e-12
 
-# Byte budget of one chunk of the angle-stacked solve, and the number of
-# n x n complex arrays it holds per solved angle at its peak (rotated matrix,
-# Hermitian and skew parts, eigenvectors and the temporaries between them).
-# At n = 160 a chunk holds 2 angles (about 6 MiB); at n = 5 it holds 2621.
-# Larger chunks were no faster at n = 160.
+# Byte budget of the angle-stacked solve, shared by all the chunks being
+# solved at once, and the number of n x n complex arrays a chunk holds per
+# solved angle at its peak (rotated matrix, Hermitian and skew parts,
+# eigenvectors and the temporaries between them).  At n = 160 the budget
+# holds 2 angles (about 6 MiB): one chunk of 2 on one thread, or one angle
+# per chunk on each of two threads; at n = 5 it holds 2621.  Larger chunks
+# were no faster at n = 160.  Above n = 256 one angle exceeds the budget, so
+# chunks hold one angle and are solved on one thread.  Traced peaks of an
+# n = 160 build_frames over 120 angles were 7.3 MiB on one thread (where a
+# solved chunk's 3 output arrays per angle live on until the next solve
+# returns) and 5.5 MiB on two.
 _CHUNK_BYTES = 8 * 2 ** 20
 _SOLVE_ARRAYS = 8
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _solve_threads(environ, cpus):
+    """Threads that may solve chunks at once without oversubscribing ``cpus``.
+
+    Each solve may run as many BLAS threads as the first of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS in ``environ``
+    that is a positive integer, or one per CPU when none is; the chunk
+    threads share what is left, at least one.
+    """
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, cpus // blas)
+
+
+# BLAS reads its thread variables once, when it loads, so the count is fixed
+# at import.  With no variable set, BLAS threads every solve itself and the
+# chunks run on one thread.
+_WORKERS = _solve_threads(os.environ, _cpu_count())
 
 
 @dataclass(frozen=True)
@@ -156,21 +201,68 @@ def _antipodal(theta):
     return bool(np.all(np.abs(ph[m // 2:] + ph[:m // 2]) <= 8.0 * np.finfo(float).eps))
 
 
-def _paired_chunks(theta, n):
-    """Chunks of the angles to solve, each with the slice of its antipodes.
+def _chunk_plan(n, count):
+    """(threads, angles per chunk) for solving ``count`` angles of an n x n matrix.
 
-    Yields (chunk, opposite).  On an antipodal list (:func:`_antipodal`) the
-    chunks cover the first half and ``opposite`` is the chunk shifted by
-    m/2, whose results follow from the chunk's by :func:`_antipode`;
-    otherwise the chunks cover every angle and ``opposite`` is None.  Each
-    chunk is small enough for one stacked n x n solve.
+    The threads share the byte budget: each chunk holds the budget's angles
+    divided by the threads, at least one, so the chunks being solved never
+    hold more than the budget unless one angle alone does.  There are no more
+    threads than ``_WORKERS``, than the budget's angles or than chunks.
+    """
+    budget = _chunk_angles(n)
+    threads = min(_WORKERS, budget)
+    step = budget // threads
+    return max(1, min(threads, -(-count // step))), step
+
+
+def _solve_chunks(theta, n, solve, reduce, store):
+    """Solve the angles of ``theta`` for an n x n matrix a chunk at a time.
+
+    ``solve(thetas)`` runs the eigensolve of one chunk of angles,
+    ``reduce(solved, paired)`` keeps what the caller needs of it, and
+    ``store(chunk, opposite, reduced)`` writes that, on the calling thread
+    and in chunk order.  ``chunk`` is the slice of ``theta`` solved.  On an
+    antipodal list (:func:`_antipodal`) ``paired`` is True, the chunks cover
+    the first half only, and ``opposite`` is the chunk shifted by m/2, whose
+    results follow from the chunk's by :func:`_antipode`; otherwise the
+    chunks cover every angle and ``opposite`` is None.
+
+    The chunks and the threads that solve them come from :func:`_chunk_plan`.
+    One thread solves inline.  More solve and reduce in a pool, which is
+    shut down, its pending solves cancelled, before an error in any solve or
+    store propagates.
     """
     m = len(theta)
-    half = m // 2 if _antipodal(theta) else m
-    step = _chunk_angles(n)
+    paired = _antipodal(theta)
+    half = m // 2 if paired else m
+    threads, step = _chunk_plan(n, half)
+    chunks = []
     for lo in range(0, half, step):
         hi = min(lo + step, half)
-        yield slice(lo, hi), slice(lo + half, hi + half) if half < m else None
+        chunks.append((slice(lo, hi), slice(lo + half, hi + half) if paired else None))
+    if threads == 1:
+        for chunk, opposite in chunks:
+            # ``solved`` stays referenced until the next solve returns.
+            # Freeing it first let malloc give the top of the heap back to
+            # the system, and the next solve faulted it in again: five times
+            # the minor faults of an n = 160 build_frames, about 10% of its
+            # time.
+            solved = solve(theta[chunk])
+            store(chunk, opposite, reduce(solved, paired))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Here a chunk's arrays die in its thread: keeping them until the next
+    # result held every thread's heap at its peak (2.4 MiB more resident for
+    # n = 160 checks on two threads).
+    pool = ThreadPoolExecutor(threads)
+    try:
+        futures = [pool.submit(lambda t: reduce(solve(t), paired), theta[chunk])
+                   for chunk, _ in chunks]
+        for (chunk, opposite), future in zip(chunks, futures):
+            store(chunk, opposite, future.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _antipode(w, v=None):
@@ -285,10 +377,13 @@ def build_frames(A, k, thetas):
     m = theta.size
     deltas = np.empty((m, n))
     y = np.empty((m, n, k), dtype=np.complex128)
-    for chunk, opposite in _paired_chunks(theta, n):
-        _, w, v, s = _solve_chunk(a, theta[chunk])
-        cols = np.arange(k) if opposite is None else np.r_[0:k, n - k:n]
-        y_cols = _y_columns(v, s, cols)
+
+    def reduce(solved, paired):
+        _, w, v, s = solved
+        return w, _y_columns(v, s, np.r_[0:k, n - k:n] if paired else np.arange(k))
+
+    def store(chunk, opposite, reduced):
+        w, y_cols = reduced
         deltas[chunk] = w
         y[chunk] = y_cols[:, :, :k]
         if opposite is not None:
@@ -297,6 +392,8 @@ def build_frames(A, k, thetas):
             # the last k of Y, which the product above also formed.
             deltas[opposite] = _antipode(w)
             y[opposite] = -y_cols[:, ::-1, ::-1][:, :, :k]
+
+    _solve_chunks(theta, n, lambda chunk_thetas: _solve_chunk(a, chunk_thetas), reduce, store)
     return _stack(k, theta, deltas, y)
 
 
@@ -311,11 +408,16 @@ def rotation_spectra(A, thetas):
     a = as_matrix(A)
     thetas = np.asarray(thetas, dtype=float)
     w = np.empty((thetas.size, a.shape[0]))
-    for chunk, opposite in _paired_chunks(thetas, a.shape[0]):
-        _, h = _rotated_hermitian(a, thetas[chunk])
-        w[chunk] = np.linalg.eigvalsh(h)[:, ::-1]
+
+    def solve(chunk_thetas):
+        return np.linalg.eigvalsh(_rotated_hermitian(a, chunk_thetas)[1])[:, ::-1]
+
+    def store(chunk, opposite, spectra):
+        w[chunk] = spectra
         if opposite is not None:
-            w[opposite] = _antipode(w[chunk])
+            w[opposite] = _antipode(spectra)
+
+    _solve_chunks(thetas, a.shape[0], solve, lambda spectra, paired: spectra, store)
     return w
 
 

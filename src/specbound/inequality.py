@@ -171,6 +171,22 @@ def _adjugate3(m):
     return out
 
 
+def _eigvalsh_or_nan(m):
+    """Eigenvalues of each Hermitian block of m, all NaN for a block that is not finite.
+
+    ``eigvalsh`` rejects a whole call when one block is not finite (entries
+    too large to evaluate); the NaN lets callers report such a field as not
+    finite instead.
+    """
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        ev = np.linalg.eigvalsh(np.where(finite[..., None, None], m, 0.0))
+        ev[~finite] = np.nan
+        return ev
+
+
 def _field_components(frame, s, t, which):
     """g, lhs, the extreme eigenvalues of M_k and det W_k at the points.
 
@@ -218,7 +234,7 @@ def _field_components(frame, s, t, which):
             det = np.linalg.det(w)
             winv = np.linalg.inv(np.where((det == 0)[..., None, None], np.eye(k), w))
             p = _ct(winv) * (det.real ** 2 + det.imag ** 2)[..., None, None]
-        ev = np.linalg.eigvalsh(0.5 * (p + _ct(p)))
+        ev = _eigvalsh_or_nan(0.5 * (p + _ct(p)))
         extreme = [ev[..., -1] if side == "max" else ev[..., 0] for side in which]
     lhs = (det.real ** 2 + det.imag ** 2) * (s - delta_next)
     g = np.empty((len(which),) + lhs.shape)

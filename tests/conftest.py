@@ -34,3 +34,16 @@ def random_hermitian(n, seed):
 def random_unitary(n, seed):
     q, r = np.linalg.qr(random_complex(n, seed))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def chunk_settings(n):
+    """(_CHUNK_BYTES, _WORKERS) pairs of the chunked angle solve at order n.
+
+    One angle per chunk, every angle in one chunk, and two and three threads
+    that share budgets of 2 and 7 angles (1 and 2 angles per chunk), so many
+    chunks are solved on a pool even at small n.
+    """
+    import specbound.frame as frame_module
+
+    angle = frame_module._SOLVE_ARRAYS * np.dtype(np.complex128).itemsize * n * n
+    return [(1, 1), (2 ** 40, 1), (2 * angle, 2), (7 * angle, 3)]

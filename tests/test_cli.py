@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from specbound import MatrixFileError, MatrixSpec, build_matrix, main, parse_matrix_file
 from specbound.fileio import curves_csv
-from specbound import CurveSet, Window
+from specbound import CurveSet, Window, theta_grid
 
 
 def test_parse_matrix_file_simple(tmp_path):
@@ -298,6 +301,66 @@ def test_non_finite_window_is_a_usage_error(tmp_path, capsys, window, command, f
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [3, 4])
+def test_field_too_large_for_eigvalsh_exits_cleanly(tmp_path, capsys, k):
+    # at 1e200 from the spectrum the blocks M_k are not finite, which once
+    # made eigvalsh raise LinAlgError for the whole call and end in a traceback
+    out = tmp_path / "x.svg"
+    rc = main(["curve", "--gallery", "random_complex:n=6,seed=17", "--k", str(k),
+               "--window=0,1e200,0,1e200", "--grid", "40x30", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 400. KiB for an array"),
+                                   np.linalg.LinAlgError("Eigenvalues did not converge")])
+def test_error_in_a_chunk_solve_exits_cleanly(tmp_path, capsys, monkeypatch, workers, error):
+    # a later chunk of the n = 160 check fails; on two threads the pool is
+    # shut down before the error reaches main, so no thread is left behind
+    import threading
+
+    import specbound.frame as frame_module
+
+    monkeypatch.setattr(frame_module, "_WORKERS", workers)
+    assert frame_module._chunk_plan(160, 60)[0] == workers
+    solve = frame_module._solve_chunk
+    failing_theta = theta_grid(120)[21]  # in chunk 21 of 60 (one thread: chunk 10 of 30)
+
+    def failing(a, thetas):
+        if failing_theta in thetas:
+            raise error
+        return solve(a, thetas)
+
+    monkeypatch.setattr(frame_module, "_solve_chunk", failing)
+    threads = threading.active_count()
+    out = tmp_path / "r.json"
+    rc = main(["check", "--gallery", "random_complex:n=160,seed=1", "--k", "2",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(error) in err
+    assert "Traceback" not in err
+    assert threading.active_count() == threads
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the pool module is imported only when a solve builds a pool
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, specbound.cli; print('concurrent.futures' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _write_matrix(path, a):

@@ -35,7 +35,7 @@ from specbound.envelope import envelope_overlays
 from specbound.trace import gamma_curves
 from specbound.gallery import gallery_entries
 from specbound.linalg import _normalised, max_abs
-from conftest import random_complex
+from conftest import chunk_settings, random_complex
 
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
 
@@ -606,25 +606,34 @@ def _reference_numrange_points(a, theta_count):
 def test_numrange_chunking_is_bit_identical(monkeypatch):
     import specbound.frame as frame_module
 
+    # 120 angles are antipodal; 3 and 37 are odd, so no angle has a pair
     for a in (TOEPLITZ, random_complex(40, seed=6), 1e-150 * random_complex(7, seed=2)):
         for count in (3, 37, 120):
             ref = _reference_numrange_points(a, count)
             assert np.array_equal(numerical_range_boundary(a, count).polylines[0], ref)
-            monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
-            assert np.array_equal(numerical_range_boundary(a, count).polylines[0], ref)
-            monkeypatch.undo()
+            for budget, workers in chunk_settings(a.shape[0]):
+                monkeypatch.setattr(frame_module, "_CHUNK_BYTES", budget)
+                monkeypatch.setattr(frame_module, "_WORKERS", workers)
+                assert np.array_equal(numerical_range_boundary(a, count).polylines[0], ref)
+                monkeypatch.undo()
 
 
-def test_numrange_memory_is_bounded():
-    # the unchunked solve held two 49 MB stacks of 160 x 160 matrices
+def test_numrange_memory_is_bounded(monkeypatch):
+    # the unchunked solve held two 49 MB stacks of 160 x 160 matrices; two
+    # threads share the one budget, one angle each
+    import specbound.frame as frame_module
+
     a = random_complex(160, seed=1)
-    tracemalloc.start()
-    try:
-        numerical_range_boundary(a, 120)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    for workers in (1, 2):
+        monkeypatch.setattr(frame_module, "_WORKERS", workers)
+        assert frame_module._chunk_plan(160, 60) == (workers, 2 // workers)
+        tracemalloc.start()
+        try:
+            numerical_range_boundary(a, 120)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, workers
 
 
 def test_rank_raster_takes_spectra_from_envelope_namespace(monkeypatch):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from specbound import (
     theta_grid,
     w_matrix,
 )
-from conftest import random_complex, random_hermitian, random_unitary
+from conftest import chunk_settings, random_complex, random_hermitian, random_unitary
 
 A_TILDE = build_matrix(MatrixSpec("a_tilde"))
 
@@ -163,22 +165,28 @@ def test_build_frames_batch_matches_single():
 def test_build_frames_chunking_is_bit_identical(monkeypatch):
     fields = ("theta", "deltas", "delta_k_block", "y_k", "delta_next", "kappa", "degenerate")
     shuffled = np.random.default_rng(4).permutation(np.linspace(0.0, 6.0, 37))
+    unpaired = np.r_[theta_grid(36)[:-1], 6.1]  # even, but not antipodal
     # theta_grid(36) is antipodal: only its first half is solved
-    for thetas in (shuffled, theta_grid(36)):
+    for thetas in (shuffled, theta_grid(36), unpaired):
         for a, k in ((random_complex(40, seed=6), 2), (A_TILDE, 1), (random_complex(5, seed=3), 3)):
+            n = a.shape[0]
             default = build_frames(a, k, thetas)
-            monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
-            assert frame_module._chunk_angles(a.shape[0]) == 1
-            single = build_frames(a, k, thetas)
-            monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 2 ** 40)  # every angle in one chunk
-            assert frame_module._chunk_angles(a.shape[0]) >= len(thetas)
-            whole = build_frames(a, k, thetas)
-            monkeypatch.undo()
+            stacks = []
+            for budget, workers in chunk_settings(n):
+                monkeypatch.setattr(frame_module, "_CHUNK_BYTES", budget)
+                monkeypatch.setattr(frame_module, "_WORKERS", workers)
+                solved = len(thetas) // (2 if frame_module._antipodal(thetas) else 1)
+                threads, step = frame_module._chunk_plan(n, solved)
+                assert threads == workers and step == (frame_module._chunk_angles(n) // workers)
+                stacks.append(build_frames(a, k, thetas))
+                monkeypatch.undo()
+            whole = stacks[1]  # every angle in one chunk
             for name in fields:
                 ref = getattr(whole, name)
                 assert ref.shape[0] == len(thetas) == len(whole)
-                assert np.array_equal(getattr(single, name), ref)
                 assert np.array_equal(getattr(default, name), ref)
+                for stack in stacks:
+                    assert np.array_equal(getattr(stack, name), ref)
             if thetas is not shuffled:
                 continue
             for i in (0, 17, 36):
@@ -186,6 +194,55 @@ def test_build_frames_chunking_is_bit_identical(monkeypatch):
                 one = whole[i]
                 assert one.theta == f.theta and one.kappa == f.kappa
                 assert np.array_equal(one.y_k, f.y_k) and np.array_equal(one.deltas, f.deltas)
+
+
+def test_solve_thread_rule(monkeypatch):
+    # the rule is arithmetic on the environment and the CPU count: no pool
+    # is built, so extreme CPU counts start no thread
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    rule = frame_module._solve_threads
+    assert rule(os.environ, 2) == 1  # unset: BLAS threads every solve itself
+    cases = [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OMP_NUM_THREADS": "3"}, 8, 2),
+        ({"MKL_NUM_THREADS": "16"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 4),  # the first one counts
+        ({"OPENBLAS_NUM_THREADS": "many", "MKL_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 8),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 8, 1),
+        ({"OMP_NUM_THREADS": "4,2"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": ""}, 8, 1),
+    ]
+    for env, cpus, want in cases:
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert rule(os.environ, cpus) == want, env
+        for name in env:
+            monkeypatch.delenv(name)
+    for cpus in (1, 2, 3, 64, 10 ** 9):
+        for blas in (None, "1", "2", "junk"):
+            env = {} if blas is None else {"OPENBLAS_NUM_THREADS": blas}
+            workers = rule(env, cpus)
+            assert 1 <= workers <= cpus
+            monkeypatch.setattr(frame_module, "_WORKERS", workers)
+            for n in (2, 5, 40, 160, 256, 257, 1000):
+                angle = frame_module._SOLVE_ARRAYS * 16 * n * n
+                for count in (0, 1, 2, 3, 60, 10 ** 6):
+                    threads, step = frame_module._chunk_plan(n, count)
+                    assert 1 <= threads <= min(workers, cpus)
+                    assert threads <= max(1, -(-count // step))  # no more threads than chunks
+                    if angle <= frame_module._CHUNK_BYTES:
+                        assert threads * step * angle <= frame_module._CHUNK_BYTES
+                    else:  # one angle alone exceeds the budget: serial, one angle a chunk
+                        assert (threads, step) == (1, 1)
+    # the n = 160 check solves 60 angles: two threads of one angle, or one of two
+    monkeypatch.setattr(frame_module, "_WORKERS", 2)
+    assert frame_module._chunk_plan(160, 60) == (2, 1)
+    assert frame_module._chunk_plan(300, 60) == (1, 1)
+    assert frame_module._chunk_plan(5, 60) == (1, 1310)
+    monkeypatch.setattr(frame_module, "_WORKERS", 1)
+    assert frame_module._chunk_plan(160, 60) == (1, 2)
 
 
 def test_theta_grids_of_even_count_are_antipodal():
@@ -276,16 +333,21 @@ def test_rotation_spectra_matches_frames():
 
 
 def test_rotation_spectra_chunking_is_bit_identical(monkeypatch):
-    thetas = np.random.default_rng(5).permutation(np.linspace(0.0, 6.0, 37))
-    for a in (random_complex(40, seed=6), A_TILDE, 1e150 * random_complex(5, seed=3)):
-        h = np.exp(1j * thetas)[:, None, None] * a[None, :, :]
-        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-        ref = np.linalg.eigvalsh(h)[:, ::-1]  # every angle in one call
-        assert np.array_equal(rotation_spectra(a, thetas), ref)
-        monkeypatch.setattr(frame_module, "_CHUNK_BYTES", 1)  # one angle per chunk
-        assert np.array_equal(rotation_spectra(a, thetas), ref)
-        monkeypatch.undo()
+    shuffled = np.random.default_rng(5).permutation(np.linspace(0.0, 6.0, 37))
+    unpaired = np.r_[theta_grid(36)[:-1], 6.1]  # even, but not antipodal
+    for thetas in (shuffled, theta_grid(36), unpaired):
+        for a in (random_complex(40, seed=6), A_TILDE, 1e150 * random_complex(5, seed=3)):
+            ref = rotation_spectra(a, thetas)
+            if not frame_module._antipodal(thetas):
+                h = np.exp(1j * thetas)[:, None, None] * a[None, :, :]
+                h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+                h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+                assert np.array_equal(ref, np.linalg.eigvalsh(h)[:, ::-1])  # one call
+            for budget, workers in chunk_settings(a.shape[0]):
+                monkeypatch.setattr(frame_module, "_CHUNK_BYTES", budget)
+                monkeypatch.setattr(frame_module, "_WORKERS", workers)
+                assert np.array_equal(rotation_spectra(a, thetas), ref)
+                monkeypatch.undo()
 
 
 def test_frame_arrays_read_only():
