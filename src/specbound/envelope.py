@@ -39,7 +39,7 @@ from .frame import (
     _antipode,
     _check_order,
     _rotated_hermitian,
-    _solve_chunks,
+    _solved_chunks,
     build_frames,
     rotation_spectra,
 )
@@ -357,14 +357,13 @@ def numerical_range_boundary(A, theta_count):
         # the top eigenvector at theta + pi is the bottom one at theta
         return _top_rayleigh(a, v), _top_rayleigh(a, _antipode(w, v)[1]) if paired else None
 
-    def store(chunk, opposite, reduced):
-        z[chunk], bottom = reduced
+    def solve(chunk_thetas):
+        return np.linalg.eigh(_rotated_hermitian(a, chunk_thetas)[1])
+
+    for chunk, opposite, (top, bottom) in _solved_chunks(thetas, a.shape[0], solve, reduce):
+        z[chunk] = top
         if opposite is not None:
             z[opposite] = bottom
-
-    _solve_chunks(thetas, a.shape[0],
-                  lambda chunk_thetas: np.linalg.eigh(_rotated_hermitian(a, chunk_thetas)[1]),
-                  reduce, store)
     pts = np.column_stack([z.real, z.imag])
     pts.setflags(write=False)
 

@@ -13,14 +13,14 @@ axis, which :func:`specbound.inequality.g_field` evaluates in one call.  The
 eigenproblems are solved one chunk of angles at a time, and the chunks being
 solved together hold at most a fixed byte budget of n x n work arrays, so
 peak memory stays bounded for large n (every angle fits one chunk for small
-n).  Where the CPUs left over by BLAS allow it, the chunks are solved on a
-few threads, since NumPy's eigensolvers release the interpreter lock; each
-thread's chunk then holds its share of the budget, and the results are
-reduced and written on the calling thread in chunk order.  Only the columns
-of Y the stack keeps are formed, as U* (S U_cols): the first k, which give
-Y_k and the coupling block.  The stack keeps no n x n array per angle, and
-its frames are the same, bit for bit, whatever the chunk size and the thread
-count.
+n).  When BLAS runs each solve on one thread and the angles need more than
+one chunk of the budget, the chunks are solved on a few threads, since
+NumPy's eigensolvers release the interpreter lock.  Each thread's chunk
+then holds its share of the budget, and the results are written on the
+calling thread in chunk order.  Only the columns of Y the stack keeps are
+formed, as U* (S U_cols): the first k, which give Y_k and the coupling
+block.  The stack keeps no n x n array per angle, and its frames are the
+same, bit for bit, whatever the chunk size and the thread count.
 
 Since H(e^{i(theta + pi)} A) = -H(e^{i theta} A), an angle and its antipode
 share their eigenvectors, with the eigenvalues negated and in reverse
@@ -86,21 +86,20 @@ def _cpu_count():
 def _solve_threads(environ, cpus):
     """Threads that may solve chunks at once without oversubscribing ``cpus``.
 
-    Each solve may run as many BLAS threads as the first of
-    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS in ``environ``
-    that is a positive integer, or one per CPU when none is; the chunk
-    threads share what is left, at least one.
+    The BLAS thread count of a solve is the first of OPENBLAS_NUM_THREADS,
+    MKL_NUM_THREADS and OMP_NUM_THREADS in ``environ`` that is a positive
+    integer.  When it is 1, every CPU may solve a chunk; otherwise, set
+    higher or not set (BLAS then threads every solve itself), one thread
+    solves them all.
     """
-    blas = cpus
     for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             value = int(environ.get(name, ""))
         except ValueError:
             continue
         if value > 0:
-            blas = value
-            break
-    return max(1, cpus // blas)
+            return cpus if value == 1 else 1
+    return 1
 
 
 # BLAS reads its thread variables once, when it loads, so the count is fixed
@@ -204,33 +203,34 @@ def _antipodal(theta):
 def _chunk_plan(n, count):
     """(threads, angles per chunk) for solving ``count`` angles of an n x n matrix.
 
-    The threads share the byte budget: each chunk holds the budget's angles
-    divided by the threads, at least one, so the chunks being solved never
-    hold more than the budget unless one angle alone does.  There are no more
-    threads than ``_WORKERS``, than the budget's angles or than chunks.
+    The threads are no more than ``_WORKERS``, than the budget's angles, and
+    than the chunks the whole budget needs for ``count`` angles, so angles
+    that fit one chunk are solved inline.  The threads share the byte
+    budget: each chunk holds the budget's angles divided by the threads, so
+    the chunks being solved never hold more than the budget unless one angle
+    alone does.
     """
     budget = _chunk_angles(n)
-    threads = min(_WORKERS, budget)
-    step = budget // threads
-    return max(1, min(threads, -(-count // step))), step
+    threads = max(1, min(_WORKERS, budget, -(-count // budget)))
+    return threads, budget // threads
 
 
-def _solve_chunks(theta, n, solve, reduce, store):
+def _solved_chunks(theta, n, solve, reduce=lambda solved, paired: solved):
     """Solve the angles of ``theta`` for an n x n matrix a chunk at a time.
 
-    ``solve(thetas)`` runs the eigensolve of one chunk of angles,
-    ``reduce(solved, paired)`` keeps what the caller needs of it, and
-    ``store(chunk, opposite, reduced)`` writes that, on the calling thread
-    and in chunk order.  ``chunk`` is the slice of ``theta`` solved.  On an
-    antipodal list (:func:`_antipodal`) ``paired`` is True, the chunks cover
-    the first half only, and ``opposite`` is the chunk shifted by m/2, whose
-    results follow from the chunk's by :func:`_antipode`; otherwise the
-    chunks cover every angle and ``opposite`` is None.
+    ``solve(thetas)`` runs the eigensolve of one chunk of angles and
+    ``reduce(solved, paired)`` keeps what the caller needs of it.  Yields
+    (chunk, opposite, reduced) in chunk order, where ``chunk`` is the slice
+    of ``theta`` solved.  On an antipodal list (:func:`_antipodal`)
+    ``paired`` is True, the chunks cover the first half only, and
+    ``opposite`` is the chunk shifted by m/2, whose results follow from the
+    chunk's by :func:`_antipode`; otherwise the chunks cover every angle and
+    ``opposite`` is None.
 
     The chunks and the threads that solve them come from :func:`_chunk_plan`.
     One thread solves inline.  More solve and reduce in a pool, which is
-    shut down, its pending solves cancelled, before an error in any solve or
-    store propagates.
+    shut down, its pending solves cancelled, when the generator ends, an
+    error in a solve included, or is closed.
     """
     m = len(theta)
     paired = _antipodal(theta)
@@ -248,7 +248,7 @@ def _solve_chunks(theta, n, solve, reduce, store):
             # the minor faults of an n = 160 build_frames, about 10% of its
             # time.
             solved = solve(theta[chunk])
-            store(chunk, opposite, reduce(solved, paired))
+            yield chunk, opposite, reduce(solved, paired)
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -260,7 +260,7 @@ def _solve_chunks(theta, n, solve, reduce, store):
         futures = [pool.submit(lambda t: reduce(solve(t), paired), theta[chunk])
                    for chunk, _ in chunks]
         for (chunk, opposite), future in zip(chunks, futures):
-            store(chunk, opposite, future.result())
+            yield chunk, opposite, future.result()
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -382,8 +382,8 @@ def build_frames(A, k, thetas):
         _, w, v, s = solved
         return w, _y_columns(v, s, np.r_[0:k, n - k:n] if paired else np.arange(k))
 
-    def store(chunk, opposite, reduced):
-        w, y_cols = reduced
+    for chunk, opposite, (w, y_cols) in _solved_chunks(
+            theta, n, lambda chunk_thetas: _solve_chunk(a, chunk_thetas), reduce):
         deltas[chunk] = w
         y[chunk] = y_cols[:, :, :k]
         if opposite is not None:
@@ -392,8 +392,6 @@ def build_frames(A, k, thetas):
             # the last k of Y, which the product above also formed.
             deltas[opposite] = _antipode(w)
             y[opposite] = -y_cols[:, ::-1, ::-1][:, :, :k]
-
-    _solve_chunks(theta, n, lambda chunk_thetas: _solve_chunk(a, chunk_thetas), reduce, store)
     return _stack(k, theta, deltas, y)
 
 
@@ -412,12 +410,10 @@ def rotation_spectra(A, thetas):
     def solve(chunk_thetas):
         return np.linalg.eigvalsh(_rotated_hermitian(a, chunk_thetas)[1])[:, ::-1]
 
-    def store(chunk, opposite, spectra):
+    for chunk, opposite, spectra in _solved_chunks(thetas, a.shape[0], solve):
         w[chunk] = spectra
         if opposite is not None:
             w[opposite] = _antipode(spectra)
-
-    _solve_chunks(thetas, a.shape[0], solve, lambda spectra, paired: spectra, store)
     return w
 
 

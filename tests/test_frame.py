@@ -171,15 +171,18 @@ def test_build_frames_chunking_is_bit_identical(monkeypatch):
         for a, k in ((random_complex(40, seed=6), 2), (A_TILDE, 1), (random_complex(5, seed=3), 3)):
             n = a.shape[0]
             default = build_frames(a, k, thetas)
-            stacks = []
+            stacks, plans = [], []
             for budget, workers in chunk_settings(n):
                 monkeypatch.setattr(frame_module, "_CHUNK_BYTES", budget)
                 monkeypatch.setattr(frame_module, "_WORKERS", workers)
                 solved = len(thetas) // (2 if frame_module._antipodal(thetas) else 1)
-                threads, step = frame_module._chunk_plan(n, solved)
-                assert threads == workers and step == (frame_module._chunk_angles(n) // workers)
+                plans.append(frame_module._chunk_plan(n, solved))
                 stacks.append(build_frames(a, k, thetas))
                 monkeypatch.undo()
+            # one angle per chunk, one chunk, then many chunks on every thread
+            assert plans[0] == (1, 1)
+            assert plans[1][0] == 1 and plans[1][1] >= solved
+            assert plans[2:] == [(2, 1), (3, 2)]
             whole = stacks[1]  # every angle in one chunk
             for name in fields:
                 ref = getattr(whole, name)
@@ -206,9 +209,10 @@ def test_solve_thread_rule(monkeypatch):
     cases = [
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
         ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
-        ({"OMP_NUM_THREADS": "3"}, 8, 2),
+        ({"OMP_NUM_THREADS": "3"}, 8, 1),
         ({"MKL_NUM_THREADS": "16"}, 8, 1),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 4),  # the first one counts
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 1),  # the first one counts
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 8),
         ({"OPENBLAS_NUM_THREADS": "many", "MKL_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 8),
         ({"OPENBLAS_NUM_THREADS": "-1"}, 8, 1),
         ({"OMP_NUM_THREADS": "4,2"}, 8, 1),
@@ -228,19 +232,25 @@ def test_solve_thread_rule(monkeypatch):
             monkeypatch.setattr(frame_module, "_WORKERS", workers)
             for n in (2, 5, 40, 160, 256, 257, 1000):
                 angle = frame_module._SOLVE_ARRAYS * 16 * n * n
-                for count in (0, 1, 2, 3, 60, 10 ** 6):
+                for count in (0, 1, 2, 3, 60, 120, 2621, 10 ** 6):
                     threads, step = frame_module._chunk_plan(n, count)
                     assert 1 <= threads <= min(workers, cpus)
                     assert threads <= max(1, -(-count // step))  # no more threads than chunks
+                    if count <= frame_module._chunk_angles(n):
+                        assert threads == 1  # one chunk of the whole budget: inline
                     if angle <= frame_module._CHUNK_BYTES:
                         assert threads * step * angle <= frame_module._CHUNK_BYTES
                     else:  # one angle alone exceeds the budget: serial, one angle a chunk
                         assert (threads, step) == (1, 1)
-    # the n = 160 check solves 60 angles: two threads of one angle, or one of two
-    monkeypatch.setattr(frame_module, "_WORKERS", 2)
-    assert frame_module._chunk_plan(160, 60) == (2, 1)
-    assert frame_module._chunk_plan(300, 60) == (1, 1)
-    assert frame_module._chunk_plan(5, 60) == (1, 1310)
+    # the n = 160 check solves 60 angles: two threads of one angle, or one of
+    # two, on any CPU count; the 60 angles of n = 5 fit one chunk
+    for workers in (2, 128):
+        monkeypatch.setattr(frame_module, "_WORKERS", workers)
+        assert frame_module._chunk_plan(160, 60) == (2, 1)
+        assert frame_module._chunk_plan(300, 60) == (1, 1)
+        assert frame_module._chunk_plan(5, 60) == (1, 2621)
+        assert frame_module._chunk_plan(40, 60) == (2, 20)
+        assert frame_module._chunk_plan(40, 40) == (1, 40)
     monkeypatch.setattr(frame_module, "_WORKERS", 1)
     assert frame_module._chunk_plan(160, 60) == (1, 2)
 
