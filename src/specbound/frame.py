@@ -242,11 +242,12 @@ def _solved_chunks(theta, n, solve, reduce=lambda solved, paired: solved):
         chunks.append((slice(lo, hi), slice(lo + half, hi + half) if paired else None))
     if threads == 1:
         for chunk, opposite in chunks:
-            # ``solved`` stays referenced until the next solve returns.
-            # Freeing it first let malloc give the top of the heap back to
-            # the system, and the next solve faulted it in again: five times
-            # the minor faults of an n = 160 build_frames, about 10% of its
-            # time.
+            # ``solved`` stays referenced until the next solve returns.  Under
+            # glibc's default thresholds, which library callers keep, freeing
+            # it first let malloc give the top of the heap back to the system
+            # and the next solve faulted it in again: five times the minor
+            # faults of an n = 160 build_frames, about 10% of its time.
+            # Under cli.main's settings the heap keeps it either way.
             solved = solve(theta[chunk])
             yield chunk, opposite, reduce(solved, paired)
         return
@@ -254,7 +255,12 @@ def _solved_chunks(theta, n, solve, reduce=lambda solved, paired: solved):
 
     # Here a chunk's arrays die in its thread: keeping them until the next
     # result held every thread's heap at its peak (2.4 MiB more resident for
-    # n = 160 checks on two threads).
+    # n = 160 checks on two threads).  Under glibc's defaults, which library
+    # callers keep, each thread's arena then gives its freed top back to the
+    # system and faults it in again at the next solve (about 35k minor faults
+    # per n = 160 check on two threads, against 8k inline).  cli.main sets
+    # one arena and thresholds that keep the freed arrays in the heap, where
+    # the next solve on any thread reuses them.
     pool = ThreadPoolExecutor(threads)
     try:
         futures = [pool.submit(lambda t: reduce(solve(t), paired), theta[chunk])

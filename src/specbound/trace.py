@@ -291,19 +291,21 @@ def _finite_values(f, *args):
 
 # Field values per call of a sampled field in _trace_grid, and (angle,
 # point) pairs per call in envelope_margins; the k = 3 field holds about
-# 1 KiB of temporaries per point.  Small calls also keep the temporaries out
-# of fresh pages: on a 400x300 grid, one call per overlay angle spent two
-# thirds of its time faulting them in (2.3 s against 0.7 s in bands, 120
-# angles, k = 2).
+# 1 KiB of temporaries per point.  Under glibc's defaults, small calls also
+# keep the temporaries out of fresh pages: on a 400x300 grid, one call per
+# overlay angle spent two thirds of its time faulting them in (2.3 s against
+# 0.7 s in bands, 120 angles, k = 2).
 _FIELD_BLOCK_PAIRS = 2 ** 14
 
 # Field values per marching-squares pass in _trace_grid, 8 bytes each: about
-# 2 MiB, or one item when an item holds more.  Freeing the first block's
-# values also lifts glibc's dynamic mmap threshold above the field's
-# temporaries (2.3 MB per call at k = 2), so they come from the heap
-# instead of fresh pages: in a fresh process, the default 800x600 k = 2
-# overlays took 1.7-2.0 s and 222k minor faults with 2^16 nodes, and
-# 0.9-1.1 s and 12k with 2^18.
+# 2 MiB, or one item when an item holds more.  Under glibc's default,
+# dynamic mmap threshold, which library callers keep, freeing the first
+# block's values lifts the threshold above the field's temporaries (2.3 MB
+# per call at k = 2), so they come from the heap instead of fresh pages: in
+# a fresh process, the default 800x600 k = 2 overlays took 1.7-2.0 s and
+# 222k minor faults with 2^16 nodes, and 0.9-1.1 s and 12k with 2^18.
+# cli.main sets the mmap threshold to 32 MiB from the start, so there the
+# first block's temporaries come from the heap as well.
 _TRACE_BLOCK_NODES = 2 ** 18
 
 

@@ -351,16 +351,143 @@ def test_error_in_a_chunk_solve_exits_cleanly(tmp_path, capsys, monkeypatch, wor
     assert not out.exists()
 
 
+def _python(code, *args, **env):
+    """stdout of ``code`` run with ``args`` by a fresh interpreter that imports
+    this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_cli_import_loads_no_thread_pool():
     # the pool module is imported only when a solve builds a pool
-    src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, specbound.cli; print('concurrent.futures' in sys.modules)"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert _python(code).strip() == "False"
+
+
+def _on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError):
+        return False
+
+
+def test_main_sets_the_allocator_once_per_process(monkeypatch):
+    import specbound.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_glibc_mallopt",
+                        lambda: lambda option, value: calls.append((option, value)) or 1)
+    cli._tune_allocator.cache_clear()
+    try:
+        assert main(["gallery"]) == 0
+        assert main(["check", "--gallery", "a_tilde", "--k", "2", "--theta-count", "6",
+                     "--out", os.devnull]) == 0
+        assert cli._tune_allocator() is True
+    finally:
+        cli._tune_allocator.cache_clear()
+    # M_MMAP_THRESHOLD at glibc's dynamic ceiling, then M_TRIM_THRESHOLD,
+    # then M_ARENA_MAX
+    assert calls == [(-3, 32 * 2 ** 20), (-1, 64 * 2 ** 20), (-8, 1)]
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="reads glibc's malloc statistics")
+def test_import_leaves_the_allocator_untouched():
+    # a fresh 8 MiB array is mmapped under glibc's defaults and, after the
+    # first has lifted glibc's dynamic threshold to 8 MiB, so is a 24 MiB one;
+    # once main() has set the mmap threshold to 32 MiB it comes from the heap.
+    # Importing changes nothing
+    code = """if True:
+        import ctypes
+        import numpy as np
+        import specbound, specbound.cli
+
+        libc = ctypes.CDLL(None)
+        # mallinfo2 (glibc 2.33) has size_t fields, the older mallinfo ints
+        mallinfo = getattr(libc, "mallinfo2", None) or libc.mallinfo
+        field = ctypes.c_size_t if mallinfo.__name__ == "mallinfo2" else ctypes.c_int
+
+        class Info(ctypes.Structure):
+            _fields_ = [(name, field) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        mallinfo.restype = Info
+
+        def mmapped(mib):
+            before = mallinfo().hblkhd
+            block = np.empty(mib * 2 ** 17)
+            return mallinfo().hblkhd - before >= block.nbytes
+
+        print(specbound.cli._tune_allocator.cache_info().currsize, mmapped(8))
+        specbound.cli.main(["gallery"])
+        print(specbound.cli._tune_allocator.cache_info().currsize, mmapped(24))
+    """
+    lines = _python(code).splitlines()
+    assert lines[0] == "0 True"
+    assert lines[-1] == "1 False"
+
+
+@pytest.mark.parametrize("failure", ["OSError", "AttributeError", "TypeError",
+                                     "rejected", "not-glibc"])
+def test_allocator_settings_never_fail_a_run(tmp_path, monkeypatch, failure):
+    import specbound.cli as cli
+
+    calls = []
+
+    def lookup():
+        if failure == "not-glibc":
+            return None
+        if failure == "rejected":
+            return lambda option, value: calls.append(option) or 0
+        raise {"OSError": OSError, "AttributeError": AttributeError,
+               "TypeError": TypeError}[failure]("no mallopt")
+
+    runs = [["check", "--gallery", "random_complex:n=6,seed=2", "--k", "2",
+             "--theta-count", "24"],
+            ["envelope", "--gallery", "toeplitz_eq1", "--k", "2", "--theta-count", "12",
+             "--grid", "48x36", "--format", "pgm"]]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"ref{i}")]) == 0
+    monkeypatch.setattr(cli, "_glibc_mallopt", lookup)
+    cli._tune_allocator.cache_clear()
+    try:
+        for i, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / f"out{i}")]) == 0
+            assert (tmp_path / f"out{i}").read_bytes() == (tmp_path / f"ref{i}").read_bytes()
+        assert cli._tune_allocator() is False
+    finally:
+        cli._tune_allocator.cache_clear()
+    # a rejected mmap threshold leaves the trim threshold unset, which would
+    # freeze glibc's mmap threshold at its 128 KiB start
+    assert calls == ([-3] if failure == "rejected" else [])
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="counts page faults under glibc's malloc")
+def test_allocator_settings_keep_check_arrays_resident():
+    # the second n = 160 check of a process, with the chunks solved on two
+    # threads where there are two CPUs: its freed frame arrays stay in the
+    # heap instead of being faulted in again
+    code = """if True:
+        import os, resource, sys
+        import specbound.cli as cli
+
+        if sys.argv[1:] == ["stub"]:
+            cli._tune_allocator = lambda: False
+        argv = ["check", "--gallery", "random_complex:n=160,seed=1", "--k", "2",
+                "--out", os.devnull]
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert cli.main(argv) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    faults = {}
+    for side in ("stub", "tuned"):
+        faults[side] = int(_python(code, side, OPENBLAS_NUM_THREADS="1"))
+    assert faults["tuned"] < faults["stub"] / 4, faults
 
 
 def _write_matrix(path, a):
