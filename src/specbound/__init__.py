@@ -20,8 +20,6 @@ from .inequality import (
     cubic_g1,
     explicit_g2,
     g_field,
-    g_min_value,
-    g_value,
     g2_constants,
     union_poly_value,
 )
@@ -29,17 +27,14 @@ from .trace import (
     CurveSet,
     Window,
     auto_window,
-    gamma_curve,
-    gamma_min_curve,
+    gamma_curves,
     hyperbola_set,
     point_in_polygon,
-    trace_implicit,
 )
 from .envelope import (
     RegionRaster,
     envelope_margins,
     envelope_member_mask,
-    envelope_membership,
     envelope_raster,
     membership_tolerance,
     numerical_range_boundary,
@@ -83,8 +78,6 @@ __all__ = [
     "build_frames",
     "rotation_spectra",
     "w_matrix",
-    "g_value",
-    "g_min_value",
     "g_field",
     "cubic_g1",
     "explicit_g2",
@@ -92,14 +85,11 @@ __all__ = [
     "union_poly_value",
     "crossing_condition",
     "auto_window",
-    "trace_implicit",
-    "gamma_curve",
-    "gamma_min_curve",
+    "gamma_curves",
     "hyperbola_set",
     "point_in_polygon",
     "theta_grid",
     "membership_tolerance",
-    "envelope_membership",
     "envelope_member_mask",
     "envelope_margins",
     "envelope_raster",

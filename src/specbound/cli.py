@@ -14,9 +14,11 @@
 
 The argument parser states every rule of the command line: the formats of
 each subcommand, that ``curve``, ``envelope`` and ``numrange`` need
-``--out`` (``check`` writes to stdout without it), that exactly one of
-``--matrix`` and ``--gallery`` is given, and the syntax of ``--grid`` and
-``--window``.  So a usage error is reported before any matrix work.  The
+``--out`` (``check`` writes to stdout without it) and take ``--grid`` and
+``--window``, with their syntax, and that exactly one of ``--matrix`` and
+``--gallery`` is given.  So a usage error is reported before any matrix
+work, except a ``numrange`` rank level outside 0..n, which needs n: it is
+reported once the matrix is read, before any solve, in every format.  The
 parser is built once per process and shared by every :func:`main` call.
 
 Every subcommand that reads a matrix runs on A/sigma, sigma the power of two
@@ -133,7 +135,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats=None):
-        # a subcommand with formats writes a file; check's report may go to stdout
+        # a subcommand with formats writes a file, drawn on --grid in --window;
+        # check takes neither, and its report may go to stdout
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--matrix", metavar="PATH", help="matrix text file")
         source.add_argument("--gallery", metavar="NAME[:k=v,...]",
@@ -141,15 +144,15 @@ def build_parser():
         p.add_argument("--k", type=int, default=1, help="order (default 1)")
         p.add_argument("--theta-count", type=int, default=120,
                        help="rotation samples (default 120)")
-        p.add_argument("--grid", type=_parse_grid, default="800x600",
-                       help="resolution WxH")
-        p.add_argument("--window", type=_parse_window,
-                       help="explicit window smin,smax,tmin,tmax")
         p.add_argument("--seed", type=int, help="seed for random gallery matrices")
         p.add_argument("--out", metavar="PATH", required=formats is not None,
                        help="output file")
         if formats is not None:
             p.add_argument("--format", dest="fmt", default="svg", choices=formats)
+            p.add_argument("--grid", type=_parse_grid, default="800x600",
+                           help="resolution WxH")
+            p.add_argument("--window", type=_parse_window,
+                           help="explicit window smin,smax,tmin,tmax")
 
     p_curve = sub.add_parser("curve", help="trace bounding curves at theta = 0")
     add_common(p_curve, ("svg", "csv"))
@@ -239,7 +242,7 @@ def _curves_times(cs, c):
 def _load(ns):
     """(A/sigma, sigma, the ``--window`` in units of A/sigma or None)."""
     window = None
-    if ns.window is not None:
+    if getattr(ns, "window", None) is not None:
         window = Window(*ns.window, cols=ns.grid[0], rows=ns.grid[1])
     if ns.matrix is not None:
         m = parse_matrix_file(ns.matrix)
@@ -317,9 +320,9 @@ def _run_envelope(ns):
 
 
 def _run_numrange(ns):
-    if ns.k < 0:
-        raise UsageError(f"numrange --k is a rank level >= 0, got {ns.k}")
     a, sigma, window = _load(ns)
+    if not 0 <= ns.k <= a.shape[0]:
+        raise UsageError(f"numrange --k is a rank level in 0..{a.shape[0]}, got {ns.k}")
     curves = []
     # a PGM on a given window is the rank raster alone
     if ns.fmt != "pgm" or window is None:

@@ -51,7 +51,6 @@ __all__ = [
     "RegionRaster",
     "theta_grid",
     "membership_tolerance",
-    "envelope_membership",
     "envelope_member_mask",
     "envelope_margins",
     "envelope_raster",
@@ -108,6 +107,21 @@ def _angle_list(thetas):
     return thetas
 
 
+def _frames(a, k, thetas, stack):
+    """``build_frames(a, k, thetas)``, or ``stack`` when the caller has it.
+
+    Raises ParameterError when ``stack`` holds another order than k, or
+    other angles than exactly ``thetas`` in order, which would silently
+    replace the given ones.
+    """
+    thetas = _angle_list(thetas)
+    if stack is None:
+        return build_frames(a, k, thetas)
+    if stack.k != k or not np.array_equal(stack.theta, thetas):
+        raise ParameterError("the frame stack must hold order k at exactly the given angles")
+    return stack
+
+
 def _bit_reversed(m):
     """0..m-1 in bit-reversed order: 0, m/2, m/4, 3m/4, ... (padded to 2^j)."""
     bits = (m - 1).bit_length()
@@ -137,7 +151,8 @@ def envelope_member_mask(A, k, thetas, points, stack=None):
     bit for bit, for 2^e A and 2^e z as for A and z.  A point where the test
     is not finite is not a member.  ``stack`` is ``build_frames(A, k,
     thetas)`` when the caller already has it; it is rescaled by sigma, not
-    solved again.  Without it the frames of A/sigma are built.
+    solved again, and ParameterError is raised unless it holds order k at
+    exactly ``thetas``.  Without it the frames of A/sigma are built.
 
     The reducer culls: the test runs only on the points still alive, a
     block of angles per kernel call, and the points that some angle of the
@@ -153,10 +168,7 @@ def envelope_member_mask(A, k, thetas, points, stack=None):
     dropped.
     """
     a, sigma = _normalised(as_matrix(A))
-    if stack is None:
-        const = _member_constants(build_frames(a, k, _angle_list(thetas)), 1.0)
-    else:
-        const = _member_constants(stack, sigma)
+    const = _member_constants(_frames(a, k, thetas, stack), 1.0 if stack is None else sigma)
     flat = _divided(points, sigma).ravel()
     alive = np.arange(flat.size)
     order = _bit_reversed(len(const[0]))
@@ -174,11 +186,6 @@ def envelope_member_mask(A, k, thetas, points, stack=None):
     return member.reshape(np.shape(points))
 
 
-def envelope_membership(A, k, thetas, p):
-    """True when the single point p lies in every rotated allowed region."""
-    return bool(envelope_member_mask(A, k, thetas, np.asarray([complex(p)]))[0])
-
-
 def envelope_margins(A, k, thetas, points, stack=None):
     """Worst-case g per point over the angle set.
 
@@ -186,16 +193,15 @@ def envelope_margins(A, k, thetas, points, stack=None):
     ``min_g >= -tolerance`` is the membership criterion.  ``worst_theta``
     is the first angle, in ``thetas`` order, at which g attains the minimum.
     ``stack`` is ``build_frames(A, k, thetas)`` when the caller already has
-    it.  Unlike the mask variant this never exits early: g is evaluated on
-    (angle, point) arrays, a block of angles at a time, so memory stays
-    bounded for large point sets.  Raises FloatingPointError when g is not
-    finite at some angle and point (matrix entries too large to evaluate).
+    it, checked as in :func:`envelope_member_mask`.  Unlike the mask variant
+    this never exits early: g is evaluated on (angle, point) arrays, a block
+    of angles at a time, so memory stays bounded for large point sets.
+    Raises FloatingPointError when g is not finite at some angle and point
+    (matrix entries too large to evaluate).
     """
     a = as_matrix(A)
     pts = np.asarray(points, dtype=np.complex128)
-    thetas = _angle_list(thetas)
-    if stack is None:
-        stack = build_frames(a, k, thetas)
+    stack = _frames(a, k, thetas, stack)
     flat = pts.ravel()
     min_g = np.full(flat.size, np.inf)
     worst = np.zeros(flat.size, dtype=float)
@@ -225,7 +231,7 @@ def envelope_raster(A, k, theta_count, window, stack=None):
     """Envelope membership sampled at every cell center of the window.
 
     ``stack`` is ``build_frames(A, k, theta_grid(theta_count))`` when the
-    caller already has it.
+    caller already has it, checked as in :func:`envelope_member_mask`.
     """
     bits = envelope_member_mask(A, k, theta_grid(theta_count), _cell_grid(window),
                                 stack=stack)

@@ -98,7 +98,6 @@ def parse_matrix_file(path):
 _CURVE_STYLES = {
     "gamma_max": 'fill="none" stroke="#1a1a1a" stroke-width="1.4"',
     "gamma_min": 'fill="none" stroke="#808080" stroke-width="1.1" stroke-dasharray="6 3"',
-    "union": 'fill="none" stroke="#2244bb" stroke-width="1.1"',
     "hyperbola": 'fill="none" stroke="#3a7d44" stroke-width="0.8" stroke-dasharray="2 2"',
     "numrange": 'fill="none" stroke="#1a1a1a" stroke-width="1.4"',
     "implicit": 'fill="none" stroke="#1a1a1a" stroke-width="1.0"',

@@ -3,9 +3,10 @@
 For a square matrix A, an order ``k`` and a rotation angle ``theta``, the
 frame bundles everything the inequality evaluator needs about
 ``e^{i theta} A``: the non-increasing eigenvalues delta_1 >= ... >= delta_n of
-its Hermitian part with the diagonalizing unitary U, the rotated skew part
-Y = U* S U, the leading k x k block of Y, the (n-k) x k coupling block, and
-``kappa``, the squared largest singular value of that coupling block.
+its Hermitian part with the diagonalizing unitary U, the leading k x k
+block Y_k of the rotated skew part Y = U* S U, the (n-k) x k coupling block
+below it, and ``kappa``, the squared largest singular value of that coupling
+block.
 
 :func:`build_frames` returns a :class:`FrameStack`: the field quantities
 (deltas, Y_k, kappa, ...) of many angles as arrays with a leading angle
@@ -36,8 +37,9 @@ code with nothing derived.  :func:`rotation_spectra` and the numerical
 range boundary pair their angles by the same rule.
 
 :func:`build_frame` solves one angle through the same chunk solver and
-returns a full :class:`SpectralFrame` that also holds the rotated matrix, U
-and Y.  Frames and stacks are immutable and cheap to share between workers.
+returns a :class:`SpectralFrame` that also holds the rotated matrix, U and
+the coupling block.  Neither function forms the whole of Y.  Frames and
+stacks are immutable and cheap to share between workers.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ class SpectralFrame:
     a_rot: np.ndarray
     deltas: np.ndarray
     u: np.ndarray
-    y: np.ndarray
     delta_k_block: np.ndarray
     y_k: np.ndarray
     v_k: np.ndarray
@@ -327,9 +328,8 @@ def build_frame(A, k, theta=0.0):
     """Build the spectral frame of A for order k at rotation angle theta.
 
     The frame's quantities are those of ``build_frames(A, k, [theta])``, bit
-    for bit.  Its full Y is exactly skew-Hermitian: the first k columns are
-    the stack's, mirrored into the first k rows, and the rest is
-    skew-symmetrised from the product U* S U.
+    for bit; ``v_k`` is the (n-k) x k coupling block of Y = U* S U, below
+    the stack's Y_k.
     """
     a = as_matrix(A)
     k = int(k)
@@ -338,22 +338,15 @@ def build_frame(A, k, theta=0.0):
     a_rot, w, v, s = _solve_chunk(a, thetas)
     y_cols = _y_columns(v, s, np.arange(k))
     one = _stack(k, thetas, w, y_cols)[0]
-    v_k = y_cols[0, k:]
-    y = _ct(v[0]) @ s[0] @ v[0]
-    y = 0.5 * (y - _ct(y))
-    y[:k, :k] = one.y_k
-    y[k:, :k] = v_k
-    y[:k, k:] = -_ct(v_k)
     return SpectralFrame(
         k=k,
         theta=float(one.theta),
         a_rot=_freeze(a_rot[0]),
         deltas=_freeze(w[0]),
         u=_freeze(v[0]),
-        y=_freeze(y),
         delta_k_block=one.delta_k_block,
         y_k=one.y_k,
-        v_k=_freeze(v_k),
+        v_k=_freeze(y_cols[0, k:]),
         kappa=float(one.kappa),
         delta_next=float(one.delta_next),
         degenerate=bool(one.degenerate),

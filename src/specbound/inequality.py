@@ -12,14 +12,12 @@ Two independent closed forms, :func:`cubic_g1` (k = 1) and
 :func:`explicit_g2` (k = 2), are kept deliberately separate from the generic
 evaluator so each can serve as an oracle for the other in tests.
 
-Every other value of g comes from one vectorized evaluator: :func:`g_field`
-evaluates g over whole coordinate arrays at once and is what the tracing,
-rasterization and check code calls; :func:`g_value` and :func:`g_min_value`
-run the same evaluator at one point and return an :class:`IneqValue` with
-the pieces broken out.  k = 1 and k = 2 use closed forms for det W_k and the
-extreme eigenvalue of M_k; k = 3 builds M_k from spelled-out cofactors and
-k >= 4 from one batched inverse, det(W_k) adj(W_k*) = |det W_k|^2 W_k^{-*},
-and both call ``eigvalsh``.
+Every other value of g comes from one vectorized evaluator, :func:`g_field`,
+which evaluates g over whole coordinate arrays at once, or at one point, and
+is what the tracing and check code calls.  k = 1 and k = 2 use closed forms
+for det W_k and the extreme eigenvalue of M_k; k = 3 builds M_k from
+spelled-out cofactors and k >= 4 from one batched inverse, det(W_k)
+adj(W_k*) = |det W_k|^2 W_k^{-*}, and both call ``eigvalsh``.
 
 The envelope mask needs only the sign of g, and decides it for every order
 with one private kernel, :func:`_member`: g >= 0 exactly when the cubic
@@ -44,10 +42,7 @@ from .frame import _shift_matrix, build_frame
 from .linalg import ParameterError, as_matrix, skew_part, _ct
 
 __all__ = [
-    "IneqValue",
     "CrossingCondition",
-    "g_value",
-    "g_min_value",
     "g_field",
     "cubic_g1",
     "explicit_g2",
@@ -59,43 +54,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class IneqValue:
-    """One evaluation of the inequality, g = rhs - lhs.
-
-    ``lambda_max_mk`` holds the extreme eigenvalue of M_k that was used:
-    the largest for :func:`g_value`, the smallest for :func:`g_min_value`.
-    """
-
-    g: float
-    lhs: float
-    rhs: float
-    lambda_max_mk: float
-    det_wk: complex
-
-
-@dataclass(frozen=True)
 class CrossingCondition:
     """Sufficient condition for the k=1 curve to cut inside the k=2 curve."""
 
     holds: bool
     lhs: float
     rhs: float
-
-
-def _ineq_value(frame, s, t, which):
-    g, lhs, extreme, det = _field_components(frame, float(s), float(t), (which,))
-    return IneqValue(g=float(g[0]), lhs=float(lhs), rhs=float(frame.kappa * extreme[0]),
-                     lambda_max_mk=float(extreme[0]), det_wk=complex(det))
-
-
-def g_value(frame, s, t):
-    """Signed inequality value at one point; g >= 0 means "allowed region"."""
-    return _ineq_value(frame, s, t, "max")
-
-
-def g_min_value(frame, s, t):
-    """Companion value built from lambda_min(M_k); its zero set is gamma_k."""
-    return _ineq_value(frame, s, t, "min")
 
 
 # --- vectorized field -------------------------------------------------------
@@ -187,15 +151,20 @@ def _eigvalsh_or_nan(m):
         return ev
 
 
-def _field_components(frame, s, t, which):
-    """g, lhs, the extreme eigenvalues of M_k and det W_k at the points.
+def g_field(frame, s, t, which="max"):
+    """Vectorized g over broadcastable coordinate arrays.
 
-    ``which`` is a tuple of "max" and "min".  det W_k, M_k and lhs are
-    evaluated once; g has a leading axis with one field per item, and the
-    extreme eigenvalues are a list with one entry per item.  g is
-    rhs - lhs with rhs = kappa times the extreme eigenvalue.
+    ``frame`` is a :class:`SpectralFrame`, one angle of a frame stack, or a
+    :class:`FrameStack`; for a stack of m angles, ``s`` and ``t`` have a
+    leading axis of length m (or 1) that pairs each angle with its points.
+    Scalar ``s`` and ``t`` give g at one point.  ``which="min"`` evaluates
+    the companion field (lambda_min in place of lambda_max).  A tuple such
+    as ``("max", "min")`` gives the fields stacked on a new leading axis,
+    from one evaluation of det W_k and M_k; each is the same, bit for bit,
+    as its own call.
     """
-    for side in which:
+    sides = (which,) if isinstance(which, str) else tuple(which)
+    for side in sides:
         if side not in ("max", "min"):
             raise ParameterError(f"which must be 'max' or 'min', got {side!r}")
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
@@ -213,14 +182,14 @@ def _field_components(frame, s, t, which):
         delta_next = np.reshape(delta_next, np.shape(delta_next) + pad)
     if k == 1:
         det = c[..., 0, 0] - lam
-        extreme = [np.real(det)] * len(which)
+        extreme = [np.real(det)] * len(sides)
     elif k == 2:
         m00, m11, moff, det = _m2_pieces(c, lam)
         disc = np.sqrt((m00 - m11) ** 2 + 4.0 * np.abs(moff) ** 2)
         tr = m00 + m11
         del m00, m11, moff  # free the pieces before the extremes of a pair
         extreme = [0.5 * (tr + disc) if side == "max" else 0.5 * (tr - disc)
-                   for side in which]
+                   for side in sides]
     else:
         # M_k, the Hermitian part of det(W_k) adj(W_k*), one k x k matrix per point
         w = c - lam[..., None, None] * np.eye(k)
@@ -235,28 +204,12 @@ def _field_components(frame, s, t, which):
             winv = np.linalg.inv(np.where((det == 0)[..., None, None], np.eye(k), w))
             p = _ct(winv) * (det.real ** 2 + det.imag ** 2)[..., None, None]
         ev = _eigvalsh_or_nan(0.5 * (p + _ct(p)))
-        extreme = [ev[..., -1] if side == "max" else ev[..., 0] for side in which]
+        extreme = [ev[..., -1] if side == "max" else ev[..., 0] for side in sides]
     lhs = (det.real ** 2 + det.imag ** 2) * (s - delta_next)
-    g = np.empty((len(which),) + lhs.shape)
+    g = np.empty((len(sides),) + lhs.shape)
     for i, e in enumerate(extreme):
         np.subtract(kappa * e, lhs, out=g[i, ...])
-    return g, lhs, extreme, det
-
-
-def g_field(frame, s, t, which="max"):
-    """Vectorized g over broadcastable coordinate arrays.
-
-    ``frame`` is a :class:`SpectralFrame`, one angle of a frame stack, or a
-    :class:`FrameStack`; for a stack of m angles, ``s`` and ``t`` have a
-    leading axis of length m (or 1) that pairs each angle with its points.
-    ``which="min"`` evaluates the companion field (lambda_min in place of
-    lambda_max).  A tuple such as ``("max", "min")`` gives the fields
-    stacked on a new leading axis, from one evaluation of det W_k and M_k;
-    each is the same, bit for bit, as its own call.
-    """
-    if isinstance(which, str):
-        return _field_components(frame, s, t, (which,))[0][0]
-    return _field_components(frame, s, t, tuple(which))[0]
+    return g[0] if isinstance(which, str) else g
 
 
 # Slack of the membership kernel in A/sigma units (see _member).
@@ -355,7 +308,7 @@ def g1_constants(frame):
 def cubic_g1(frame, s, t):
     """Closed-form k=1 value K_1 (d1 - s) - [(d1 - s)^2 + (alpha - t)^2](s - d2).
 
-    Sign-consistent with :func:`g_value` on k=1 frames (same zero set); kept
+    Sign-consistent with :func:`g_field` on k=1 frames (same zero set); kept
     on an independent code path so the two can check each other.
     """
     alpha, k1 = g1_constants(frame)

@@ -31,16 +31,16 @@ class ParameterError(ValueError):
     """Scalar argument or option outside its allowed range."""
 
 
-def as_matrix(a, square=True):
-    """Coerce ``a`` to a finite complex128 2-D array.
+def as_matrix(a):
+    """Coerce ``a`` to a finite complex128 square matrix.
 
-    Raises DimensionError for non-2-D input (and non-square input unless
-    ``square=False``), ParameterError if any entry is NaN or infinite.
+    Raises DimensionError for input that is not a 2-D square array,
+    ParameterError if any entry is NaN or infinite.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {m.ndim} dimension(s)")
-    if square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
         raise ParameterError("matrix entries must be finite (no NaN/Inf)")

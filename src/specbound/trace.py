@@ -6,7 +6,7 @@ cells disambiguated by an extra sample at the cell center.  Cell segments are
 linked into polylines in a deterministic sequential pass, so repeated runs
 produce identical output.
 
-One sampler and tracer serves every curve: :func:`trace_implicit`, the
+One sampler and tracer, :func:`_trace_grid`, serves every curve: the
 order-k curve and its lambda_min companion (:func:`gamma_curves`), the
 region-boundary hyperbolas (:func:`hyperbola_set`) and the envelope
 overlays.  It evaluates a batch of fields on the node grid in row bands of
@@ -43,11 +43,8 @@ __all__ = [
     "Window",
     "CurveSet",
     "auto_window",
-    "trace_implicit",
     "trace_batch",
     "gamma_curves",
-    "gamma_curve",
-    "gamma_min_curve",
     "hyperbola_set",
     "point_in_polygon",
 ]
@@ -125,26 +122,26 @@ class CurveSet:
     warnings: tuple = field(default_factory=tuple)
 
 
-def auto_window(frame, margin=0.25, cols=800, rows=600):
+def auto_window(frame, cols=800, rows=600):
     """Window that shows the order-k curve of a frame.
 
-    The s range spans [delta_{k+1} - margin*span, delta_1 + margin*span +
-    sqrt(kappa)] with span = delta_1 - delta_n, the t range is symmetric with
-    half-width max(sqrt(kappa) + span, sigma)(1 + margin), and the rectangle
-    is widened if needed so the row-wise Gershgorin box of the rotated matrix
-    (hence its whole spectrum) fits inside.  A range of s narrower than
-    1e-12 (sigma + |s_max|) is widened by the half-width on each side.
-    sigma is the power of two nearest the largest entry of the rotated
-    matrix, so the window of 2^e A is that of A scaled by 2^e, bit for bit;
-    the CLI computes it on A/sigma, where sigma = 1.
+    The s range spans [delta_{k+1} - span/4, delta_1 + span/4 + sqrt(kappa)]
+    with span = delta_1 - delta_n, the t range is symmetric with half-width
+    1.25 max(sqrt(kappa) + span, sigma), and the rectangle is widened if
+    needed so the row-wise Gershgorin box of the rotated matrix (hence its
+    whole spectrum) fits inside.  A range of s narrower than 1e-12 (sigma +
+    |s_max|) is widened by the half-width on each side.  sigma is the power
+    of two nearest the largest entry of the rotated matrix, so the window of
+    2^e A is that of A scaled by 2^e, bit for bit; the CLI computes it on
+    A/sigma, where sigma = 1.
     """
     unit = _pow2_scale(frame.a_rot)
     deltas = frame.deltas
     span = float(deltas[0] - deltas[-1])
     sk = float(np.sqrt(frame.kappa))
-    s_lo = frame.delta_next - margin * span
-    s_hi = float(deltas[0]) + margin * span + sk
-    t_half = max(sk + span, unit) * (1.0 + margin)
+    s_lo = frame.delta_next - 0.25 * span
+    s_hi = float(deltas[0]) + 0.25 * span + sk
+    t_half = max(sk + span, unit) * 1.25
 
     a = frame.a_rot
     centers = np.diag(a)
@@ -260,20 +257,6 @@ def _link_segments(segments):
     live = [c for c in chains if c.edges is not None]
     live.sort(key=lambda c: c.ident)
     return live
-
-
-def trace_implicit(f, window, kind="implicit"):
-    """Trace the zero set of ``f`` over the window as polylines.
-
-    ``f`` must accept broadcastable coordinate arrays (s, t) and return an
-    array of the same shape.  Nodes with f >= 0 count as inside; an empty
-    CurveSet comes back when the sign never changes.  Raises
-    FloatingPointError when f is not finite at some node.
-    """
-    def sample(lo, hi, s, t):
-        return np.expand_dims(f(*np.broadcast_arrays(s, t)), 0)
-
-    return _trace_grid(window, 1, sample, [kind])[0]
 
 
 def _finite_values(f, *args):
@@ -463,23 +446,13 @@ def gamma_curves(frame, window, which=("max", "min")):
 
     g and its lambda_min companion share det W_k and M_k, so both are
     evaluated on the node grid at once and traced as a batch.  Returns one
-    CurveSet per item of ``which``, each the same, bit for bit, as its own
-    :func:`gamma_curve` or :func:`gamma_min_curve`.
+    CurveSet per item of ``which``, each the same, bit for bit, as a call
+    with that item alone.
     """
     which = tuple(which)
     curves = _trace_grid(window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=which),
                          [_GAMMA_KINDS[side] for side in which])
     return tuple(_flag_degenerate(cs, frame) for cs in curves)
-
-
-def gamma_curve(frame, window):
-    """Trace the order-k bounding curve (zero set of g) on the window."""
-    return gamma_curves(frame, window, ("max",))[0]
-
-
-def gamma_min_curve(frame, window):
-    """Trace the lambda_min companion curve on the window."""
-    return gamma_curves(frame, window, ("min",))[0]
 
 
 def _flag_degenerate(cs, frame):

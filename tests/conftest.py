@@ -36,6 +36,20 @@ def random_unitary(n, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def trace_field(f, window, kind="implicit"):
+    """Trace the zero set of ``f(s, t)`` on the window with the one sampler, ``_trace_grid``.
+
+    ``f`` takes broadcastable coordinate arrays and returns an array of the
+    same shape; the field is one item of the sampler.
+    """
+    from specbound.trace import _trace_grid
+
+    def sample(lo, hi, s, t):
+        return np.expand_dims(f(*np.broadcast_arrays(s, t)), 0)
+
+    return _trace_grid(window, 1, sample, [kind])[0]
+
+
 def chunk_settings(n):
     """(_CHUNK_BYTES, _WORKERS) pairs of the chunked angle solve at order n.
 

@@ -21,8 +21,7 @@ from specbound import (
     epsilon_thresholds,
     explicit_g2,
     g_field,
-    gamma_curve,
-    gamma_min_curve,
+    gamma_curves,
     max_abs,
     membership_tolerance,
     point_in_polygon,
@@ -97,8 +96,7 @@ def test_criterion_02_switch_abscissas_and_meeting_points():
         from specbound import Window
 
         win = Window(-0.3, 2.4, -1.7, 1.7, cols=700, rows=520)
-        hi_curve = gamma_curve(f, win)
-        lo_curve = gamma_min_curve(f, win)
+        hi_curve, lo_curve = gamma_curves(f, win)
         limit = 2 * win.cell_diagonal
         for s_meet in (s_lo, s_hi):
             t_meet = np.sqrt(s_meet**2 - 3 * s_meet + 2)
@@ -174,7 +172,7 @@ def test_criterion_06_asymptote_lower_bound_on_gallery():
                     continue
                 f = build_frame(a, k)
                 win = auto_window(f, cols=400, rows=300)
-                cs = gamma_curve(f, win)
+                cs = gamma_curves(f, win, ("max",))[0]
                 if not cs.polylines:
                     continue
                 verts = np.vstack(cs.polylines)
@@ -247,7 +245,7 @@ def test_criterion_09_loop_count_transitions():
                 a = build_matrix(MatrixSpec(name, {"eps": eps}))
                 f = build_frame(a, 2)
                 win = auto_window(f, cols=1200, rows=900)
-                cs = gamma_curve(f, win)
+                cs = gamma_curves(f, win, ("max",))[0]
                 counts.append(int(sum(cs.closed_flags)))
             assert counts == [2, 1, 0], (name, counts)
         assert rep.elapsed < 60.0
@@ -258,7 +256,7 @@ def test_criterion_10_eigenvalue_free_loop():
         a = build_matrix(MatrixSpec("matrix_F", {"eps1": 2.52, "eps2": 0.66}))
         f = build_frame(a, 2)
         win = auto_window(f, cols=900, rows=700)
-        cs = gamma_curve(f, win)
+        cs = gamma_curves(f, win, ("max",))[0]
         evs = np.linalg.eigvals(a)
         empty_loops = 0
         for poly, closed in zip(cs.polylines, cs.closed_flags):

@@ -269,6 +269,29 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path / "x.svg")]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["svg", "csv", "pgm"])
+def test_numrange_rank_level_above_n_is_a_usage_error_in_every_format(tmp_path, capsys,
+                                                                       monkeypatch, fmt):
+    # the level was checked only where a raster was drawn, so csv ignored it;
+    # it is now checked once, before any solve
+    import specbound.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the usage error")
+
+    for name in ("numerical_range_boundary", "rank_numrange_raster"):
+        monkeypatch.setattr(cli, name, no_solve)
+    out = tmp_path / f"x.{fmt}"
+    for k in (5, 99):
+        assert main(["numrange", "--gallery", "toeplitz_eq1", "--k", str(k), "--format", fmt,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: numrange --k is a rank level in 0..4, got {k}\n"
+    assert not out.exists()
+    monkeypatch.undo()
+    assert main(["numrange", "--gallery", "toeplitz_eq1", "--k", "4", "--format", fmt,
+                 "--theta-count", "8", "--grid", "20x10", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", ["curve", "envelope", "numrange", "check"])
 def test_out_of_memory_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch, command):
     # a grid such as 100000x100000 makes NumPy raise ArrayMemoryError, a
@@ -654,10 +677,10 @@ def _outputs(directory, a, k, c):
     for i, (command, fmt, extra) in enumerate(SCALE_RUNS):
         out = directory / f"{i}.{fmt}"
         argv = [command, "--matrix", str(path), "--k", str(k), "--theta-count", "12",
-                "--grid", "24x18", "--out", str(out)]
+                "--out", str(out)]
         argv += [arg.format(window=window) for arg in extra]
         if command != "check":
-            argv += ["--format", fmt]
+            argv += ["--format", fmt, "--grid", "24x18"]
         assert main(argv) == 0, argv
         outs.append(out.read_bytes())
     return outs
@@ -859,7 +882,10 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
                      "--theta-count", "7", "--format", "pgm", "--out", "x"]) == 0
         assert main(["numrange", "--gallery", "matrix_A1", "--out", "y"]) == 0
         assert main(["curve", "--gallery", "pair_A", "--with-gamma-min", "--out", "z"]) == 0
-        assert main(["check", "--gallery", "a_tilde", "--window=-1,1,-2,2"]) == 0
+        # check takes no grid and no window
+        assert main(["check", "--gallery", "a_tilde", "--window=-1,1,-2,2"]) == 1
+        assert main(["check", "--gallery", "a_tilde", "--grid", "1x1"]) == 1
+        assert main(["check", "--gallery", "a_tilde", "--k", "2"]) == 0
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
@@ -869,8 +895,9 @@ def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
     assert (nr.k, nr.grid, nr.theta_count, nr.fmt, nr.out) == (0, (800, 600), 120, "svg", "y")
     assert (nr.gallery, nr.matrix) == ("matrix_A1", None)
     assert (curve.k, curve.with_gamma_min, curve.with_hyperbolas) == (1, True, False)
-    assert (check.k, check.out, check.window) == (1, None, [-1.0, 1.0, -2.0, 2.0])
-    assert not hasattr(check, "fmt") and not hasattr(check, "with_gamma_min")
+    assert (check.k, check.out, check.theta_count) == (2, None, 120)
+    for name in ("fmt", "with_gamma_min", "grid", "window"):
+        assert not hasattr(check, name), name
 
 
 def test_readme_command_lines_parse():

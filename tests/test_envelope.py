@@ -17,11 +17,9 @@ from specbound import (
     build_matrix,
     envelope_margins,
     envelope_member_mask,
-    envelope_membership,
     envelope_raster,
     g_field,
-    gamma_curve,
-    gamma_min_curve,
+    gamma_curves,
     hyperbola_set,
     membership_tolerance,
     numerical_range_boundary,
@@ -29,13 +27,11 @@ from specbound import (
     rank_numrange_raster,
     rotation_spectra,
     theta_grid,
-    trace_implicit,
 )
 from specbound.envelope import envelope_overlays
-from specbound.trace import gamma_curves
 from specbound.gallery import gallery_entries
 from specbound.linalg import _normalised, max_abs
-from conftest import chunk_settings, random_complex
+from conftest import chunk_settings, random_complex, trace_field
 
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
 
@@ -52,7 +48,7 @@ def test_point_right_of_delta1_excluded():
     a = random_complex(5, seed=42)
     f = build_frame(a, 2)
     p = complex(f.deltas[0] + 1.0 + float(np.max(np.abs(f.deltas))), 0.0)
-    assert not envelope_membership(a, 2, [0.0], p)
+    assert not envelope_member_mask(a, 2, [0.0], [p])[0]
 
 
 def test_toeplitz_eigenvalues_120_thetas():
@@ -61,8 +57,6 @@ def test_toeplitz_eigenvalues_120_thetas():
 
 
 def test_membership_needs_thetas():
-    with pytest.raises(ParameterError):
-        envelope_membership(TOEPLITZ, 2, [], 0j)
     with pytest.raises(ParameterError):
         envelope_member_mask(TOEPLITZ, 2, [], [100 + 0j])
     with pytest.raises(ParameterError):
@@ -270,7 +264,7 @@ def test_far_point_is_not_a_member_at_any_scale(c):
     ev = np.linalg.eigvals(a)
     p = c * (ev[0] + 10.0 * (1 + 1j))
     for k in (1, 2, 3):
-        assert not envelope_membership(c * a, k, theta_grid(120), p)
+        assert not envelope_member_mask(c * a, k, theta_grid(120), [p])[0]
         assert envelope_member_mask(c * a, k, theta_grid(120), c * ev).all()
 
 
@@ -288,7 +282,7 @@ def test_points_beyond_a_sampled_support_line_are_never_members(seed, n, k, e, j
     unit = np.max(np.abs(a))
     delta1 = rotation_spectra(a, [thetas[j]])[0, 0]
     p = np.exp(-1j * thetas[j]) * complex(delta1 + d * unit, u * unit)
-    assert not envelope_membership(a, k, thetas, p)
+    assert not envelope_member_mask(a, k, thetas, [p])[0]
 
 
 def _normal_matrix(seed, n):
@@ -730,7 +724,7 @@ def _rotated_plane_reference(frame, window):
                         complex(window.s_min, window.t_max)]) * np.exp(1j * frame.theta)
     box = Window(corners.real.min(), corners.real.max(), corners.imag.min(),
                  corners.imag.max(), cols=window.cols, rows=window.rows)
-    cs = trace_implicit(lambda s, t: g_field(frame, s, t), box)
+    cs = trace_field(lambda s, t: g_field(frame, s, t), box)
     back = np.exp(-1j * frame.theta)
     return [(p[:, 0] + 1j * p[:, 1]) * back for p in cs.polylines]
 
@@ -790,7 +784,7 @@ def test_overlays_equal_tracing_the_rotated_field_on_the_half_grid():
             def rotated(s, t, frame=frame, ph=ph):
                 return g_field(frame, ph.real * s - ph.imag * t, ph.imag * s + ph.real * t)
 
-            want.append(trace_implicit(rotated, grid))
+            want.append(trace_field(rotated, grid))
             b = rotated(s, t) >= 0.0
             saddles += np.count_nonzero((b[:-1, :-1] == b[1:, 1:]) & (b[:-1, 1:] == b[1:, :-1])
                                         & (b[:-1, :-1] != b[:-1, 1:]))
@@ -857,8 +851,8 @@ def test_gamma_pair_shares_every_field_call_on_a_large_grid(monkeypatch):
     assert window.cols * window.rows > 2 ** 18
     assert sum(ndim == 2 for ndim, _ in calls) > 1
     assert all(which == ("max", "min") for _, which in calls)
-    assert all(_same_curves(g, w) for g, w in
-               zip(pair, (gamma_curve(frame, window), gamma_min_curve(frame, window))))
+    assert all(_same_curves(g, gamma_curves(frame, window, (side,))[0])
+               for g, side in zip(pair, ("max", "min")))
 
 
 def test_overlay_memory_is_bounded():
@@ -885,3 +879,48 @@ def test_raster_from_a_given_stack_is_the_same(monkeypatch):
         got = envelope_raster(a, k, 40, window, stack=stack)
         monkeypatch.undo()
         assert np.array_equal(got.bits, ref.bits)
+
+
+def _mismatched(k, thetas):
+    """(order, angles) pairs that differ from (k, thetas).
+
+    They differ in the order, the angle count, the order of the angles, one
+    angle by one ulp, and every angle.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    nudged = thetas.copy()
+    nudged[-1] = np.nextafter(nudged[-1], 10.0)
+    return [(k - 1, thetas), (k, thetas[:-1]), (k, thetas[::-1]), (k, nudged),
+            (k, theta_grid(40))]
+
+
+def test_member_mask_rejects_a_stack_of_other_angles_or_order():
+    # the stack's angles once silently replaced the given ones
+    stack = build_frames(TOEPLITZ, 2, theta_grid(120))
+    evs = np.linalg.eigvals(TOEPLITZ)
+    assert envelope_member_mask(TOEPLITZ, 2, theta_grid(120), evs, stack=stack).all()
+    for k, thetas in _mismatched(2, theta_grid(120)):
+        with pytest.raises(ParameterError):
+            envelope_member_mask(TOEPLITZ, k, thetas, evs, stack=stack)
+
+
+def test_margins_reject_a_stack_of_other_angles_or_order():
+    # with the 120-angle stack, worst angles outside [0, 1] were reported
+    stack = build_frames(TOEPLITZ, 2, theta_grid(120))
+    evs = np.linalg.eigvals(TOEPLITZ)
+    given = envelope_margins(TOEPLITZ, 2, theta_grid(120), evs, stack=stack)
+    assert all(np.array_equal(g, w) for g, w in
+               zip(given, envelope_margins(TOEPLITZ, 2, theta_grid(120), evs)))
+    for k, thetas in _mismatched(2, theta_grid(120)) + [(2, [0.0, 1.0])]:
+        with pytest.raises(ParameterError):
+            envelope_margins(TOEPLITZ, k, thetas, evs, stack=stack)
+
+
+def test_raster_rejects_a_stack_of_another_angle_count_or_order():
+    # a 40-angle raster from a 120-angle stack once had the 120-angle bits
+    window = auto_window(build_frame(TOEPLITZ, 2), cols=40, rows=30)
+    stack = build_frames(TOEPLITZ, 2, theta_grid(120))
+    assert envelope_raster(TOEPLITZ, 2, 120, window, stack=stack).theta_count == 120
+    for k, count in ((2, 40), (2, 119), (1, 120), (3, 120)):
+        with pytest.raises(ParameterError):
+            envelope_raster(TOEPLITZ, k, count, window, stack=stack)

@@ -13,6 +13,7 @@ from specbound import (
     hermitian_part,
     max_abs,
     rotation_spectra,
+    skew_part,
     theta_grid,
     w_matrix,
 )
@@ -34,7 +35,7 @@ def test_a_tilde_frames():
 def test_hermitian_matrix_frame():
     h = random_hermitian(5, seed=2)
     f = build_frame(h, 2)
-    assert max_abs(f.y) <= 1e-12 * (1 + max_abs(h))
+    assert max(max_abs(f.y_k), max_abs(f.v_k)) <= 1e-12 * (1 + max_abs(h))
     assert f.kappa <= 1e-20 * (1 + max_abs(h)) ** 2
 
 
@@ -42,9 +43,12 @@ def test_frame_block_structure():
     a = random_complex(6, seed=8)
     f = build_frame(a, 3, theta=0.7)
     scale = 1 + max_abs(a)
-    assert max_abs(f.y + f.y.conj().T) <= 1e-10 * scale
-    # the upper-right block mirrors the coupling block exactly
-    assert np.array_equal(f.y[:3, 3:], -f.v_k.conj().T)
+    # Y_k is exactly skew-Hermitian; Y_k and the coupling block below it are
+    # the first columns of Y = U* S U
+    assert np.array_equal(f.y_k, -f.y_k.conj().T)
+    y = f.u.conj().T @ skew_part(f.a_rot) @ f.u
+    assert max_abs(y[:3, :3] - f.y_k) <= 1e-10 * scale
+    assert max_abs(y[3:, :3] - f.v_k) <= 1e-10 * scale
     assert f.kappa >= 0
     assert np.all(np.diff(f.deltas) <= 0)
     assert f.delta_next == f.deltas[3]
@@ -131,7 +135,7 @@ def test_w_matrix_k1_scalar_form():
     f = build_frame(A_TILDE, 1)
     w = w_matrix(f, 2.0, 0.5)
     assert w.shape == (1, 1)
-    alpha = f.y[0, 0].imag
+    alpha = f.y_k[0, 0].imag
     assert w[0, 0] == complex(f.deltas[0] - 2.0, alpha - 0.5)
 
 
@@ -317,7 +321,8 @@ def test_paired_half_is_the_antipode_of_the_solved_half():
         # Y at theta + pi is -Y reversed in both axes: the k x k block of the
         # derived frame is the negated, reversed trailing block at theta
         f = build_frame(a, k, stack.theta[3])
-        tail = -f.y[::-1, ::-1][:k, :k]
+        y = f.u.conj().T @ skew_part(f.a_rot) @ f.u
+        tail = -y[::-1, ::-1][:k, :k]
         assert max_abs(derived.y_k[3] - tail) <= 64 * np.finfo(float).eps * (1 + max_abs(a))
 
 

@@ -11,8 +11,6 @@ from specbound import (
     cubic_g1,
     explicit_g2,
     g_field,
-    g_min_value,
-    g_value,
     g2_constants,
     max_abs,
     union_poly_value,
@@ -31,9 +29,11 @@ def _grid_points(frame, per_axis=24):
 
 
 def test_mk_matrix_k1():
+    # M_1 = Re det W_1 = delta_1 - s, so g = kappa (delta_1 - s) - |det W_1|^2 (s - delta_2)
     f = build_frame(A_TILDE, 1)
-    v = g_value(f, 0.7, 1.3)
-    assert abs(v.lambda_max_mk - (f.deltas[0] - 0.7)) <= 1e-12
+    det = w_matrix(f, 0.7, 1.3)[0, 0]
+    want = f.kappa * (f.deltas[0] - 0.7) - abs(det) ** 2 * (0.7 - f.delta_next)
+    assert abs(g_field(f, 0.7, 1.3) - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_mk_matrix_k2_entries_match_explicit_forms():
@@ -61,8 +61,7 @@ def test_mk_matrix_zero_at_det_zero():
     # Hermitian input: W_k is diagonal real, singular at s = delta_1, t = alpha = 0
     h = np.diag([2.0, 1.0, -1.0])
     f = build_frame(h, 1)
-    v = g_value(f, 2.0, 0.0)
-    assert v.det_wk == 0.0 and v.lambda_max_mk == 0.0 and v.g == 0.0
+    assert w_matrix(f, 2.0, 0.0)[0, 0] == 0.0 and g_field(f, 2.0, 0.0) == 0.0
 
 
 def test_det_w2_matches_hand_expansion():
@@ -229,7 +228,7 @@ def test_k3_sign_test_drops_non_finite_points():
 
 
 def _inverse_reference(frame, s, t, which):
-    """(g, lhs, rhs, extreme, det) at one point, with M_k = |det W_k|^2 H(W_k^{-*}).
+    """(g, lhs, rhs) at one point, with M_k = |det W_k|^2 H(W_k^{-*}).
 
     det(W) adj(W*) = |det W|^2 (W*)^{-1}.  At k = 3 this route shares no
     code with the field kernel; at k >= 4 the kernel uses the same identity,
@@ -240,10 +239,9 @@ def _inverse_reference(frame, s, t, which):
     winv = np.linalg.inv(w).conj().T
     m = abs(det) ** 2 * 0.5 * (winv + winv.conj().T)
     ev = np.linalg.eigvalsh(m)
-    extreme = ev[-1] if which == "max" else ev[0]
     lhs = abs(det) ** 2 * (s - frame.delta_next)
-    rhs = frame.kappa * extreme
-    return rhs - lhs, lhs, rhs, extreme, det
+    rhs = frame.kappa * (ev[-1] if which == "max" else ev[0])
+    return rhs - lhs, lhs, rhs
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -259,16 +257,12 @@ def test_g_field_matches_inverse_reference(k):
             for which in ("max", "min"):
                 field = g_field(f, ss, tt, which=which)
                 for s, t, g in zip(ss.ravel(), tt.ravel(), field.ravel()):
-                    ref, lhs, rhs, _, _ = _inverse_reference(f, s, t, which)
+                    ref, lhs, rhs = _inverse_reference(f, s, t, which)
                     assert abs(g - ref) <= 1e-9 * (abs(lhs) + abs(rhs))
-    # the scalar entry points are the field at one point, pieces included
-    s, t = float(ss[4, 5]), float(tt[4, 5])
-    for evaluate, which in ((g_value, "max"), (g_min_value, "min")):
-        v = evaluate(f, s, t)
-        assert v.g == g_field(f, s, t, which=which) == v.rhs - v.lhs
-        ref = _inverse_reference(f, s, t, which)
-        for got, want in zip((v.g, v.lhs, v.rhs, v.lambda_max_mk, v.det_wk), ref):
-            assert abs(got - want) <= 1e-9 * (abs(ref[1]) + abs(ref[2]) + abs(want))
+                # g at one point
+                s, t = float(ss[4, 5]), float(tt[4, 5])
+                ref, lhs, rhs = _inverse_reference(f, s, t, which)
+                assert abs(g_field(f, s, t, which=which) - ref) <= 1e-9 * (abs(lhs) + abs(rhs))
 
 
 def _cofactor_reference(frame, s, t, which):
@@ -298,7 +292,7 @@ def test_g_field_matches_cofactor_reference(k):
                     assert abs(g - ref) <= 1e-9 * (abs(lhs) + abs(rhs))
 
 
-@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_g_field_is_zero_where_w_is_singular(k):
     # H(A) = diag(5, 4, 3, 2, 1, 0) and a skew part that only couples e_1 to
     # e_6: at the angles 0 and pi, W_k is diagonal and kappa = 1, so W_k is
@@ -323,8 +317,6 @@ def test_g_field_is_zero_where_w_is_singular(k):
     frame = build_frame(a, k)
     g = g_field(frame, s[0], t[0], which=("max", "min"))
     assert np.all(g[:, :k] == 0.0) and np.all(g[:, k:] != 0.0)
-    v = g_value(frame, float(frame.deltas[k - 1]), 0.0)
-    assert v.det_wk == 0.0 and v.lambda_max_mk == 0.0 and v.g == 0.0
 
 
 def test_g_field_pair_is_each_field_bit_for_bit():
@@ -356,18 +348,18 @@ def test_g_field_rejects_unknown_which():
             g_field(f, 0.0, 0.0, which="median")
 
 
-def test_g_value_matches_g_field():
+def test_g_field_at_one_point_matches_the_grid():
     for seed in range(5):
         a = random_complex(5, seed=seed + 300)
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
             f = build_frame(a, k)
             ss, tt = _grid_points(f, per_axis=7)
             field = g_field(f, ss, tt)
             for i in range(ss.shape[0]):
                 for j in range(ss.shape[1]):
-                    v = g_value(f, ss[i, j], tt[i, j])
-                    assert abs(v.g - field[i, j]) <= 1e-10 * (1 + abs(v.g))
-                    assert v.g == v.rhs - v.lhs
+                    g = g_field(f, float(ss[i, j]), float(tt[i, j]))
+                    assert np.ndim(g) == 0
+                    assert abs(g - field[i, j]) <= 1e-10 * (1 + abs(g))
 
 
 def test_eigenvalue_containment_theta_zero():
@@ -390,8 +382,8 @@ def test_hermitian_eigenvalues_on_curve():
     for k in (1, 2):
         f = build_frame(h, k)
         for j in range(k):
-            v = g_value(f, float(f.deltas[j]), 0.0)
-            assert abs(v.g) <= 1e-10 * (1 + max_abs(h)) ** (2 * k + 1)
+            g = g_field(f, float(f.deltas[j]), 0.0)
+            assert abs(g) <= 1e-10 * (1 + max_abs(h)) ** (2 * k + 1)
 
 
 def test_no_curve_left_of_delta_next():
@@ -402,9 +394,8 @@ def test_no_curve_left_of_delta_next():
             span = float(f.deltas[0] - f.deltas[-1]) + 1.0
             s = f.delta_next - 1e-6 * (1 + span)
             for t in np.linspace(-2 * span, 2 * span, 17):
-                v = g_value(f, s, float(t))
-                if abs(v.det_wk) > 1e-12:
-                    assert v.g > 0.0
+                if abs(np.linalg.det(w_matrix(f, s, float(t)))) > 1e-12:
+                    assert g_field(f, s, float(t)) > 0.0
 
 
 def test_lambda_max_nonnegative_left_of_delta1():
@@ -417,8 +408,9 @@ def test_lambda_max_nonnegative_left_of_delta1():
             for _ in range(20):
                 s = float(f.deltas[0]) - abs(rng.normal()) * 3
                 t = float(rng.normal() * 3)
-                v = g_value(f, s, t)
-                assert v.lambda_max_mk >= -1e-10 * scale
+                # kappa lambda_max(M_k) = g + |det W_k|^2 (s - delta_{k+1})
+                lhs = abs(np.linalg.det(w_matrix(f, s, t))) ** 2 * (s - f.delta_next)
+                assert g_field(f, s, t) + lhs >= -1e-10 * scale * f.kappa
 
 
 def test_g_min_below_g():
@@ -427,10 +419,11 @@ def test_g_min_below_g():
     ss, tt = _grid_points(f, per_axis=12)
     for i in range(0, 12, 3):
         for j in range(0, 12, 3):
-            assert g_min_value(f, ss[i, j], tt[i, j]).g <= g_value(f, ss[i, j], tt[i, j]).g + 1e-12
+            s, t = ss[i, j], tt[i, j]
+            assert g_field(f, s, t, which="min") <= g_field(f, s, t) + 1e-12
     # k = 1: the two coincide
     f1 = build_frame(a, 1)
-    assert g_min_value(f1, 0.3, 0.4).g == g_value(f1, 0.3, 0.4).g
+    assert g_field(f1, 0.3, 0.4, which="min") == g_field(f1, 0.3, 0.4)
 
 
 def test_cubic_g1_oracle_agreement():
@@ -514,8 +507,8 @@ def test_scaling_law():
             for r in (0.5, 2.0, 7.0):
                 fr = build_frame(r * a, k)
                 for s, t in ((0.3, 0.9), (-0.5, 1.7)):
-                    g1 = g_value(f, s, t).g
-                    g2 = g_value(fr, r * s, r * t).g
+                    g1 = g_field(f, s, t)
+                    g2 = g_field(fr, r * s, r * t)
                     assert abs(g2 - r ** (2 * k + 1) * g1) <= 1e-9 * (1 + abs(g2))
 
 
@@ -533,13 +526,13 @@ def test_zero_set_invariances():
             for _ in range(25):
                 s = float(rng.normal() * 2)
                 t = float(rng.normal() * 2)
-                g0 = g_value(f, s, t).g
+                g0 = g_field(f, s, t)
                 band = 1e-8 * (1 + max_abs(a)) ** (2 * k + 1)
                 if abs(g0) <= band:
                     continue  # undecided within rounding of the zero set
-                assert (g_value(f_sim, s, t).g > 0) == (g0 > 0)
-                assert (g_value(f_tr, s, t).g > 0) == (g0 > 0)
-                assert (g_value(f_star, s, -t).g > 0) == (g0 > 0)
+                assert (g_field(f_sim, s, t) > 0) == (g0 > 0)
+                assert (g_field(f_tr, s, t) > 0) == (g0 > 0)
+                assert (g_field(f_star, s, -t) > 0) == (g0 > 0)
 
 
 def test_shift_and_scale_invariance():
@@ -551,12 +544,12 @@ def test_shift_and_scale_invariance():
     for _ in range(40):
         s = float(rng.normal() * 2)
         t = float(rng.normal() * 2)
-        g0 = g_value(f, s, t).g
+        g0 = g_field(f, s, t)
         band = 1e-8 * (1 + max_abs(a)) ** 5
         if abs(g0) <= band:
             continue
         z = r * complex(s, t) + b
-        assert (g_value(f_map, z.real, z.imag).g > 0) == (g0 > 0)
+        assert (g_field(f_map, z.real, z.imag) > 0) == (g0 > 0)
 
 
 def test_crossing_condition():

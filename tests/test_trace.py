@@ -9,15 +9,13 @@ from specbound import (
     auto_window,
     build_frame,
     build_matrix,
-    gamma_curve,
-    gamma_min_curve,
+    gamma_curves,
     hyperbola_set,
     point_in_polygon,
-    trace_implicit,
 )
 from specbound.inequality import g_field
-from specbound.trace import gamma_curves, trace_batch
-from conftest import random_complex
+from specbound.trace import trace_batch
+from conftest import random_complex, trace_field
 
 A_TILDE = build_matrix(MatrixSpec("a_tilde"))
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
@@ -32,7 +30,7 @@ def test_window_validation():
 
 def test_trace_vertical_line():
     win = Window(-1.0, 1.0, -1.0, 1.0, cols=41, rows=41)
-    cs = trace_implicit(lambda s, t: s, win)
+    cs = trace_field(lambda s, t: s, win)
     assert len(cs.polylines) == 1
     poly = cs.polylines[0]
     assert np.max(np.abs(poly[:, 0])) <= 1e-12
@@ -42,7 +40,7 @@ def test_trace_vertical_line():
 
 def test_trace_circle_closed_and_accurate():
     win = Window(-1.6, 1.6, -1.6, 1.6, cols=161, rows=161)
-    cs = trace_implicit(lambda s, t: 1.0 - s * s - t * t, win)
+    cs = trace_field(lambda s, t: 1.0 - s * s - t * t, win)
     assert len(cs.polylines) == 1
     assert cs.closed_flags == (True,)
     poly = cs.polylines[0]
@@ -57,7 +55,7 @@ def test_trace_refinement_reduces_residual():
     residuals = []
     for cells in (41, 81, 161):
         win = Window(-1.6, 1.6, -1.6, 1.6, cols=cells, rows=cells)
-        cs = trace_implicit(f, win)
+        cs = trace_field(f, win)
         poly = np.vstack(cs.polylines)
         residuals.append(np.max(np.abs(f(poly[:, 0], poly[:, 1]))))
     assert residuals[1] <= residuals[0] / 2
@@ -66,7 +64,7 @@ def test_trace_refinement_reduces_residual():
 
 def test_trace_empty_when_no_sign_change():
     win = Window(0.0, 1.0, 0.0, 1.0, cols=21, rows=21)
-    cs = trace_implicit(lambda s, t: s + 2.0, win)
+    cs = trace_field(lambda s, t: s + 2.0, win)
     assert cs.polylines == ()
 
 
@@ -74,7 +72,7 @@ def test_trace_saddle_disambiguation():
     # f = s*t has a saddle at the origin; center sampling must keep the two
     # branches from crossing through each other arbitrarily.
     win = Window(-1.0, 1.0, -1.0, 1.0, cols=40, rows=40)  # origin between nodes
-    cs = trace_implicit(lambda s, t: s * t, win)
+    cs = trace_field(lambda s, t: s * t, win)
     assert len(cs.polylines) == 2
     for poly in cs.polylines:
         assert np.max(np.abs(f_min_abs(poly))) <= 2 * win.cell_diagonal
@@ -87,8 +85,8 @@ def f_min_abs(poly):
 
 def test_trace_determinism():
     win = Window(-1.5, 1.5, -1.5, 1.5, cols=73, rows=57)
-    cs1 = trace_implicit(lambda s, t: 1.0 - s * s - t * t, win)
-    cs2 = trace_implicit(lambda s, t: 1.0 - s * s - t * t, win)
+    cs1 = trace_field(lambda s, t: 1.0 - s * s - t * t, win)
+    cs2 = trace_field(lambda s, t: 1.0 - s * s - t * t, win)
     assert len(cs1.polylines) == len(cs2.polylines)
     for p1, p2 in zip(cs1.polylines, cs2.polylines):
         assert np.array_equal(p1, p2)
@@ -97,7 +95,7 @@ def test_trace_determinism():
 def _reference_trace(f, window):
     """Marching squares one cell at a time, on tuple-keyed edges.
 
-    The per-cell formulation trace_implicit replaced; the cases, the saddle
+    The per-cell formulation the sampler's tracer replaced; the cases, the saddle
     rule, the vertex arithmetic and the linking are the same, so the two
     must agree bit for bit.
     """
@@ -148,7 +146,7 @@ def test_trace_matches_per_cell_reference():
     f2 = build_frame(random_complex(5, seed=8), 2)
     cases.append((lambda s, t: g_field(f2, s, t), auto_window(f2, cols=90, rows=70)))
     for f, win in cases:
-        got = trace_implicit(f, win)
+        got = trace_field(f, win)
         polylines, closed = _reference_trace(f, win)
         assert got.closed_flags == tuple(closed)
         assert len(got.polylines) == len(polylines)
@@ -173,7 +171,7 @@ def test_trace_batch_of_one_takes_sampled_nodes():
         return f(s, t)
 
     got = _trace_one(vals, win, center, kind="x")
-    want = trace_implicit(f, win, kind="x")
+    want = trace_field(f, win, kind="x")
     assert (got.kind, got.window, got.closed_flags) == ("x", win, want.closed_flags)
     assert len(got.polylines) == len(want.polylines) == 2
     assert all(np.array_equal(p, q) for p, q in zip(got.polylines, want.polylines))
@@ -183,9 +181,9 @@ def test_trace_batch_of_one_takes_sampled_nodes():
     with pytest.raises(ParameterError):
         _trace_one(np.ones((40, 30)), win, center)
     with pytest.raises(ParameterError):
-        trace_implicit(lambda s, t: np.ones(3), win)
+        trace_field(lambda s, t: np.ones(3), win)
     with pytest.raises(ParameterError):
-        trace_implicit(lambda s, t: 1.0, win)
+        trace_field(lambda s, t: 1.0, win)
 
 
 def _same_curves(got, want):
@@ -217,7 +215,7 @@ def test_trace_batch_equals_one_field_at_a_time():
     assert calls == [(0, 1), (3, 1), (4, 1)]
     assert got[2].polylines == ()
     for b, f in enumerate(fields):
-        assert _same_curves(got[b], trace_implicit(f, win, kind=kinds[b]))
+        assert _same_curves(got[b], trace_field(f, win, kind=kinds[b]))
     f2 = build_frame(random_complex(5, seed=8), 2)
     win = auto_window(f2, cols=90, rows=70)
     centers = [lambda s, t: g_field(f2, s, t, which="min"), lambda s, t: g_field(f2, s, t)]
@@ -251,9 +249,9 @@ def test_gamma_pair_from_one_field_pass_matches_separate_calls(k):
     for a, win in cases:
         f = build_frame(a, k)
         pair = gamma_curves(f, win)
-        alone = (gamma_curve(f, win), gamma_min_curve(f, win))
+        alone = tuple(gamma_curves(f, win, (side,))[0] for side in ("max", "min"))
         for side, got, one in zip(("max", "min"), pair, alone):
-            want = trace_implicit(lambda s, t: g_field(f, s, t, which=side), win,
+            want = trace_field(lambda s, t: g_field(f, s, t, which=side), win,
                                   kind=f"gamma_{side}")
             assert _same_curves(got, want) and _same_curves(one, want)
             assert got.warnings == one.warnings
@@ -266,7 +264,7 @@ def test_gamma_pair_from_one_field_pass_matches_separate_calls(k):
 def test_gamma_curve_passes_near_loop_top():
     f2 = build_frame(A_TILDE, 2)
     win = Window(-0.5, 6.0, -4.0, 4.0, cols=400, rows=300)
-    cs = gamma_curve(f2, win)
+    cs = gamma_curves(f2, win, ("max",))[0]
     verts = np.vstack(cs.polylines)
     for target in ((2.0, 3.0), (2.0, -3.0)):
         d = np.min(np.hypot(verts[:, 0] - target[0], verts[:, 1] - target[1]))
@@ -277,7 +275,7 @@ def test_gamma_curve_vertices_respect_asymptote():
     for k in (1, 2):
         f = build_frame(A_TILDE, k)
         win = auto_window(f, cols=300, rows=200)
-        cs = gamma_curve(f, win)
+        cs = gamma_curves(f, win, ("max",))[0]
         verts = np.vstack(cs.polylines)
         assert verts[:, 0].min() >= f.delta_next - win.step[0]
 
@@ -286,7 +284,7 @@ def test_gamma_curve_vertical_asymptote_approach():
     # k = 1 curve hugs the line s = delta_2 for large |t|
     f1 = build_frame(A_TILDE, 1)
     win = auto_window(f1, cols=300, rows=260)
-    verts = np.vstack(gamma_curve(f1, win).polylines)
+    verts = np.vstack(gamma_curves(f1, win, ("max",))[0].polylines)
     far = verts[np.abs(verts[:, 1]) > 0.9 * win.t_max]
     assert far.size > 0
     assert np.max(np.abs(far[:, 0] - f1.delta_next)) <= 0.25
@@ -296,8 +294,7 @@ def test_gamma_min_curve_sits_left_of_gamma():
     a = random_complex(5, seed=5)
     f = build_frame(a, 2)
     win = auto_window(f, cols=250, rows=180)
-    hi = np.vstack(gamma_curve(f, win).polylines)
-    lo = np.vstack(gamma_min_curve(f, win).polylines)
+    hi, lo = (np.vstack(cs.polylines) for cs in gamma_curves(f, win))
     assert lo[:, 0].min() >= f.delta_next - win.step[0]
     assert lo[:, 0].min() <= hi[:, 0].min() + 2 * win.step[0]
 
@@ -309,7 +306,7 @@ def test_gamma_curve_degenerate_coupling():
     f = build_frame(a, 1)
     assert f.kappa <= 1e-30
     win = Window(-1.5, 3.0, -2.0, 2.0, cols=151, rows=101)
-    cs = gamma_curve(f, win)
+    cs = gamma_curves(f, win, ("max",))[0]
     assert cs.warnings
     verts = np.vstack(cs.polylines)
     assert np.max(np.abs(verts[:, 0] - f.delta_next)) <= 1e-9
@@ -318,7 +315,7 @@ def test_gamma_curve_degenerate_coupling():
 def test_curve_vertices_inside_window_and_steps_bounded():
     f = build_frame(random_complex(5, seed=8), 2)
     win = auto_window(f, cols=220, rows=160)
-    cs = gamma_curve(f, win)
+    cs = gamma_curves(f, win, ("max",))[0]
     for poly in cs.polylines:
         assert np.all(win.contains(poly[:, 0], poly[:, 1]))
         steps = np.hypot(np.diff(poly[:, 0]), np.diff(poly[:, 1]))
@@ -348,7 +345,7 @@ def test_hyperbola_degenerate_pair_is_line_cross():
 
 
 def _reference_hyperbola_set(deltas, k, window):
-    """hyperbola_set as one trace_implicit pass per pair, the earlier loop."""
+    """hyperbola_set as one traced field per pair, the earlier loop."""
     d = np.asarray(deltas, dtype=float)
     polylines = []
     closed = []
@@ -356,7 +353,7 @@ def _reference_hyperbola_set(deltas, k, window):
         for i in range(j + 1, k + 1):
             center = 0.5 * (d[j] + d[i])
             rad_sq = (0.5 * (d[j] - d[i])) ** 2
-            cs = trace_implicit(
+            cs = trace_field(
                 lambda s, t, c=center, r2=rad_sq: (s - c) ** 2 - t ** 2 - r2,
                 window,
                 kind="hyperbola",
