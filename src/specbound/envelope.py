@@ -20,7 +20,10 @@ envelope need not be convex or even connected.  :func:`envelope_overlays`
 draws the order-k curve of every rotated frame in the same (unrotated)
 plane, for figures that show how the envelope is cut out; each angle is one
 item of the sampler and tracer of :mod:`specbound.trace`, whose budgets
-bound the angles per field call and per marching-squares pass.
+bound the angles per field call and per marching-squares pass.  A call
+that holds one angle, as every call does once a grid holds more than half
+the call budget, evaluates g only on the box of nodes that the angle's
+rotated band delta_{k+1} <= c s - d t <= delta_1 can reach.
 :func:`envelope_margins` evaluates g on blocks of (angle, point) pairs
 under the same pair budget.  :func:`rank_numrange_raster` cuts each raster
 row by each half-plane as an interval: the members of a row form a prefix
@@ -45,7 +48,15 @@ from .frame import (
 )
 from .inequality import _member, _member_constants, g_field
 from .linalg import ParameterError, _divided, _normalised, as_matrix, max_abs
-from .trace import _FIELD_BLOCK_PAIRS, CurveSet, Window, _joined, _trace_grid
+from .trace import (
+    _FIELD_BLOCK_PAIRS,
+    CurveSet,
+    Window,
+    _band_margin,
+    _in_band,
+    _joined,
+    _trace_grid,
+)
 
 __all__ = [
     "RegionRaster",
@@ -267,16 +278,35 @@ def envelope_overlays(stack, window):
     over the raster.  Each angle is an item of the tracer in
     :mod:`specbound.trace`, which evaluates g in bounded blocks of angles or
     of grid rows and traces a block of angles per marching-squares pass.
-    Saddle cells are resolved at e^{i theta} times the cell center.  The
-    curves come in angle order and are the same, bit for bit, whatever the
-    block sizes.  Raises FloatingPointError when g is not finite at some
-    node.
+    Saddle cells are resolved at e^{i theta} times the cell center.
+
+    The curve at theta lies in the band delta_{k+1} <= c s - d t <= delta_1,
+    with c + i d = e^{i theta}.  A call that holds one angle evaluates g
+    only on the box of its nodes within two cell diagonals of that band and
+    fills the rest by sign (see :func:`specbound.trace._in_band`); a call of
+    several angles, which holds their whole grids, evaluates every node,
+    because splitting it into one boxed call per angle was no faster there.
+    The curves come in angle order and are the same, bit for bit, whatever
+    the block sizes, and the same as evaluating g at every node.  Raises
+    FloatingPointError when g is not finite at some evaluated node.
     """
     grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
                   cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
+    margin = _band_margin(grid)
 
     def sample(lo, hi, s, t):
-        return g_field(stack[lo:hi], *_rotate(stack.theta[lo:hi, None, None], s, t))
+        block = stack[lo:hi]
+        theta = block.theta[:, None, None]
+
+        def field(s, t):
+            return g_field(block, *_rotate(theta, s, t))
+
+        if hi - lo > 1:
+            return field(s, t)
+        # c s - d t rounds as _rotate rounds it
+        ph = np.exp(1j * theta).item()
+        return _in_band(field, 1, s, t, float(block.delta_next[0]) - margin,
+                        float(block.deltas[0, 0]) + margin, ph.real, ph.imag)
 
     curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
     return _joined(curves, window, "overlay")

@@ -134,6 +134,29 @@ def _raster_rects(bits, w, h):
                     ((c1 - c0) * pw).tolist()))
 
 
+def _path_text(cs, to_px, extra_attrs):
+    """The path elements of a curve set, joined by newlines, or None when none is drawn.
+
+    One element per polyline of at least two vertices, each vertex the
+    ``%.4f,%.4f`` pair of its pixel coordinates from ``to_px`` (which
+    formats as ``{:.4f}`` does).  The text comes from one template per curve
+    set, with the ``%`` of its fixed parts escaped, and one ``%`` call.
+    """
+    drawn = [(np.asarray(poly, dtype=float), closed)
+             for poly, closed in zip(cs.polylines, cs.closed_flags) if len(poly) >= 2]
+    if not drawn:
+        return None
+    style = _CURVE_STYLES.get(cs.kind, _CURVE_STYLES["implicit"])
+    attrs = f' data-kind="{cs.kind}"'
+    if extra_attrs:
+        attrs += "".join(f' {k}="{v}"' for k, v in extra_attrs.get(id(cs), {}).items())
+    head = f'<path class="curve" {style}{attrs} d="M '.replace("%", "%%") + "%.4f,%.4f"
+    template = "\n".join(head + " L %.4f,%.4f" * (len(poly) - 1) + (' Z"/>' if closed else '"/>')
+                          for poly, closed in drawn)
+    xy = np.concatenate([poly for poly, _ in drawn])
+    return template % tuple(np.column_stack(to_px(xy[:, 0], xy[:, 1])).ravel().tolist())
+
+
 def svg_document(window, curve_sets, eigenvalues=(), vlines=(), raster=None,
                  extra_attrs=None):
     """Build an SVG figure as a string.
@@ -166,19 +189,9 @@ def svg_document(window, curve_sets, eigenvalues=(), vlines=(), raster=None,
                 'stroke-dasharray="5 4"/>'
             )
     for cs in curve_sets:
-        style = _CURVE_STYLES.get(cs.kind, _CURVE_STYLES["implicit"])
-        attrs = f' data-kind="{cs.kind}"'
-        if extra_attrs:
-            attrs += "".join(f' {k}="{v}"' for k, v in extra_attrs.get(id(cs), {}).items())
-        for poly, closed in zip(cs.polylines, cs.closed_flags):
-            if len(poly) < 2:
-                continue
-            poly = np.asarray(poly, dtype=float)
-            x, y = to_px(poly[:, 0], poly[:, 1])
-            d = "M " + " L ".join(map("{:.4f},{:.4f}".format, x.tolist(), y.tolist()))
-            if closed:
-                d += " Z"
-            parts.append(f'<path class="curve" {style}{attrs} d="{d}"/>')
+        text = _path_text(cs, to_px, extra_attrs)
+        if text is not None:
+            parts.append(text)
     for ev in eigenvalues:
         x, y = to_px(float(np.real(ev)), float(np.imag(ev)))
         parts.append(

@@ -181,11 +181,14 @@ def _chunk_angles(n):
 
 
 def _rotated_hermitian(a, thetas):
-    """e^{i theta} A and its exactly Hermitian part, with a leading angle axis."""
+    """e^{i theta} A and its Hermitian part, with a leading angle axis.
+
+    The part is exactly Hermitian as computed (see
+    :func:`specbound.linalg.hermitian_part`).
+    """
     ph = np.exp(1j * np.asarray(thetas, dtype=float))
     a_rot = ph[:, None, None] * a[None, :, :]
-    h = 0.5 * (a_rot + _ct(a_rot))
-    return a_rot, 0.5 * (h + _ct(h))
+    return a_rot, 0.5 * (a_rot + _ct(a_rot))
 
 
 def _antipodal(theta):
@@ -293,7 +296,6 @@ def _solve_chunk(a, thetas):
     """
     a_rot, h = _rotated_hermitian(a, thetas)
     s = 0.5 * (a_rot - _ct(a_rot))
-    s = 0.5 * (s - _ct(s))
     w, v = np.linalg.eigh(h)
     return a_rot, w[:, ::-1], _fix_phases(v[:, :, ::-1]), s
 

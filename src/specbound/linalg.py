@@ -97,17 +97,22 @@ def _ct(a):
 
 
 def hermitian_part(a):
-    """(A + A*)/2, re-symmetrized so the result satisfies H = H* exactly."""
+    """(A + A*)/2, which satisfies H = H* exactly as computed.
+
+    Entries (i, j) and (j, i) add the same two numbers, with the imaginary
+    parts negated, and floating-point addition commutes, so one is the
+    conjugate of the other.  Only the sign of a zero can differ: a real part
+    that sums two -0 is halved to -0 or +0 by the sign of the imaginary
+    part.  A second pass, 0.5 (H + H*), would change nothing but such signs.
+    """
     a = as_matrix(a)
-    h = 0.5 * (a + _ct(a))
-    return 0.5 * (h + _ct(h))
+    return 0.5 * (a + _ct(a))
 
 
 def skew_part(a):
-    """(A - A*)/2, re-skewed so the result satisfies S* = -S exactly."""
+    """(A - A*)/2, which satisfies S* = -S exactly as computed (see :func:`hermitian_part`)."""
     a = as_matrix(a)
-    s = 0.5 * (a - _ct(a))
-    return 0.5 * (s - _ct(s))
+    return 0.5 * (a - _ct(a))
 
 
 def _fix_phases(v):

@@ -18,6 +18,14 @@ whole items: the curve and its companion are one item, so they share det
 W_k and M_k in every call, while each hyperbola and each overlay angle is
 an item of its own.
 
+An order-k curve lies in the band delta_{k+1} <= x <= delta_1 of its
+frame's abscissa x, where g changes sign, so the samplers of the curve pair
+and of one-angle overlay calls evaluate g only on the box of a call's nodes
+that the band, widened by two cell diagonals, can reach, and fill the nodes
+beyond it by the sign g has there (:func:`_in_band`).  No cell that touches
+a filled node is active, so the curves are those of evaluating g at every
+node, bit for bit.
+
 :func:`trace_batch` is the one marching-squares pass.  It takes a batch of
 fields sampled on one node grid, with the batch on a leading axis, and works
 on integer edge ids that carry the field's index: it builds every active
@@ -438,6 +446,49 @@ def trace_batch(vals, window, centers, kinds):
     )
 
 
+def _band_margin(window):
+    """Margin by which the band of a curve is widened on its node grid: two cell diagonals.
+
+    One diagonal bounds how far the rotated abscissa moves across a cell, so
+    every cell that touches a node outside the widened band lies wholly on
+    one side of the band and is inactive.
+    """
+    return 2.0 * window.cell_diagonal
+
+
+def _in_band(field, count, s, t, lo, hi, c=1.0, d=0.0):
+    """``field(s, t)`` on a block of grid nodes, evaluated only where a curve can cross.
+
+    ``field`` gives ``count`` fields stacked on a leading axis.  The curves of
+    an order-k frame lie in the band delta_{k+1} <= x <= delta_1 of the
+    abscissa x = c s - d t of the frame's rotated plane: there M_k is
+    congruent to diag(delta_j - x), so g and its lambda_min companion are
+    > 0 where x < delta_{k+1} and < 0 where x > delta_1.  ``lo`` and ``hi``
+    are the band widened by :func:`_band_margin`.  For a row ``s`` of node
+    abscissae and a column ``t`` of node ordinates, a node whose column or
+    row lies wholly left of ``lo`` gets +1 and one whose column or row lies
+    wholly right of ``hi`` gets -1; ``field`` is evaluated on the box of the
+    other columns and rows only.  The bounds are those of x as the rotation
+    rounds it, which is monotone in s and in t.  Saddle centers (1-d ``s``
+    and ``t``) lie in active cells and are evaluated as given.
+    """
+    if np.ndim(t) < 2:
+        return field(s, t)
+    # x = xs - xt at each node; its least and greatest value in each column and row
+    xs, xt = c * s, d * t[:, 0]
+    col_lo, col_hi = xs - xt.max(), xs - xt.min()
+    row_lo, row_hi = xs.min() - xt, xs.max() - xt
+    right = (col_lo > hi) | (row_lo > hi)[:, None]
+    out = np.empty((count,) + right.shape)
+    out[...] = np.where(right, -1.0, 1.0)
+    cols = np.nonzero((col_hi >= lo) & (col_lo <= hi))[0]
+    rows = np.nonzero((row_hi >= lo) & (row_lo <= hi))[0]
+    if cols.size and rows.size:
+        r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+        out[:, r0:r1, c0:c1] = field(s[c0:c1], t[r0:r1])
+    return out
+
+
 _GAMMA_KINDS = {"max": "gamma_max", "min": "gamma_min"}
 
 
@@ -445,12 +496,20 @@ def gamma_curves(frame, window, which=("max", "min")):
     """Trace the order-k curve ("max") and its companion ("min") from one field pass.
 
     g and its lambda_min companion share det W_k and M_k, so both are
-    evaluated on the node grid at once and traced as a batch.  Returns one
-    CurveSet per item of ``which``, each the same, bit for bit, as a call
-    with that item alone.
+    evaluated on the node grid at once and traced as a batch.  Both lie in
+    the band delta_{k+1} <= s <= delta_1, and g is evaluated only on the
+    node columns within :func:`_band_margin` of it (see :func:`_in_band`);
+    the columns beyond hold +1 on the left and -1 on the right, and no cell
+    that touches them is active.  Returns one CurveSet per item of
+    ``which``, each the same, bit for bit, as a call with that item alone
+    and as sampling g at every node.
     """
     which = tuple(which)
-    curves = _trace_grid(window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=which),
+    field = partial(g_field, frame, which=which)
+    margin = _band_margin(window)
+    lo, hi = frame.delta_next - margin, float(frame.deltas[0]) + margin
+    curves = _trace_grid(window, 1,
+                         lambda a, b, s, t: _in_band(field, len(which), s, t, lo, hi),
                          [_GAMMA_KINDS[side] for side in which])
     return tuple(_flag_degenerate(cs, frame) for cs in curves)
 

@@ -834,6 +834,76 @@ def test_overlays_do_not_depend_on_the_block_size(monkeypatch):
                     assert all(_same_curves(g, d) for g, d in zip(got, default))
 
 
+def _pair_at_every_node(frame, window):
+    """gamma_curves with g sampled at every node: the plain field as the sampler."""
+    return trace_module._trace_grid(
+        window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=("max", "min")),
+        ["gamma_max", "gamma_min"])
+
+
+def _overlays_at_every_node(stack, window):
+    """envelope_overlays with g sampled at every node of the half grid."""
+    def sample(lo, hi, s, t):
+        return g_field(stack[lo:hi], *envelope_module._rotate(stack.theta[lo:hi, None, None], s, t))
+
+    curves = trace_module._trace_grid(_overlay_grid(window), len(stack), sample,
+                                      ["overlay"] * len(stack))
+    return trace_module._joined(curves, window, "overlay")
+
+
+def test_band_sampling_equals_sampling_every_node(monkeypatch):
+    # gamma_curves and envelope_overlays evaluate g only within a margin of
+    # the band delta_{k+1} <= x <= delta_1 and fill the nodes beyond it by
+    # sign (trace._in_band); their curves must be those of g sampled at
+    # every node.  With the default budget these grids put whole angles in
+    # each overlay call, which evaluate every node; a budget of 64 values
+    # makes every call one angle and a band of rows, which are boxed.  The
+    # windows are the auto_window, or miss the band on the left or the
+    # right, or straddle it.  The diagonal matrix has kappa = 0 at every
+    # angle, so its curve is the line s = delta_{k+1}.
+    diagonal = np.diag([2.0 + 1.0j, 1.0 - 2.0j, -0.5 + 0.5j, -1.5 - 1.0j])
+    assert build_frame(diagonal, 2).kappa == 0.0
+    points = []
+    plain = trace_module.g_field
+
+    def counting(frame, s, t, which="max"):
+        points.append(np.broadcast(s, t).size)
+        return plain(frame, s, t, which=which)
+
+    for a in (TOEPLITZ, random_complex(5, seed=3), diagonal):
+        for k in range(1, a.shape[0]):
+            frame = build_frame(a, k)
+            stack = build_frames(a, k, theta_grid(8))
+            lo, hi = frame.delta_next, float(frame.deltas[0])
+            windows = [auto_window(frame, cols=40, rows=30),
+                       Window(lo - 3.0, lo - 1.0, -1.0, 1.0, cols=30, rows=20),
+                       Window(hi + 1.0, hi + 3.0, -2.0, 2.0, cols=30, rows=20),
+                       Window(lo - 0.5, 0.5 * (lo + hi), -1.5, 1.5, cols=36, rows=25)]
+            for w, window in enumerate(windows):
+                want_pair = _pair_at_every_node(frame, window)
+                want_overlays = _overlays_at_every_node(stack, window)
+                for pairs in (None, 64):
+                    if pairs is not None:
+                        monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", pairs)
+                    monkeypatch.setattr(trace_module, "g_field", counting)
+                    points.clear()
+                    pair = gamma_curves(frame, window)
+                    monkeypatch.setattr(trace_module, "g_field", plain)
+                    overlays = envelope_overlays(stack, window)
+                    monkeypatch.undo()
+                    assert all(_same_curves(g, want) for g, want in zip(pair, want_pair))
+                    assert _same_curves(overlays, want_overlays)
+                    if w in (1, 2):
+                        # a window beyond the band evaluates g at no node
+                        assert sum(points) == 0
+    # a grid of over 2^14 nodes, whose calls are one-angle row bands by default
+    window = auto_window(build_frame(TOEPLITZ, 2), cols=300, rows=220)
+    stack = build_frames(TOEPLITZ, 2, theta_grid(4))
+    grid = _overlay_grid(window)
+    assert grid.cols * grid.rows > trace_module._FIELD_BLOCK_PAIRS
+    assert _same_curves(envelope_overlays(stack, window), _overlays_at_every_node(stack, window))
+
+
 def test_gamma_pair_shares_every_field_call_on_a_large_grid(monkeypatch):
     # over 2^18 nodes the pair is still one item: every call, on a band of
     # the node grid or at saddle centers, evaluates both extremes

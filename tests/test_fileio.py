@@ -123,15 +123,16 @@ def test_raster_runs_match_the_per_cell_loop():
 
 def test_paths_match_the_per_vertex_loop():
     # a one-vertex polyline is skipped, closed flags add Z, extra attributes
-    # go on every path of their curve set, unknown kinds take the default style
+    # go on every path of their curve set, unknown kinds take the default
+    # style, and a % in a kind or an attribute is written as it is
     rng = np.random.default_rng(8)
     gamma = _curves("gamma_max", [[0.5, 0.25]], rng.uniform(-3, 4, (40, 2)),
                     [[-1.25, -2.0], [3.0, 1.7]], closed=(True, True, False))
     overlay = _curves("overlay", rng.uniform(-1, 1, (7, 2)), rng.uniform(-1, 1, (2, 2)),
                       closed=(True, False))
-    odd = _curves("unknown", [[1e-300, -0.0], [2.5e-7, 1.2345678912345]])
+    odd = _curves("unknown%s", [[1e-300, -0.0], [2.5e-7, 1.2345678912345]])
     empty = _curves("hyperbola")
-    extra = {id(overlay): {"data-experimental": "true", "data-n": "2"}}
+    extra = {id(overlay): {"data-experimental": "true", "data-n": "2", "data-p": "5% %.4f %%"}}
     curve_sets = [gamma, overlay, odd, empty]
     got = svg_document(WINDOW, curve_sets, eigenvalues=[0.5 + 0.5j, 9.0], vlines=[0.0, 99.0],
                        raster=_raster(np.eye(6, 9)), extra_attrs=extra)
@@ -139,7 +140,8 @@ def test_paths_match_the_per_vertex_loop():
                           raster=_raster(np.eye(6, 9)), extra_attrs=extra)
     assert got == want
     assert got.count("<path") == 5 and got.count(" Z") == 2
-    assert got.count('data-experimental="true" data-n="2"') == 2
+    assert got.count('data-experimental="true" data-n="2" data-p="5% %.4f %%"') == 2
+    assert got.count('data-kind="unknown%s"') == 1
 
 
 def test_csv_matches_the_per_vertex_loop():

@@ -6,6 +6,7 @@ from specbound import (
     ParameterError,
     auto_window,
     build_frame,
+    build_frames,
     build_matrix,
     crossing_condition,
     cubic_g1,
@@ -13,9 +14,12 @@ from specbound import (
     g_field,
     g2_constants,
     max_abs,
+    theta_grid,
     union_poly_value,
     w_matrix,
 )
+from specbound.envelope import _rotate
+from specbound.gallery import GALLERY
 from conftest import bisect_root, random_complex, random_hermitian, random_unitary
 
 A_TILDE = build_matrix(MatrixSpec("a_tilde"))
@@ -396,6 +400,36 @@ def test_no_curve_left_of_delta_next():
             for t in np.linspace(-2 * span, 2 * span, 17):
                 if abs(np.linalg.det(w_matrix(f, s, float(t)))) > 1e-12:
                     assert g_field(f, s, float(t)) > 0.0
+
+
+def test_g_and_its_companion_keep_their_signs_outside_the_band():
+    # The tracer fills the nodes outside delta_{k+1} <= x <= delta_1 of a
+    # frame's rotated abscissa x by sign alone (trace._in_band): there M_k is
+    # congruent to diag(delta_j - x), so g and its lambda_min companion are
+    # > 0 left of delta_{k+1} and < 0 right of delta_1.  Checked on the
+    # computed values at every node of a grid, every order, at theta = 0 and
+    # at the rotated frames of a stack, as the curve pair and the overlays
+    # evaluate them.
+    mats = [build_matrix(MatrixSpec(name)) for name in GALLERY]
+    mats += [random_complex(n, seed=seed) for n in (3, 5, 8) for seed in (1, 2)]
+    left_nodes = right_nodes = 0
+    for a in mats:
+        for k in range(1, a.shape[0]):
+            frame = build_frame(a, k)
+            s, t = auto_window(frame, cols=40, rows=30).node_axes()
+            s, t = s[None, :], t[:, None]
+            stack = build_frames(a, k, theta_grid(6))
+            x, y = _rotate(stack.theta[:, None, None], s, t)
+            planes = [(g_field(frame, s, t, which=("max", "min")), s + 0 * t,
+                       frame.delta_next, frame.deltas[0]),
+                      (g_field(stack, x, y, which=("max", "min")), x,
+                       stack.delta_next[:, None, None], stack.deltas[:, 0, None, None])]
+            for g, x, delta_next, delta_1 in planes:
+                left, right = x < delta_next, x > delta_1
+                assert np.all(g[:, left] >= 0.0) and np.all(g[:, right] < 0.0), (a, k)
+                left_nodes += np.count_nonzero(left)
+                right_nodes += np.count_nonzero(right)
+    assert left_nodes > 10 ** 4 and right_nodes > 10 ** 4
 
 
 def test_lambda_max_nonnegative_left_of_delta1():

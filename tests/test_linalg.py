@@ -12,7 +12,11 @@ from specbound import (
     max_abs,
     skew_part,
 )
+from specbound.envelope import theta_grid
+from specbound.frame import _rotated_hermitian, _solve_chunk
+from specbound.gallery import GALLERY
 from specbound.inequality import _adjugate3, _det3
+from specbound.linalg import _ct
 from conftest import random_complex, random_hermitian
 
 
@@ -38,6 +42,32 @@ def test_parts_exact_structure_and_sum():
         assert np.array_equal(s, -s.conj().T)
         # recombination is exact up to one rounding per entry
         assert max_abs(h + s - a) <= 1e-15 * (1.0 + max_abs(a))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def test_one_pass_parts_equal_the_two_pass_forms_bit_for_bit():
+    # (A + A*)/2 and (A - A*)/2 are exactly Hermitian and skew as computed,
+    # up to the sign of a zero, so the second symmetrizing pass that
+    # hermitian_part, skew_part and the frame layer once made, 0.5 (h + h*)
+    # and 0.5 (s - s*), changes no bit of these inputs
+    mats = [build_matrix(MatrixSpec(name)) for name in GALLERY]
+    mats += [random_complex(n, seed=seed) for n in (3, 6, 9) for seed in range(3)]
+    thetas = theta_grid(24)
+    for a in mats:
+        for e in (-300, -40, 0, 40, 300):
+            x = np.ldexp(1.0, e) * np.asarray(a, dtype=np.complex128)
+            h = 0.5 * (x + _ct(x))
+            s = 0.5 * (x - _ct(x))
+            assert np.array_equal(_bits(hermitian_part(x)), _bits(0.5 * (h + _ct(h))))
+            assert np.array_equal(_bits(skew_part(x)), _bits(0.5 * (s - _ct(s))))
+            a_rot, h_rot = _rotated_hermitian(x, thetas)
+            h = 0.5 * (a_rot + _ct(a_rot))
+            assert np.array_equal(_bits(h_rot), _bits(0.5 * (h + _ct(h))))
+            s = 0.5 * (a_rot - _ct(a_rot))
+            assert np.array_equal(_bits(_solve_chunk(x, thetas)[3]), _bits(0.5 * (s - _ct(s))))
 
 
 def test_parts_sum_large_entries():

@@ -1,17 +1,24 @@
+import hashlib
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+from specbound.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "code_lines.py"
 
 
-def _code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.code_lines
+    return module
+
+
+def _code_lines():
+    return _tool("code_lines").code_lines
 
 
 def test_code_lines_skips_blank_lines_comments_and_docstrings():
@@ -43,3 +50,16 @@ def test_code_lines_reports_every_module_of_src_and_their_total():
     assert rows[-1][1] == "total" and int(rows[-1][0]) == sum(modules.values())
     assert set(modules) == {str(p.relative_to(ROOT)) for p in (ROOT / "src").rglob("*.py")}
     assert all(count > 0 for count in modules.values())
+
+
+def test_output_digests_give_each_exit_code_and_output_digest(tmp_path):
+    tool = _tool("output_digests")
+    drawn = ["curve", "--gallery", "a_hat", "--k", "2", "--grid", "40x30", "--format", "csv"]
+    # a_hat is 4 x 4, so order 4 is a usage error and writes no file
+    refused = ["check", "--gallery", "a_hat", "--k", "4"]
+    lines = list(tool.digests([drawn, refused]))
+    out = tmp_path / "curve.csv"
+    assert main(drawn + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert lines == [f"0 {digest} {' '.join(drawn)}", f"1 - {' '.join(refused)}"]
+    assert len({tuple(argv) for argv in tool.ARGVS}) == len(tool.ARGVS) > 180
