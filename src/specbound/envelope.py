@@ -13,7 +13,12 @@ of A scaled by 2^e, bit for bit.  The order-k test is the sign-only kernel
 of :mod:`specbound.inequality` with a slack of 1e-12 in A/sigma units, the
 same for every order, run on a block of angles per call; the half-plane cut
 of the rank numerical ranges has the slack 1e-9 (1 + max|A/sigma|) in the
-same units.
+same units.  Every envelope lies in the numerical range W(A), the
+intersection of the half-planes Re(e^{i theta} z) <= delta_1(theta), so
+:func:`envelope_raster` first cuts each raster row to the interval of
+cells that every sampled half-plane, widened by a margin, keeps, and runs
+the kernel only there; a cell the cut drops is one the kernel would
+reject, so the bits are those of the mask on every cell.
 
 Regions are reported as boolean rasters rather than polygons because the
 envelope need not be convex or even connected.  :func:`envelope_overlays`
@@ -23,7 +28,8 @@ item of the sampler and tracer of :mod:`specbound.trace`, whose budgets
 bound the angles per field call and per marching-squares pass.  A call
 that holds one angle, as every call does once a grid holds more than half
 the call budget, evaluates g only on the box of nodes that the angle's
-rotated band delta_{k+1} <= c s - d t <= delta_1 can reach.
+rotated band delta_{k+1} <= c s - d t <= delta_1 can reach, and no call
+evaluates g for an angle whose band misses every node of the grid.
 :func:`envelope_margins` evaluates g on blocks of (angle, point) pairs
 under the same pair budget.  :func:`rank_numrange_raster` cuts each raster
 row by each half-plane as an interval: the members of a row form a prefix
@@ -35,6 +41,7 @@ cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,6 +156,36 @@ def _bit_reversed(m):
 _MASK_BLOCK_PAIRS = 2 ** 12
 
 
+def _kernel_setup(A, k, thetas, stack):
+    """(A/sigma, sigma, frames, scale): the normalised matrix and the frames of the mask.
+
+    The frames are ``stack`` when the caller has it, in the units of A, and
+    scale is sigma; else they are built for A/sigma and scale is 1.  Frame
+    quantities divided by scale are in A/sigma units.
+    """
+    a, sigma = _normalised(as_matrix(A))
+    scale = 1.0 if stack is None else sigma
+    return a, sigma, _frames(a, k, thetas, stack), scale
+
+
+def _culled(const, flat):
+    """Members among the 1-d array ``flat`` of A/sigma points: the culling loop of the mask."""
+    alive = np.arange(flat.size)
+    order = _bit_reversed(len(const[0]))
+    while alive.size and order.size:
+        step = max(1, _MASK_BLOCK_PAIRS // alive.size)
+        rows, order = order[:step], order[step:]
+        # A lone angle gets scalar constants and a flat row: on large point
+        # sets that call is 5-10% faster than with (1, 1) columns.
+        rows = rows[0] if rows.size == 1 else rows[:, None]
+        z = np.exp(1j * const[0][rows]) * flat[alive]
+        member = _member([c[rows] for c in const], z.real, z.imag)
+        alive = alive[member.reshape(-1, alive.size).all(axis=0)]
+    member = np.zeros(flat.size, dtype=bool)
+    member[alive] = True
+    return member
+
+
 def envelope_member_mask(A, k, thetas, points, stack=None):
     """Membership of many points at once; returns a boolean array.
 
@@ -176,25 +213,14 @@ def envelope_member_mask(A, k, thetas, points, stack=None):
     are one angle each, and once few points survive, one call tests them at
     many angles.  The result is the same intersection, bit for bit, whatever
     the order of ``thetas``, the block sizes and however early a point is
-    dropped.
+    dropped.  Every point given is tested; :func:`envelope_raster`, whose
+    points form a grid, first drops the cells outside the numerical range's
+    half-planes without the kernel.
     """
-    a, sigma = _normalised(as_matrix(A))
-    const = _member_constants(_frames(a, k, thetas, stack), 1.0 if stack is None else sigma)
+    _, sigma, frames, scale = _kernel_setup(A, k, thetas, stack)
+    const = _member_constants(frames, scale)
     flat = _divided(points, sigma).ravel()
-    alive = np.arange(flat.size)
-    order = _bit_reversed(len(const[0]))
-    while alive.size and order.size:
-        step = max(1, _MASK_BLOCK_PAIRS // alive.size)
-        rows, order = order[:step], order[step:]
-        # A lone angle gets scalar constants and a flat row: on large point
-        # sets that call is 5-10% faster than with (1, 1) columns.
-        rows = rows[0] if rows.size == 1 else rows[:, None]
-        z = np.exp(1j * const[0][rows]) * flat[alive]
-        member = _member([c[rows] for c in const], z.real, z.imag)
-        alive = alive[member.reshape(-1, alive.size).all(axis=0)]
-    member = np.zeros(flat.size, dtype=bool)
-    member[alive] = True
-    return member.reshape(np.shape(points))
+    return _culled(const, flat).reshape(np.shape(points))
 
 
 def envelope_margins(A, k, thetas, points, stack=None):
@@ -233,19 +259,90 @@ def envelope_margins(A, k, thetas, points, stack=None):
     return min_g.reshape(pts.shape), worst.reshape(pts.shape)
 
 
-def _cell_grid(window):
-    s, t = window.cell_centers()
-    return s[None, :] + 1j * t[:, None]
+def _cut_margin(norm, size):
+    """Margin mu of the half-plane cut for points with |z| <= ``size``, in A/sigma units.
+
+    ``norm`` is the Frobenius norm of A/sigma, which bounds |delta_j| and
+    the norm of C = Delta_k + Y_k at every angle and order; see
+    :func:`envelope_raster` for why 1e-3 (1 + norm + |z|) suffices.
+    """
+    return 1e-3 * (1.0 + norm + size)
+
+
+def _half_plane_columns(theta, delta1, norm, s, t):
+    """(first, stop): per row, the cells that no half-plane of the numerical range excludes.
+
+    ``s`` holds the cell-center abscissae (non-decreasing) and ``t`` the
+    ordinates of the rows, in A/sigma units; ``theta`` the angles and
+    ``delta1`` delta_1 of each, over sigma.  Row r keeps the columns
+    first[r] <= j < stop[r]: the cells whose rotated abscissa x = c s_j -
+    d t_r, with c + i d = e^{i theta}, is at most delta_1 + mu_r at every
+    angle, mu_r = :func:`_cut_margin` of max|s| + |t_r|.  At one angle and
+    row that is a prefix of the row when c > 0 and a suffix when c < 0,
+    bounded where s_j crosses (delta_1 + mu_r + d t_r) / c; an angle with
+    c = 0 keeps the whole row.  The bounds of every (row, angle) pair come
+    from one array per sign of c, and a row keeps the intersection of its
+    intervals: the cells up to the least prefix bound and from the greatest
+    suffix bound.
+    """
+    ph = np.exp(1j * theta)
+    c, d = ph.real, ph.imag
+    column = t[:, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        mu = _cut_margin(norm, np.abs(s).max() + np.abs(column))
+        bound = [((delta1[side] + mu + d[side] * column) / c[side])
+                 for side in (c > 0.0, c < 0.0)]
+    stop = np.searchsorted(s, bound[0].min(axis=1, initial=np.inf), side="right")
+    first = np.searchsorted(s, bound[1].max(axis=1, initial=-np.inf), side="left")
+    return first, stop
 
 
 def envelope_raster(A, k, theta_count, window, stack=None):
     """Envelope membership sampled at every cell center of the window.
 
     ``stack`` is ``build_frames(A, k, theta_grid(theta_count))`` when the
-    caller already has it, checked as in :func:`envelope_member_mask`.
+    caller already has it, checked as in :func:`envelope_member_mask`.  The
+    bits are those of :func:`envelope_member_mask` on every cell center,
+    bit for bit, but the kernel runs only on the cells inside the
+    half-planes Re(e^{i theta} z) <= delta_1(theta) + mu of the numerical
+    range W(A), a few columns per row (see :func:`_half_plane_columns`);
+    every other cell is 0 without a kernel call.  A window that misses W(A)
+    calls the kernel on no cell.
+
+    Why the cut is exact.  In A/sigma units, at an angle theta, let x be the
+    rotated abscissa of a point z and x >= delta_1 + mu/2, with mu =
+    1e-3 (1 + nu + |z|) and nu = |A/sigma|_F.  W_k = C - (x + i y) I has the
+    Hermitian part Delta_k - x I <= -(x - delta_1) I, so sigma_min(W_k) >=
+    x - delta_1, and the kernel's Q = -(P + eta I) = (x - delta_{k+1}) W_k*
+    W_k + kappa diag(x - delta_j) - eta I satisfies Q >= ((x - delta_{k+1})
+    (x - delta_1)^2 + kappa (x - delta_1) - eta) I >= ((mu/2)^3 - eta) I,
+    at every order and for kappa = 0 too.  So Q is positive definite and
+    the point is not a member at theta.  The mask is the AND over the
+    angles, so which angle rejects a cell does not change its bit.
+
+    Rounding.  The kernel rounds the entries of Q with errors of a few
+    units u = 2^-53 of (x - delta_{k+1}) (nu + |z|)^2 and of the kappa
+    terms, and its LDL* pivots stay positive while the least eigenvalue of
+    the diagonally scaled Q exceeds a small multiple of k^2 u.  Since |C|,
+    |delta_j| <= nu, that eigenvalue is at least about (mu/2)^2 / (nu +
+    |z|)^2 >= 2.5e-7 (mu/2 / (mu/2 + 2 nu) >= 2.5e-4 for the kappa part), far
+    above it.  The cut itself compares each s_j with a bound computed from
+    delta_1, mu and d t_r, each at most 1000 mu, so rounding moves the cut
+    by less than 1e-12 mu; cells from delta_1 + mu on are dropped, and the
+    kernel rejects from delta_1 + mu/2 on.  Every rounding thus errs on the
+    side of keeping a cell, and a point whose Q is not finite is not a
+    member either way.
     """
-    bits = envelope_member_mask(A, k, theta_grid(theta_count), _cell_grid(window),
-                                stack=stack)
+    a, sigma, frames, scale = _kernel_setup(A, k, theta_grid(theta_count), stack)
+    const = _member_constants(frames, scale)
+    s, t = window.cell_centers()
+    first, stop = _half_plane_columns(const[0], frames.deltas[:, 0] / scale,
+                                      np.linalg.norm(a), s / sigma, t / sigma)
+    column = np.arange(window.cols)
+    rows, cols = np.nonzero((column >= first[:, None]) & (column < stop[:, None]))
+    bits = np.zeros((window.rows, window.cols), dtype=bool)
+    # s_j + i t_r rounds as the grid s + i t[:, None] of every cell does
+    bits[rows, cols] = _culled(const, _divided(s[cols] + 1j * t[rows], sigma))
     bits.setflags(write=False)
     return RegionRaster(
         window=window, bits=bits, theta_count=int(theta_count), k=int(k), ell=0,
@@ -281,32 +378,49 @@ def envelope_overlays(stack, window):
     Saddle cells are resolved at e^{i theta} times the cell center.
 
     The curve at theta lies in the band delta_{k+1} <= c s - d t <= delta_1,
-    with c + i d = e^{i theta}.  A call that holds one angle evaluates g
-    only on the box of its nodes within two cell diagonals of that band and
-    fills the rest by sign (see :func:`specbound.trace._in_band`); a call of
-    several angles, which holds their whole grids, evaluates every node,
+    with c + i d = e^{i theta}.  An angle whose band misses every node of
+    the grid is filled with 1 in every call, as g has one sign on all its
+    nodes, so it has no active cell and g is evaluated nowhere for it.
+    This band is not widened: the widening keeps the cells that mix
+    evaluated and filled nodes inactive, and such an angle has no evaluated
+    node.  Without it, on a window 1e150 wide, the angles nearest pi/2, whose
+    rotated abscissae are about 1e-16 of the coordinates, would be evaluated
+    and overflow.  Of the other angles, a call that holds one evaluates g
+    only on the box of its nodes within two cell diagonals of the band and
+    fills the rest by sign (see :func:`specbound.trace._in_band`), and a
+    call of several, which holds their whole grids, evaluates every node,
     because splitting it into one boxed call per angle was no faster there.
     The curves come in angle order and are the same, bit for bit, whatever
-    the block sizes, and the same as evaluating g at every node.  Raises
-    FloatingPointError when g is not finite at some evaluated node.
+    the block sizes, and the same as evaluating g at every node wherever g
+    is finite.  Raises FloatingPointError when g is not finite at some
+    evaluated node.
     """
     grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
                   cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
     margin = _band_margin(grid)
+    # c s - d t rounds as _rotate rounds it, and its rounded products are
+    # monotone in s and in t, so the least and greatest c s and d t over the
+    # grid's nodes are those at its least and greatest s and t
+    ph = np.exp(1j * stack.theta[:, None, None])[:, 0, 0]
+    xs, xt = (part[:, None] * [axis.min(), axis.max()]
+              for part, axis in zip((ph.real, ph.imag), grid.node_axes()))
+    live = ((xs.min(axis=1) - xt.max(axis=1) <= stack.deltas[:, 0])
+            & (xs.max(axis=1) - xt.min(axis=1) >= stack.delta_next))
+
+    def field(block, s, t):
+        return g_field(block, *_rotate(block.theta[:, None, None], s, t))
 
     def sample(lo, hi, s, t):
-        block = stack[lo:hi]
-        theta = block.theta[:, None, None]
-
-        def field(s, t):
-            return g_field(block, *_rotate(theta, s, t))
-
-        if hi - lo > 1:
-            return field(s, t)
-        # c s - d t rounds as _rotate rounds it
-        ph = np.exp(1j * theta).item()
-        return _in_band(field, 1, s, t, float(block.delta_next[0]) - margin,
-                        float(block.deltas[0, 0]) + margin, ph.real, ph.imag)
+        block, alive = stack[lo:hi], live[lo:hi]
+        if hi - lo == 1 and alive[0]:
+            return _in_band(partial(field, block), 1, s, t, float(block.delta_next[0]) - margin,
+                            float(block.deltas[0, 0]) + margin, ph[lo].real, ph[lo].imag)
+        if alive.all():
+            return field(block, s, t)
+        out = np.ones((hi - lo,) + np.broadcast(s, t).shape)
+        if alive.any():
+            out[alive] = field(block[alive], s, t)
+        return out
 
     curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
     return _joined(curves, window, "overlay")

@@ -341,6 +341,25 @@ def test_field_too_large_for_eigvalsh_exits_cleanly(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cols, rows", [(120, 90), (800, 600)])
+@pytest.mark.parametrize("fmt", ["svg", "csv", "pgm"])
+def test_envelope_on_a_window_beyond_every_band_exits_cleanly(tmp_path, fmt, cols, rows):
+    # 1e150 out, every angle's band misses the window's nodes; the overlays
+    # once evaluated g there at the angles near pi/2 and exited 2 ("field is
+    # not finite") in svg and csv, in calls of several angles (120x90) and
+    # of one (800x600)
+    out = tmp_path / f"far.{fmt}"
+    rc = main(["envelope", "--gallery", "toeplitz_eq1", "--k", "2", "--grid", f"{cols}x{rows}",
+               "--window=1e150,2e150,-1,1", "--format", fmt, "--out", str(out)])
+    assert rc == 0
+    data = out.read_bytes()
+    if fmt == "csv":
+        assert data.decode("ascii").splitlines() == ["curve_id,kind,s,t"]
+    elif fmt == "pgm":
+        assert data == f"P5\n{cols} {rows}\n255\n".encode("ascii") + bytes(cols * rows)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 400. KiB for an array"),
                                    np.linalg.LinAlgError("Eigenvalues did not converge")])

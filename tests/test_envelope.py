@@ -994,3 +994,144 @@ def test_raster_rejects_a_stack_of_another_angle_count_or_order():
     for k, count in ((2, 40), (2, 119), (1, 120), (3, 120)):
         with pytest.raises(ParameterError):
             envelope_raster(TOEPLITZ, k, count, window, stack=stack)
+
+
+DIAGONAL = np.diag([2.0 + 1.0j, 1.0 - 2.0j, -0.5 + 0.5j, -1.5 - 1.0j])
+
+
+def _lemma_matrices():
+    """Every gallery matrix, seeded random_complex ones, and a diagonal (kappa = 0) one."""
+    mats = [build_matrix(MatrixSpec(name)) for name, _, _ in gallery_entries()]
+    mats += [random_complex(n, seed=seed) for n in (5, 6, 8) for seed in (1, 4)]
+    assert all(np.all(build_frames(DIAGONAL, k, theta_grid(24)).kappa == 0.0) for k in (1, 2, 3))
+    return mats + [DIAGONAL]
+
+
+def test_member_is_false_past_the_half_plane_margin():
+    # At an angle theta, a point whose rotated abscissa x lies mu/2 or more
+    # right of delta_1(theta), mu = _cut_margin(|A/sigma|_F, |z|), has
+    # Q = -(P + eta I) >= ((mu/2)^3 - eta) I, so the kernel must reject it
+    # at every order, for kappa = 0 too, at |z| up to 1e6; envelope_raster
+    # drops such cells without the kernel.  The same points of 2^e A, scaled
+    # by 2^e, are rejected by the whole mask.
+    from specbound.envelope import _cut_margin
+    from specbound.inequality import _member, _member_constants
+
+    rng = np.random.default_rng(5)
+    thetas = theta_grid(24)
+    checked = 0
+    for a in _lemma_matrices():
+        a, _ = _normalised(a)
+        norm = np.linalg.norm(a)
+        for k in range(1, a.shape[0]):
+            stack = build_frames(a, k, thetas)
+            const = _member_constants(stack, 1.0)
+            for i, theta in enumerate(thetas):
+                delta1 = float(stack.deltas[i, 0])
+                y = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 20),
+                                    np.geomspace(1.0, 1e6, 20) * rng.choice([-1, 1], 20)])
+                factor = np.repeat([1.001, 2.0, 1e3], y.size)
+                y = np.tile(y, 3)
+                x = delta1
+                for _ in range(3):  # the point's own margin, again once |z| is known
+                    x = delta1 + factor * 0.5 * _cut_margin(norm, np.abs(x + 1j * y))
+                z = np.exp(-1j * theta) * (x + 1j * y)
+                w = np.exp(1j * const[0][i]) * z
+                past = w.real - delta1 >= 0.5 * _cut_margin(norm, np.abs(z))
+                assert np.count_nonzero(past) > 0.9 * z.size
+                member = _member([c[i] for c in const], w.real, w.imag)
+                assert not member[past].any(), (a, k, theta)
+                checked += np.count_nonzero(past)
+                if i % 8 == 0:
+                    for e in (-300, 7, 300):
+                        assert not envelope_member_mask(2.0 ** e * a, k, [theta],
+                                                        2.0 ** e * z[past]).any()
+    assert checked > 10 ** 5
+
+
+def _raster_windows(a, k, cols, rows):
+    """The auto window and windows inside W(A), straddling its edge and missing it."""
+    unit = max_abs(a)
+    spectra = rotation_spectra(a, theta_grid(120))
+    center = np.trace(a) / a.shape[0]
+    phase = np.exp(1j * theta_grid(120))
+    # the distance from the centroid, which lies in W(A), to each sampled support line
+    room = float(np.min(spectra[:, 0] - (phase * center).real))
+    assert room > 0.0
+    h = 0.3 * room
+    edge = float(spectra[0, 0])
+    return [auto_window(build_frame(a, k), cols=cols, rows=rows),
+            Window(center.real - h, center.real + h, center.imag - h, center.imag + h,
+                   cols=cols, rows=rows),
+            Window(edge - unit, edge + unit, -unit, unit, cols=cols, rows=rows),
+            Window(edge + unit, edge + 3.0 * unit, -unit, unit, cols=cols, rows=rows)]
+
+
+def test_raster_equals_the_mask_on_every_cell(monkeypatch):
+    # envelope_raster runs the kernel only inside the half-planes of W(A)
+    # and must give the bits of the mask on every cell center, at every
+    # order, on grids of 240x180, 48x36 and an odd size, on the auto window
+    # and on windows inside W(A), straddling its edge and missing it.  A
+    # window that misses W(A) makes no kernel call.
+    from specbound.envelope import _cut_margin
+
+    mats = [TOEPLITZ, build_matrix(MatrixSpec("a_hat")), random_complex(6, seed=3), DIAGONAL]
+    tested = cut = 0
+    for a in mats:
+        unit, sigma = _normalised(a)
+        norm = np.linalg.norm(unit)
+        for k in range(1, a.shape[0]):
+            stack = build_frames(a, k, theta_grid(48))
+            phase = np.exp(1j * stack.theta)[:, None, None]
+            for cols, rows in ((240, 180), (48, 36), (97, 61)):
+                for w, window in enumerate(_raster_windows(a, k, cols, rows)):
+                    s, t = window.cell_centers()
+                    want = envelope_member_mask(a, k, theta_grid(48), s + 1j * t[:, None],
+                                                stack=stack)
+                    calls = _counted_member_calls(monkeypatch)
+                    got = envelope_raster(a, k, 48, window, stack=stack).bits
+                    monkeypatch.undo()
+                    assert np.array_equal(got, want), (a, k, cols, w)
+                    # the kernel sees the cells within mu of every half-plane, give
+                    # or take the rounding of a bound: at most one cell per row end
+                    s, t = s / sigma, t[:, None] / sigma
+                    mu = _cut_margin(norm, np.abs(s).max() + np.abs(t))
+                    inside = np.all(phase.real * s - phase.imag * t
+                                    <= stack.deltas[:, 0, None, None] / sigma + mu, axis=0)
+                    first = calls[0][1] if calls else 0
+                    assert abs(first - np.count_nonzero(inside)) <= 2 * rows, (a, k, cols, w)
+                    if w == 3:
+                        assert not calls and not got.any()
+                    tested += 1
+                    cut += first < cols * rows
+    assert tested == 3 * 4 * (3 + 3 + 5 + 3) and cut > tested // 2
+
+
+def test_overlay_calls_skip_the_angles_whose_band_misses_the_grid(monkeypatch):
+    # An angle whose band delta_{k+1} <= Re(e^{i theta} z) <= delta_1 misses
+    # every node of the grid gets its sign without g, in calls of several
+    # angles (small grids) and of one (a 150x110 node grid); the curves stay
+    # those of g at every node.  A window 1e150 out once made the angles near
+    # pi/2 overflow there.
+    angles = []
+    plain = envelope_module.g_field
+
+    def counting(block, s, t, which="max"):
+        angles.append(len(block))
+        return plain(block, s, t, which=which)
+
+    stack = build_frames(TOEPLITZ, 2, theta_grid(12))
+    edge = float(stack.deltas[0, 0])
+    for window, far in ((Window(edge + 1.0, edge + 3.0, -0.5, 0.5, cols=30, rows=20), False),
+                        (Window(edge + 1.0, edge + 3.0, -0.5, 0.5, cols=300, rows=220), False),
+                        (Window(1e150, 2e150, -1.0, 1.0, cols=120, rows=90), True),
+                        (Window(1e150, 2e150, -1.0, 1.0, cols=300, rows=220), True)):
+        monkeypatch.setattr(envelope_module, "g_field", counting)
+        angles.clear()
+        got = envelope_overlays(stack, window)
+        monkeypatch.undo()
+        if far:
+            assert sum(angles) == 0 and got.polylines == ()
+        else:
+            assert 0 < sum(angles) < len(stack)
+            assert _same_curves(got, _overlays_at_every_node(stack, window))

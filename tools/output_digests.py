@@ -26,6 +26,10 @@ default-size ``curve
 --with-gamma-min`` and ``envelope --format svg`` at k = 2 and 3; and
 ``curve`` and ``envelope`` on windows left of, across and right of the
 band delta_{k+1} <= s <= delta_1, one of them too far out to evaluate g.
+After those come ``envelope`` PGM and SVG at k = 1..3 on windows inside
+the numerical range W(A), straddling its edge and missing it, and the far
+window's ``envelope --format csv``; a new line goes at the end, so the
+lines of an older list can still be compared.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ def _argvs():
                    f"--window={window}", "--with-gamma-min"],
                   ["envelope", "--gallery", "toeplitz_eq1", "--k", "2", "--grid", "120x90",
                    f"--window={window}", "--format", "svg"]]
+    # toeplitz_eq1's numerical range holds the square 0..2 x -1..1 and meets
+    # the line s = 5.78; the window 7..10 misses it
+    for k in ("1", "2", "3"):
+        for window in ("0,2,-1,1", "4,8,-2,2", "7,10,-1,1"):
+            argvs += [["envelope", "--gallery", "toeplitz_eq1", "--k", k, "--grid", "120x90",
+                       f"--window={window}", "--format", fmt] for fmt in ("pgm", "svg")]
+    argvs.append(["envelope", "--gallery", "toeplitz_eq1", "--k", "2", "--grid", "120x90",
+                  "--window=1e150,2e150,-1,1", "--format", "csv"])
     return argvs
 
 
