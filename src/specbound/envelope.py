@@ -59,6 +59,7 @@ from .trace import (
     _FIELD_BLOCK_PAIRS,
     CurveSet,
     Window,
+    _band_box,
     _band_margin,
     _in_band,
     _joined,
@@ -379,16 +380,19 @@ def envelope_overlays(stack, window):
 
     The curve at theta lies in the band delta_{k+1} <= c s - d t <= delta_1,
     with c + i d = e^{i theta}.  An angle whose band misses every node of
-    the grid is filled with 1 in every call, as g has one sign on all its
-    nodes, so it has no active cell and g is evaluated nowhere for it.
-    This band is not widened: the widening keeps the cells that mix
-    evaluated and filled nodes inactive, and such an angle has no evaluated
-    node.  Without it, on a window 1e150 wide, the angles nearest pi/2, whose
+    the grid is filled with 1 in a call of several angles, as g has one
+    sign on all its nodes, and has an empty window when alone in its call,
+    so it has no active cell and g is evaluated nowhere for it.  This band
+    is not widened: the widening keeps the cells that mix evaluated and
+    filled nodes inactive, and such an angle has no evaluated node.
+    Without it, on a window 1e150 wide, the angles nearest pi/2, whose
     rotated abscissae are about 1e-16 of the coordinates, would be evaluated
-    and overflow.  Of the other angles, a call that holds one evaluates g
-    only on the box of its nodes within two cell diagonals of the band and
-    fills the rest by sign (see :func:`specbound.trace._in_band`), and a
-    call of several, which holds their whole grids, evaluates every node,
+    and overflow.  An angle alone in its call is traced only on its window,
+    the box of the nodes within two cell diagonals of its band (see
+    :func:`specbound.trace._band_box`); in each band of the box's rows, g is
+    evaluated only on the part of the box that the band can reach, and the
+    rest is filled by sign (see :func:`specbound.trace._in_band`).  A call
+    of several angles holds their whole grids and evaluates every node,
     because splitting it into one boxed call per angle was no faster there.
     The curves come in angle order and are the same, bit for bit, whatever
     the block sizes, and the same as evaluating g at every node wherever g
@@ -402,19 +406,26 @@ def envelope_overlays(stack, window):
     # monotone in s and in t, so the least and greatest c s and d t over the
     # grid's nodes are those at its least and greatest s and t
     ph = np.exp(1j * stack.theta[:, None, None])[:, 0, 0]
+    nodes = grid.node_axes()
     xs, xt = (part[:, None] * [axis.min(), axis.max()]
-              for part, axis in zip((ph.real, ph.imag), grid.node_axes()))
+              for part, axis in zip((ph.real, ph.imag), nodes))
     live = ((xs.min(axis=1) - xt.max(axis=1) <= stack.deltas[:, 0])
             & (xs.max(axis=1) - xt.min(axis=1) >= stack.delta_next))
 
     def field(block, s, t):
         return g_field(block, *_rotate(block.theta[:, None, None], s, t))
 
+    def band(item):
+        return (float(stack.delta_next[item]) - margin, float(stack.deltas[item, 0]) + margin,
+                ph[item].real, ph[item].imag)
+
+    def span(item):
+        return _band_box(*nodes, *band(item)) if live[item] else (0, 0, 0, 0)
+
     def sample(lo, hi, s, t):
         block, alive = stack[lo:hi], live[lo:hi]
-        if hi - lo == 1 and alive[0]:
-            return _in_band(partial(field, block), 1, s, t, float(block.delta_next[0]) - margin,
-                            float(block.deltas[0, 0]) + margin, ph[lo].real, ph[lo].imag)
+        if hi - lo == 1:
+            return _in_band(partial(field, block), 1, s, t, *band(lo))
         if alive.all():
             return field(block, s, t)
         out = np.ones((hi - lo,) + np.broadcast(s, t).shape)
@@ -422,7 +433,7 @@ def envelope_overlays(stack, window):
             out[alive] = field(block[alive], s, t)
         return out
 
-    curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
+    curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack), span)
     return _joined(curves, window, "overlay")
 
 

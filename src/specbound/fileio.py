@@ -216,19 +216,21 @@ def write_svg(path, window, curve_sets, eigenvalues=(), vlines=(), raster=None,
 def curves_csv(curve_sets):
     """CSV text with one row per vertex: curve_id, kind, s, t.
 
-    Curve ids count up in emission order across all given curve sets.
+    Curve ids count up in emission order across all given curve sets, and
+    each coordinate is the ``repr`` of its float.  The text comes from one
+    template, a ``<id>,<kind>,%r,%r`` row per vertex with the ``%`` of the
+    fixed text escaped, and one ``%`` call.
     """
-    rows = ["curve_id,kind,s,t"]
-    curve_id = 0
+    template = ["curve_id,kind,s,t\n"]
+    coords = []
     for cs in curve_sets:
         for poly in cs.polylines:
-            prefix = f"{curve_id},{cs.kind},"
             poly = np.asarray(poly, dtype=float).reshape(-1, 2)
-            rows += [prefix + s + "," + t
-                     for s, t in zip(map(repr, poly[:, 0].tolist()),
-                                     map(repr, poly[:, 1].tolist()))]
-            curve_id += 1
-    return "\n".join(rows) + "\n"
+            row = f"{len(coords)},{cs.kind},".replace("%", "%%") + "%r,%r\n"
+            template.append(row * len(poly))
+            coords.append(poly.ravel())
+    values = np.concatenate(coords).tolist() if coords else []
+    return "".join(template) % tuple(values)
 
 
 def write_curves_csv(path, curve_sets):

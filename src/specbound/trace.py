@@ -9,30 +9,40 @@ produce identical output.
 One sampler and tracer, :func:`_trace_grid`, serves every curve: the
 order-k curve and its lambda_min companion (:func:`gamma_curves`), the
 region-boundary hyperbolas (:func:`hyperbola_set`) and the envelope
-overlays.  It evaluates a batch of fields on the node grid in row bands of
-at most ``_FIELD_BLOCK_PAIRS`` values per call, so memory stays bounded at
-any grid size, and traces them in :func:`trace_batch` passes of at most
-``_TRACE_BLOCK_NODES`` values.  Both budgets are defined here, and the
-results are the same, bit for bit, whatever they are.  A call evaluates
-whole items: the curve and its companion are one item, so they share det
-W_k and M_k in every call, while each hyperbola and each overlay angle is
-an item of its own.
+overlays.  It evaluates a batch of fields in calls of at most
+``_FIELD_BLOCK_PAIRS`` values, so memory stays bounded at any grid size,
+and traces them in passes of at most ``_TRACE_BLOCK_NODES`` values.  Both
+budgets are defined here, and the results are the same, bit for bit,
+whatever they are.  A call evaluates whole items: the curve and its
+companion are one item, so they share det W_k and M_k in every call, while
+each hyperbola and each overlay angle is an item of its own.
 
-An order-k curve lies in the band delta_{k+1} <= x <= delta_1 of its
-frame's abscissa x, where g changes sign, so the samplers of the curve pair
-and of one-angle overlay calls evaluate g only on the box of a call's nodes
-that the band, widened by two cell diagonals, can reach, and fill the nodes
-beyond it by the sign g has there (:func:`_in_band`).  No cell that touches
-a filled node is active, so the curves are those of evaluating g at every
-node, bit for bit.
+Each sampler names the window of nodes where its fields can change sign,
+and an item alone in its call is evaluated only there.  A window is a box
+of nodes, sliced in bands of its rows, or one or two runs of cells per cell
+row, whose corners are sampled as points.  The curve pair's window is the
+box of the node columns within two cell diagonals of the band delta_{k+1}
+<= s <= delta_1 where g changes sign (:func:`_band_box`), that of a
+one-angle overlay call the box its rotated band can reach (where, band by
+band of rows, g is evaluated only where the band can reach and filled by
+sign elsewhere, :func:`_in_band`), and that of a hyperbola the cells within
+rounding of its two branches in each cell row (:func:`_hyperbola_runs`).
+The items of a call of several, the overlay angles of small grids, are
+sampled on the whole grid.  Every cell outside a window has corners of one
+sign, so it is inactive.
 
-:func:`trace_batch` is the one marching-squares pass.  It takes a batch of
-fields sampled on one node grid, with the batch on a leading axis, and works
-on integer edge ids that carry the field's index: it builds every active
-cell's segments from one case table with NumPy, links the whole batch's
-segments in one call, and only then computes the crossing coordinates.  No
-chain crosses two fields, so each field's polylines are those of tracing it
-alone.
+:func:`_march` is the one marching-squares core.  It takes the candidate
+cells of a batch of fields, those whose four corners lie in the windows,
+with their corner values, and works on integer edge ids of the whole grid
+that carry the field's index: it builds every active cell's segments from
+one case table with NumPy, links the whole batch's segments in one call, and
+only then computes the crossing coordinates from the corners.  The
+candidates come in (field, row, column) order, so the segments, and the
+polylines, are those of a pass over every cell of the grid.  No chain
+crosses two fields, so each field's polylines are those of tracing it alone.
+:func:`trace_batch`, for fields sampled at every node, is its whole-grid
+window: it finds the active cells from the edges whose ends differ in sign
+and hands only those on.
 """
 
 from __future__ import annotations
@@ -289,7 +299,8 @@ def _finite_values(f, *args):
 _FIELD_BLOCK_PAIRS = 2 ** 14
 
 # Field values per marching-squares pass in _trace_grid, 8 bytes each: about
-# 2 MiB, or one item when an item holds more.  Under glibc's default,
+# 2 MiB of whole grids, or one item when an item holds more (an item sampled
+# on its window holds fewer).  Under glibc's default,
 # dynamic mmap threshold, which library callers keep, freeing the first
 # block's values lifts the threshold above the field's temporaries (2.3 MB
 # per call at k = 2), so they come from the heap instead of fresh pages: in
@@ -300,22 +311,35 @@ _FIELD_BLOCK_PAIRS = 2 ** 14
 _TRACE_BLOCK_NODES = 2 ** 18
 
 
-def _trace_grid(window, items, sample, kinds):
-    """Sample a batch of fields on the window's node grid and trace them.
+def _trace_grid(window, items, sample, kinds, span=None):
+    """Sample a batch of fields where they can change sign and trace them.
 
     The batch is ``items`` items of ``len(kinds) // items`` fields each, an
     item being what one call evaluates at once.  ``sample(lo, hi, s, t)``
     gives the fields of items lo..hi-1, stacked on a leading axis, at the
     points s + i t of two arrays that broadcast together: a row of node
-    abscissae and a column of node ordinates for a band of the grid, or two
-    1-d arrays for the centers of saddle cells.  Each call gets whole items
-    and at most ``_FIELD_BLOCK_PAIRS`` values: a few items when the grid is
-    small, else a band of grid rows of one item.  Each marching-squares pass
-    takes whole items and at most ``_TRACE_BLOCK_NODES`` values, or one item
-    when an item holds more.  Returns one CurveSet per field, the same, bit
-    for bit, whatever the budgets.  Raises FloatingPointError when a field
-    is not finite at some node, and ParameterError when ``sample`` does not
-    give one value per node.
+    abscissae and a column of node ordinates for a box of the grid, or two
+    1-d arrays of points for the corners of cell runs or the centers of
+    saddle cells.  Each call gets whole items and at most ``_FIELD_BLOCK_PAIRS``
+    values: the whole grids of a few items when the grid is small, else one
+    item.  The items of a call of several are sampled on the whole grid.  An
+    item alone in its call is sampled only on its window, ``span(item)``
+    (the whole grid without ``span``), which is either
+      - a box ``(r0, r1, c0, c1)`` of node rows r0..r1-1 and columns
+        c0..c1-1, sliced in bands of its rows, or
+      - cell runs, a (3, m) int array of rows (cell row j, first cell a, end
+        e) for the cells a..e-1 of cell row j, sorted by (j, a) and
+        disjoint, whose corners are sampled as points.
+    ``span`` must leave out only cells whose corners share one sign.
+    Marching squares classifies only the candidate cells, those whose four
+    corners lie in the window, and of a box only the cells an edge of which
+    changes sign.  Each marching-squares pass takes whole items and at most
+    ``_TRACE_BLOCK_NODES`` sampled values of whole grids, or one item when
+    an item holds more.  Returns one CurveSet per field, the same, bit for
+    bit, whatever the budgets, and the same as sampling every node wherever
+    the fields are finite there.  Raises FloatingPointError when a field is
+    not finite at some sampled node, and ParameterError when ``sample`` does
+    not give one value per node.
     """
     width = len(kinds) // items
 
@@ -324,28 +348,116 @@ def _trace_grid(window, items, sample, kinds):
         return sample(item, item + 1, s, t).reshape(width, -1)[field]
 
     rows, cols = window.rows, window.cols
-    s_nodes, t_nodes = window.node_axes()
-    t_nodes = t_nodes[:, None]
+    nodes = window.node_axes()
     item_values = width * rows * cols
     per_pass = max(1, _TRACE_BLOCK_NODES // item_values)
     per_call = max(1, _FIELD_BLOCK_PAIRS // item_values)
-    band = max(1, _FIELD_BLOCK_PAIRS // (width * cols))
     curves = []
     for lo in range(0, items, per_pass):
         hi = min(lo + per_pass, items)
-        vals = np.empty(((hi - lo) * width, rows, cols))
-        for a in range(lo, hi, per_call):
-            b = min(a + per_call, hi)
-            for r in range(0, rows, band):
-                part = vals[(a - lo) * width:(b - lo) * width, r:r + band]
-                values = _finite_values(sample, a, b, s_nodes, t_nodes[r:r + band])
-                if values.shape != part.shape:
-                    raise ParameterError("need one value per grid node")
-                part[...] = values
+        # items lo..alone-1 share calls; the rest are alone in theirs: all
+        # when a call holds one item, else at most the last
+        if span is None:
+            alone = hi
+        elif per_call == 1:
+            alone = lo
+        else:
+            alone = hi - ((hi - lo) % per_call == 1)
+        # each piece keeps only the candidate cells of its values, and no
+        # values outlive their piece
+        pieces = []
+        if alone > lo:
+            pieces.append(_box_cells(_box_values(sample, lo, alone, per_call, width,
+                                                 (0, rows, 0, cols), *nodes), 0, 0, 0))
+        for item in range(alone, hi):
+            win = span(item)
+            first = (item - lo) * width
+            if isinstance(win, tuple):
+                pieces.append(_box_cells(_box_values(sample, item, item + 1, 1, width, win, *nodes),
+                                         first, win[0], win[2]))
+            else:
+                pieces.append(_run_cells(sample, item, width, win, *nodes, first))
         fields = range(lo * width, hi * width)
-        curves += trace_batch(vals, window, [partial(at_centers, f) for f in fields],
-                              [kinds[f] for f in fields])
+        curves += _march(window, [np.concatenate(part, axis=-1) for part in zip(*pieces)],
+                         [partial(at_centers, f) for f in fields], [kinds[f] for f in fields])
     return curves
+
+
+def _box_values(sample, lo, hi, per_call, width, box, s_nodes, t_nodes):
+    """The fields of items lo..hi-1 at the nodes of a box, as (fields, rows, cols).
+
+    One call per ``per_call`` items and band of grid rows, cut to the box.
+    The bands are those of the whole grid, of at most
+    ``_FIELD_BLOCK_PAIRS`` values or one row: so a box holds no more values
+    per call than the whole grid, and a one-angle overlay call, which boxes
+    its band band by band again (:func:`_in_band`), evaluates no more nodes.
+    A box with fewer than two rows or columns holds no cell and is not
+    sampled.
+    """
+    r0, r1, c0, c1 = box
+    if r1 - r0 < 2 or c1 - c0 < 2:
+        return np.empty(((hi - lo) * width, 0, 0))
+    vals = np.empty(((hi - lo) * width, r1 - r0, c1 - c0))
+    s = s_nodes[c0:c1]
+    for a in range(lo, hi, per_call):
+        b = min(a + per_call, hi)
+        band = max(1, _FIELD_BLOCK_PAIRS // ((b - a) * width * len(s_nodes)))
+        for r in range(r0 - r0 % band, r1, band):
+            top, end = max(r, r0), min(r + band, r1)
+            part = vals[(a - lo) * width:(b - lo) * width, top - r0:end - r0]
+            values = _finite_values(sample, a, b, s, t_nodes[top:end, None])
+            if values.shape != part.shape:
+                raise ParameterError("need one value per grid node")
+            part[...] = values
+    return vals
+
+
+def _box_cells(vals, first, r0, c0):
+    """The active cells of fields sampled on a box of nodes, with their corner values.
+
+    ``vals[f, j, i]`` is field ``first + f`` at grid node (r0 + j, c0 + i).
+    A cell is active when one of its four edges changes sign, so its case
+    is computed for those cells alone.  Returns (field, row, column,
+    corners) in (field, row, column) order, as :func:`_march` takes them.
+    """
+    _, rows, cols = vals.shape
+    inside = vals >= 0.0
+    across = inside[:, :, 1:] != inside[:, :, :-1]
+    up = inside[:, 1:] != inside[:, :-1]
+    active = across[:, 1:] | across[:, :-1]
+    active |= up[:, :, 1:]
+    active |= up[:, :, :-1]
+    cb, cj, ci = np.nonzero(active)
+    node = (cb * rows + cj) * cols + ci
+    corners = vals.reshape(-1)[np.stack([node, node + 1, node + cols + 1, node + cols])]
+    return cb + first, cj + r0, ci + c0, corners
+
+
+def _run_cells(sample, item, width, runs, s_nodes, t_nodes, first):
+    """The cells of one item's cell runs (see :func:`_trace_grid`), with their corner values.
+
+    The four corners of each cell are sampled as points, in calls of at
+    most ``_FIELD_BLOCK_PAIRS`` values or one cell; a node that several
+    cells share is sampled in each, to the same value.  The item's fields
+    are ``first`` onwards.  Returns (field, row, column, corners) in (field,
+    row, column) order, as :func:`_march` takes them.
+    """
+    j, a, e = runs
+    run = np.repeat(np.arange(len(j)), e - a)
+    cj = j[run]
+    ci = a[run] + np.arange(run.size) - (np.cumsum(e - a) - (e - a))[run]
+    cols, rows = np.stack([ci, ci + 1, ci + 1, ci]), np.stack([cj, cj, cj + 1, cj + 1])
+    corners = np.empty((width, 4, ci.size))
+    step = max(1, _FIELD_BLOCK_PAIRS // (4 * width))
+    for p in range(0, ci.size, step):
+        part = corners[:, :, p:p + step]
+        got = _finite_values(sample, item, item + 1, s_nodes[cols[:, p:p + step]].ravel(),
+                             t_nodes[rows[:, p:p + step]].ravel())
+        if got.size != part.size:
+            raise ParameterError("need one value per grid node")
+        part[...] = got.reshape(part.shape)
+    return (np.repeat(np.arange(first, first + width), ci.size), np.tile(cj, width),
+            np.tile(ci, width), corners.transpose(1, 0, 2).reshape(4, -1))
 
 
 def _joined(curves, window, kind):
@@ -367,48 +479,55 @@ def trace_batch(vals, window, centers, kinds):
     centers of field b's saddle cells, and only when there are any;
     FloatingPointError is raised when a value there is not finite.  Returns
     one CurveSet per field, of kind ``kinds[b]``, the same that tracing the
-    field on its own gives.
-
-    Edges get integer ids that carry the field's index b: with E = rows
-    (cols - 1) + (rows - 1) cols edges per grid, the horizontal edge from
-    node (j, i) to (j, i + 1) is b E + j (cols - 1) + i, and the vertical
-    edge from (j, i) to (j + 1, i) is b E + rows (cols - 1) + j cols + i.
-    Every active cell's segments come from one case table, all segments of
-    the batch are linked in one pass, and no chain crosses two fields, so
-    each field's polylines come out in the order and with the vertices of
-    its own pass.
+    field on its own gives.  This is the whole-grid window of the one
+    marching-squares core, :func:`_march`.
     """
     rows, cols = window.rows, window.cols
     vals = np.asarray(vals, dtype=float)
     if vals.ndim != 3 or vals.shape[1:] != (rows, cols) or not (
             len(vals) == len(centers) == len(kinds)):
         raise ParameterError("need one value per grid node, a center and a kind per field")
-    count = len(vals)
+    return _march(window, _box_cells(vals, 0, 0, 0), centers, kinds)
+
+
+def _march(window, cells, centers, kinds):
+    """Marching squares over the candidate cells of a batch of fields.
+
+    ``cells`` is (field, row, column, corners): cell (j, i) of field b has
+    node (s_i, t_j) of ``window.node_axes()`` at its lower left, and
+    ``corners[:, n]`` holds cell n's values at nodes (j, i), (j, i + 1),
+    (j + 1, i + 1) and (j + 1, i).  The cells come in (field, row, column)
+    order, and every cell left out has corners of one sign.  ``centers`` and
+    ``kinds`` are those of :func:`trace_batch`.
+
+    Edges get integer ids that carry the field's index b: with E = rows
+    (cols - 1) + (rows - 1) cols edges per grid, the horizontal edge from
+    node (j, i) to (j, i + 1) is b E + j (cols - 1) + i, and the vertical
+    edge from (j, i) to (j + 1, i) is b E + rows (cols - 1) + j cols + i.
+    So the ids, and the order in which the active cells give their
+    segments, are those of a pass over every cell of the grid.  Every active
+    cell's segments come from one case table, all segments of the batch are
+    linked in one pass, and no chain crosses two fields, so each field's
+    polylines come out in the order and with the vertices of its own pass.
+    """
+    rows, cols = window.rows, window.cols
+    count = len(kinds)
     s_nodes, t_nodes = window.node_axes()
     ds = s_nodes[1] - s_nodes[0]
     dt = t_nodes[1] - t_nodes[0]
-    inside = vals >= 0.0
-
-    b0 = inside[:, :-1, :-1]
-    b1 = inside[:, :-1, 1:]
-    b2 = inside[:, 1:, 1:]
-    b3 = inside[:, 1:, :-1]
-    case = (
-        b0.astype(np.uint8)
-        + (b1.astype(np.uint8) << 1)
-        + (b2.astype(np.uint8) << 2)
-        + (b3.astype(np.uint8) << 3)
-    )
-    cb, cj, ci = np.nonzero((case != 0) & (case != 15))
-    row = case[cb, cj, ci].astype(np.intp)
+    cb, cj, ci, corners = cells
+    inside = corners >= 0.0
+    row = inside[0] + 2 * inside[1] + 4 * inside[2] + 8 * inside[3]
+    active = (row != 0) & (row != 15)
+    cb, cj, ci, corners, row = cb[active], cj[active], ci[active], corners[:, active], row[active]
 
     # Resolve saddle cells with one center evaluation per field.
     saddle = np.nonzero((row == 5) | (row == 10))[0]
     for b in sorted(set(cb[saddle].tolist())):
-        cells = saddle[cb[saddle] == b]
-        center_vals = _finite_values(centers[b], s_nodes[ci[cells]] + 0.5 * ds,
-                                     t_nodes[cj[cells]] + 0.5 * dt)
-        outside = cells[~(center_vals >= 0.0)]
+        picked = saddle[cb[saddle] == b]
+        center_vals = _finite_values(centers[b], s_nodes[ci[picked]] + 0.5 * ds,
+                                     t_nodes[cj[picked]] + 0.5 * dt)
+        outside = picked[~(center_vals >= 0.0)]
         row[outside] = 16 + (row[outside] == 10)
 
     # Global ids of each cell's bottom, right, top and left edges, then the
@@ -421,13 +540,20 @@ def trace_batch(vals, window, centers, kinds):
     pairs = local[np.arange(cj.size)[:, None, None], _SEGMENT_EDGES[row]]
     chains = _link_segments(pairs[_SEGMENT_USED[row]].tolist())
 
-    # Crossing coordinates of the chains' edges, all at once.
+    # Crossing coordinates of the chains' edges, all at once, from the
+    # corners of the cell that has the edge as its bottom or left side, or,
+    # in the top node row or the right node column, as its top or right side.
     edges = np.fromiter(itertools.chain.from_iterable(c.edges for c in chains), dtype=np.intp)
     b, e = np.divmod(edges, per_grid)
     vertical = e >= h_count
     j, i = np.divmod(e - h_count * vertical, cols - 1 + vertical)
-    v1 = vals[b, j, i]
-    tau = v1 / (v1 - vals[b, j + vertical, i + ~vertical])
+    top = ~vertical & (j == rows - 1)
+    right = vertical & (i == cols - 1)
+    cell = np.searchsorted((cb * (rows - 1) + cj) * (cols - 1) + ci,
+                           (b * (rows - 1) + j - top) * (cols - 1) + i - right)
+    v1 = corners[np.where(vertical, right, 3 * top), cell]
+    v2 = corners[np.where(vertical, 3 - right, 1 + top), cell]
+    tau = v1 / (v1 - v2)
     s = np.where(vertical, s_nodes[i], s_nodes[i] + tau * ds)
     t = np.where(vertical, t_nodes[j] + tau * dt, t_nodes[j])
     xy = np.column_stack([s, t])
@@ -456,6 +582,23 @@ def _band_margin(window):
     return 2.0 * window.cell_diagonal
 
 
+def _band_box(s, t, lo, hi, c=1.0, d=0.0):
+    """The box ``(r0, r1, c0, c1)`` of the nodes s_c0..s_{c1-1} x t_r0..t_{r1-1} that a band can reach.
+
+    The band is lo <= x <= hi of the abscissa x = c s - d t, for 1-d node
+    axes ``s`` and ``t``: a column is in the box unless x lies wholly left
+    of lo or wholly right of hi on it, and so is a row.  The bounds are
+    those of x as the rotation rounds it, which is monotone in s and in t.
+    An empty box is (0, 0, 0, 0).
+    """
+    xs, xt = c * s, d * t
+    cols = np.nonzero((xs - xt.min() >= lo) & (xs - xt.max() <= hi))[0]
+    rows = np.nonzero((xs.max() - xt >= lo) & (xs.min() - xt <= hi))[0]
+    if not (cols.size and rows.size):
+        return 0, 0, 0, 0
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 def _in_band(field, count, s, t, lo, hi, c=1.0, d=0.0):
     """``field(s, t)`` on a block of grid nodes, evaluated only where a curve can cross.
 
@@ -465,26 +608,20 @@ def _in_band(field, count, s, t, lo, hi, c=1.0, d=0.0):
     congruent to diag(delta_j - x), so g and its lambda_min companion are
     > 0 where x < delta_{k+1} and < 0 where x > delta_1.  ``lo`` and ``hi``
     are the band widened by :func:`_band_margin`.  For a row ``s`` of node
-    abscissae and a column ``t`` of node ordinates, a node whose column or
-    row lies wholly left of ``lo`` gets +1 and one whose column or row lies
-    wholly right of ``hi`` gets -1; ``field`` is evaluated on the box of the
-    other columns and rows only.  The bounds are those of x as the rotation
-    rounds it, which is monotone in s and in t.  Saddle centers (1-d ``s``
-    and ``t``) lie in active cells and are evaluated as given.
+    abscissae and a column ``t`` of node ordinates, ``field`` is evaluated
+    on their :func:`_band_box` only; a node whose column or row lies wholly
+    left of ``lo`` gets +1 and one whose column or row lies wholly right of
+    ``hi`` gets -1.  Saddle centers (1-d ``s`` and ``t``) lie in active
+    cells and are evaluated as given.
     """
     if np.ndim(t) < 2:
         return field(s, t)
-    # x = xs - xt at each node; its least and greatest value in each column and row
     xs, xt = c * s, d * t[:, 0]
-    col_lo, col_hi = xs - xt.max(), xs - xt.min()
-    row_lo, row_hi = xs.min() - xt, xs.max() - xt
-    right = (col_lo > hi) | (row_lo > hi)[:, None]
+    right = (xs - xt.max() > hi) | (xs.min() - xt > hi)[:, None]
     out = np.empty((count,) + right.shape)
     out[...] = np.where(right, -1.0, 1.0)
-    cols = np.nonzero((col_hi >= lo) & (col_lo <= hi))[0]
-    rows = np.nonzero((row_hi >= lo) & (row_lo <= hi))[0]
-    if cols.size and rows.size:
-        r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    r0, r1, c0, c1 = _band_box(s, t[:, 0], lo, hi, c, d)
+    if r1 > r0:
         out[:, r0:r1, c0:c1] = field(s[c0:c1], t[r0:r1])
     return out
 
@@ -497,20 +634,21 @@ def gamma_curves(frame, window, which=("max", "min")):
 
     g and its lambda_min companion share det W_k and M_k, so both are
     evaluated on the node grid at once and traced as a batch.  Both lie in
-    the band delta_{k+1} <= s <= delta_1, and g is evaluated only on the
-    node columns within :func:`_band_margin` of it (see :func:`_in_band`);
-    the columns beyond hold +1 on the left and -1 on the right, and no cell
-    that touches them is active.  Returns one CurveSet per item of
-    ``which``, each the same, bit for bit, as a call with that item alone
-    and as sampling g at every node.
+    the band delta_{k+1} <= s <= delta_1, left of which both are positive
+    and right of which both are negative (see :func:`_in_band`), so their
+    window is the box of the node columns within :func:`_band_margin` of
+    the band, sliced in bands of rows.  No cell that touches a column beyond
+    it is active.  Returns one CurveSet per item of ``which``, each the
+    same, bit for bit, as a call with that item alone and as sampling g at
+    every node.
     """
     which = tuple(which)
     field = partial(g_field, frame, which=which)
     margin = _band_margin(window)
-    lo, hi = frame.delta_next - margin, float(frame.deltas[0]) + margin
-    curves = _trace_grid(window, 1,
-                         lambda a, b, s, t: _in_band(field, len(which), s, t, lo, hi),
-                         [_GAMMA_KINDS[side] for side in which])
+    box = _band_box(*window.node_axes(), frame.delta_next - margin,
+                    float(frame.deltas[0]) + margin)
+    curves = _trace_grid(window, 1, lambda a, b, s, t: field(s, t),
+                         [_GAMMA_KINDS[side] for side in which], lambda item: box)
     return tuple(_flag_degenerate(cs, frame) for cs in curves)
 
 
@@ -524,12 +662,71 @@ def _flag_degenerate(cs, frame):
     return cs
 
 
+# Rounding bound of the hyperbola field, relative to |c| + R (32 units in
+# the last place), and an absolute floor far above its underflow.
+_HYPERBOLA_ROUNDING = 2.0 ** -48
+_HYPERBOLA_FLOOR = 2.0 ** -500
+
+
+def _hyperbola_runs(c, r, s_nodes, t_nodes):
+    """Cell runs of the node grid where (s - c)^2 - t^2 - r^2 can change sign.
+
+    In node row t the branches cross at X = c -+ R with R = hypot(t, r),
+    which does not overflow where t^2 + r^2 would.  Let f be the field as
+    evaluated, (s - c)^2 - t^2 - r^2 with r^2 rounded.  Its rounding is at
+    most about 4u ((s - c)^2 + R^2), with u = 2^-53, and X as computed is
+    within about 3u (|c| + R) of the exact crossing.  A node more than
+    delta = 32u (|c| + R) from the computed X lies a distance d > 29u (|c| +
+    R) from the exact one, where |f| >= d (2R + d) outside the branches and
+    |f| >= d (2R - d) >= d R between them; either exceeds the rounding.  So
+    the computed f has the sign of its side there: >= 0 left of the left
+    branch and right of the right one, < 0 between them.  In a usual window,
+    where the node spacing ds is far above u R, already the node one column
+    past a crossing is such a node: |f| >= ds (2R + ds) against rounding of
+    about u R^2.  A floor of 2^-500 on delta keeps the bound above
+    underflow.
+
+    For each cell row, each branch's run spans the nodes within delta of
+    the crossings of both node rows of the cell, plus one column on each
+    side, so that every cell outside it has four corners of one sign.  The
+    two runs merge where they meet: near the vertex, where the branches are
+    less than a few columns apart (for the line cross of r = 0, around t =
+    0), and wherever the node spacing is small beside the rounding.  Between
+    two runs that stay apart, f < 0 by the same bound.  A row whose bounds
+    are not finite gets the whole row.  Returns the runs as
+    :func:`_trace_grid` takes them.
+    """
+    cols = len(s_nodes)
+    radius = np.hypot(t_nodes, r)
+    delta = _HYPERBOLA_ROUNDING * (abs(c) + radius) + _HYPERBOLA_FLOOR
+    branches = []
+    for x in (c - radius, c + radius):
+        lo, hi = x - delta, x + delta
+        bad = ~(np.isfinite(lo) & np.isfinite(hi))
+        first = np.where(bad, 0, np.searchsorted(s_nodes, lo))
+        last = np.where(bad, cols - 1, np.searchsorted(s_nodes, hi, side="right") - 1)
+        branches.append((np.maximum(np.minimum(first[:-1], first[1:]) - 1, 0),
+                         np.minimum(np.maximum(last[:-1], last[1:]) + 1, cols - 1)))
+    (a0, e0), (a1, e1) = branches
+    meet = e0 >= a1
+    apart = ~meet
+    rows = np.arange(len(t_nodes) - 1)
+    runs = np.stack([np.concatenate([rows, rows[apart]]),
+                     np.concatenate([a0, a1[apart]]),
+                     np.concatenate([np.where(meet, e1, e0), e1[apart]])])
+    runs = runs[:, runs[2] > runs[1]]
+    return runs[:, np.lexsort((runs[1], runs[0]))]
+
+
 def hyperbola_set(deltas, k, window):
     """Region-boundary hyperbolas for the diagonal-block analysis.
 
     One curve (s - (d_j + d_i)/2)^2 - t^2 = ((d_j - d_i)/2)^2 per pair
     j < i among the first k+1 deltas, clipped to the window.  Equal deltas
-    degenerate into the line pair t = +-(s - d_j).
+    degenerate into the line pair t = +-(s - d_j).  Each pair is sampled
+    only at the corners of the cells within a column or two of its
+    branches (:func:`_hyperbola_runs`), so the curves are those of sampling
+    every node wherever the field is finite there.
     """
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 1 or d.size < k + 1:
@@ -540,12 +737,15 @@ def hyperbola_set(deltas, k, window):
         raise ParameterError("deltas must be non-increasing")
     pairs = list(itertools.combinations(range(k + 1), 2))
     center = np.array([0.5 * (d[j] + d[i]) for j, i in pairs])
-    rad_sq = np.array([(0.5 * (d[j] - d[i])) ** 2 for j, i in pairs])
+    half = np.array([0.5 * (d[j] - d[i]) for j, i in pairs])
+    rad_sq = np.array([h ** 2 for h in half.tolist()])
+    nodes = window.node_axes()
 
     def sample(lo, hi, s, t):
         return (s - center[lo:hi, None, None]) ** 2 - t ** 2 - rad_sq[lo:hi, None, None]
 
-    curves = _trace_grid(window, len(pairs), sample, ["hyperbola"] * len(pairs))
+    curves = _trace_grid(window, len(pairs), sample, ["hyperbola"] * len(pairs),
+                         lambda item: _hyperbola_runs(center[item], abs(half[item]), *nodes))
     return _joined(curves, window, "hyperbola")
 
 

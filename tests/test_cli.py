@@ -768,6 +768,24 @@ def test_curve_memory_is_bounded(tmp_path):
     assert peak < 20 * 2 ** 20
 
 
+def test_curve_memory_is_bounded_at_order_4(tmp_path):
+    # 10 hyperbolas on the default 800 x 600 grid, where one dense array of
+    # them would take 38 MB: each is sampled on runs of cells near its
+    # branches, and the curve pair on its band box, in calls no larger than
+    # those of the whole grid.  The peak is 5.8 MiB, against 11.33 MiB when
+    # every hyperbola node and the pair's whole grid were sampled
+    args = ["curve", "--gallery", "random_complex:n=6,seed=3", "--k", "4", "--with-gamma-min",
+            "--with-hyperbolas", "--out", str(tmp_path / "c.svg")]
+    tracemalloc.start()
+    try:
+        rc = main(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 6.5 * 2 ** 20
+
+
 def test_byte_identical_reruns(tmp_path):
     args_sets = [
         ["curve", "--gallery", "pair_A:eps=0.45", "--k", "2", "--grid", "200x160",

@@ -853,7 +853,8 @@ def _overlays_at_every_node(stack, window):
 
 def test_band_sampling_equals_sampling_every_node(monkeypatch):
     # gamma_curves and envelope_overlays evaluate g only within a margin of
-    # the band delta_{k+1} <= x <= delta_1 and fill the nodes beyond it by
+    # the band delta_{k+1} <= x <= delta_1, on its box (trace._band_box),
+    # and one-angle overlay calls fill the box's nodes beyond the band by
     # sign (trace._in_band); their curves must be those of g sampled at
     # every node.  With the default budget these grids put whole angles in
     # each overlay call, which evaluate every node; a budget of 64 values

@@ -87,6 +87,21 @@ def _reference_csv(curve_sets):
     return "\n".join(rows) + "\n"
 
 
+def _row_join_csv(curve_sets):
+    """curves_csv as a join of rows, a list of reprs per polyline, the writer the template replaced."""
+    rows = ["curve_id,kind,s,t"]
+    curve_id = 0
+    for cs in curve_sets:
+        for poly in cs.polylines:
+            prefix = f"{curve_id},{cs.kind},"
+            poly = np.asarray(poly, dtype=float).reshape(-1, 2)
+            rows += [prefix + s + "," + t
+                     for s, t in zip(map(repr, poly[:, 0].tolist()),
+                                     map(repr, poly[:, 1].tolist()))]
+            curve_id += 1
+    return "\n".join(rows) + "\n"
+
+
 WINDOW = Window(-1.25, 3.0, -2.0, 1.7, cols=9, rows=6)
 
 
@@ -146,15 +161,18 @@ def test_paths_match_the_per_vertex_loop():
 
 def test_csv_matches_the_per_vertex_loop():
     # negative zero, subnormals, the largest float and large exponents print
-    # with repr in both
+    # with repr in all three writers; a % in a kind is written as it is, and
+    # a polyline without vertices takes a curve id but writes no row
     values = [[-0.0, 0.0], [5e-324, -2.2250738585072014e-308],
               [1.7976931348623157e308, -1e300], [1e-300, 123456789.12345679],
               [0.1, -1.0 / 3.0]]
     rng = np.random.default_rng(2)
     scattered = rng.normal(size=(30, 2)) * 10.0 ** rng.integers(-20, 20, (30, 2))
     curve_sets = [_curves("gamma_max", values, [[7.0, -7.0]]), _curves("hyperbola"),
-                  _curves("overlay", scattered)]
+                  _curves("overlay", scattered), _curves("odd%s 5% %%r", [[1.5, -2.5]], []),
+                  _curves("after", [[3.0, 4.0]])]
     got = curves_csv(curve_sets)
-    assert got == _reference_csv(curve_sets)
+    assert got == _reference_csv(curve_sets) == _row_join_csv(curve_sets)
     assert "0,gamma_max,-0.0,0.0\n" in got and "0,gamma_max,5e-324," in got
+    assert "3,odd%s 5% %%r,1.5,-2.5\n5,after,3.0,4.0\n" in got
     assert curves_csv([]) == _reference_csv([]) == "curve_id,kind,s,t\n"

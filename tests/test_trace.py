@@ -13,6 +13,9 @@ from specbound import (
     hyperbola_set,
     point_in_polygon,
 )
+import specbound.trace as trace_module
+from specbound import build_frames, gallery_entries, theta_grid
+from specbound.envelope import _rotate, envelope_overlays
 from specbound.inequality import g_field
 from specbound.trace import trace_batch
 from conftest import random_complex, trace_field
@@ -381,6 +384,152 @@ def test_hyperbola_set_in_one_pass_matches_the_pair_loop(k):
             got = hyperbola_set(d, k, win)
             want = _reference_hyperbola_set(d, k, win)
             assert (got.kind, got.window) == ("hyperbola", win)
+            assert _same_curves(got, want)
+
+
+def _pair_at_every_node(frame, window):
+    """gamma_curves with g sampled at every node: the tracer without windows."""
+    return trace_module._trace_grid(
+        window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=("max", "min")),
+        ["gamma_max", "gamma_min"])
+
+
+def test_windowed_gamma_pair_equals_the_whole_grid():
+    # the pair's window is the box of the node columns near its band; at
+    # every order of every gallery matrix and of seeded random_complex ones,
+    # on the auto_window at two aspects and on windows cut through the band
+    # and beyond it, the curves are those of sampling every node
+    mats = [build_matrix(MatrixSpec(name)) for name, _, _ in gallery_entries()]
+    mats += [build_matrix(MatrixSpec("random_complex", {"n": n, "seed": seed}))
+             for n, seed in ((3, 2), (5, 3), (6, 11))]
+    for a in mats:
+        for k in range(1, a.shape[0]):
+            frame = build_frame(a, k)
+            lo, hi = frame.delta_next, float(frame.deltas[0])
+            windows = [auto_window(frame, cols=61, rows=45), auto_window(frame, cols=23, rows=70),
+                       Window(0.5 * (lo + hi), hi + 1.0, -1.0, 2.0, cols=31, rows=19),
+                       Window(hi + 0.5, hi + 2.0, -1.0, 1.0, cols=12, rows=9)]
+            for window in windows:
+                got = gamma_curves(frame, window)
+                want = _pair_at_every_node(frame, window)
+                assert all(_same_curves(g, w) for g, w in zip(got, want)), (k, window)
+
+
+def _hyperbola_windows(d):
+    """Windows for the hyperbolas of the deltas d, mostly on integer nodes.
+
+    The first has unit steps and a node row at t = 0; the next five have
+    dt/ds = 0.1, 0.5, 1, 3 and 10; two have an edge through the vertex
+    (d_0, 0) of the first pair; and the last two lie wholly right of every
+    branch and between the branches of the pair (d_0, d_k).
+    """
+    lo, hi = float(np.floor(d[-1])) - 4.0, float(np.ceil(d[0])) + 4.0
+    span = hi - lo
+    steps = [(1.0, 0.1), (0.5, 0.25), (0.25, 0.25), (0.2, 0.6), (0.1, 1.0)]
+    windows = [Window(lo, hi, -6.0, 6.0, cols=int(span) + 1, rows=13)]
+    windows += [Window(lo, hi, -6.0, 6.0, cols=int(round(span / ds)) + 1,
+                       rows=int(round(12.0 / dt)) + 1) for ds, dt in steps]
+    windows += [Window(d[0], d[0] + 3.0, -1.5, 1.5, cols=25, rows=31),
+                Window(d[0] - 2.0, d[0] + 2.0, 0.0, 2.0, cols=33, rows=17),
+                Window(hi + 40.0, hi + 60.0, -1.0, 1.0, cols=21, rows=11)]
+    if d[0] - d[-1] > 1.0:
+        mid = 0.5 * (d[0] + d[-1])
+        windows.append(Window(mid - 0.2, mid + 0.2, -0.1, 0.1, cols=9, rows=7))
+    return windows
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("pairs", [1, 64])
+def test_windowed_hyperbolas_equal_the_whole_grid(monkeypatch, k, pairs):
+    # each pair alone in its call is sampled only on runs of cells around
+    # its branches: with these field budgets every call holds one pair, and
+    # one run or a few runs; equal deltas make line crosses, whose crossings
+    # on these grids fall on the nodes, and so do those of integer deltas in
+    # the node row t = 0
+    monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", pairs)
+    rng = np.random.default_rng(k)
+    delta_sets = [np.arange(k, -1, -1.0) * 2.0, np.full(k + 1, 1.0),
+                  np.repeat([2.0, -1.0], k + 1)[::2][:k + 1] if k > 1 else [2.0, 2.0],
+                  np.sort(rng.normal(size=k + 1))[::-1] * 2.3,
+                  build_frame(TOEPLITZ, min(k, 3)).deltas[:k + 1] if k < 4 else [5, 3, 3, 0, 0]]
+    for deltas in delta_sets:
+        d = np.asarray(deltas, dtype=float)[:k + 1]
+        for win in _hyperbola_windows(d):
+            got = hyperbola_set(d, k, win)
+            want = _reference_hyperbola_set(d, k, win)
+            assert _same_curves(got, want), (d, win)
+
+
+def test_hyperbolas_take_values_only_near_their_branches(monkeypatch):
+    # the three pairs of a 400 x 300 grid are sampled on runs of a few
+    # cells per row, not on the 120,000 nodes of each grid
+    sampled = []
+
+    def counted(f, *args):
+        vals = sample_values(f, *args)
+        sampled.append(vals.size)
+        return vals
+
+    sample_values = trace_module._finite_values
+    monkeypatch.setattr(trace_module, "_finite_values", counted)
+    frame = build_frame(TOEPLITZ, 2)
+    win = auto_window(frame, cols=400, rows=300)
+    got = hyperbola_set(frame.deltas, 2, win)
+    monkeypatch.undo()
+    assert _same_curves(got, _reference_hyperbola_set(frame.deltas, 2, win))
+    assert 0 < sum(sampled) < 3 * 300 * 30
+
+
+def test_hyperbolas_beyond_the_window_are_not_sampled():
+    # (s - c)^2 - t^2 - r^2 overflows between the branches in the rows with
+    # |t| near 1e154, whose crossings lie beyond the window, so sampling
+    # every node fails; t^2 + r^2 overflows there too, but hypot(t, r) does
+    # not, so the runs leave those rows out and the pair traces, as the
+    # whole grid does with its overflowing values left in
+    d = np.array([1e154, -1e154])
+    win = Window(-1.2e154, 1.2e154, -1e154, 1e154, cols=41, rows=21)
+    c, rad_sq = 0.5 * (d[0] + d[1]), (0.5 * (d[0] - d[1])) ** 2
+
+    def f(s, t):
+        return (s - c) ** 2 - t ** 2 - rad_sq
+
+    with pytest.raises(FloatingPointError):
+        _reference_hyperbola_set(d, 1, win)
+    with np.errstate(all="ignore"):
+        vals = f(*np.meshgrid(*win.node_axes()))
+    assert not np.all(np.isfinite(vals))
+    want = trace_batch(vals[None], win, [f], ["hyperbola"])[0]
+    got = hyperbola_set(d, 1, win)
+    assert len(got.polylines) == 2 and _same_curves(got, want)
+
+
+def test_one_angle_overlay_boxes_equal_the_whole_grid(monkeypatch):
+    # with a field budget below two overlay grids, every overlay call holds
+    # one angle and its window is the box of its band; the curves are those
+    # of sampling every node, on the auto_window, a window cut through the
+    # band and one beyond it
+    def at_every_node(stack, window):
+        grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
+                      cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
+
+        def sample(lo, hi, s, t):
+            return g_field(stack[lo:hi], *_rotate(stack.theta[lo:hi, None, None], s, t))
+
+        curves = trace_module._trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
+        return trace_module._joined(curves, window, "overlay")
+
+    for a, k in ((TOEPLITZ, 2), (random_complex(5, seed=3), 3), (A_TILDE, 1)):
+        frame = build_frame(a, k)
+        stack = build_frames(a, k, theta_grid(12))
+        lo, hi = frame.delta_next, float(frame.deltas[0])
+        windows = [auto_window(frame, cols=90, rows=70),
+                   Window(0.5 * (lo + hi), hi + 1.0, -1.0, 2.0, cols=61, rows=41),
+                   Window(hi + 30.0, hi + 31.0, 40.0, 41.0, cols=40, rows=30)]
+        for window in windows:
+            want = at_every_node(stack, window)
+            monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", 300)
+            got = envelope_overlays(stack, window)
+            monkeypatch.undo()
             assert _same_curves(got, want)
 
 

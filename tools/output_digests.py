@@ -28,8 +28,11 @@ default-size ``curve
 band delta_{k+1} <= s <= delta_1, one of them too far out to evaluate g.
 After those come ``envelope`` PGM and SVG at k = 1..3 on windows inside
 the numerical range W(A), straddling its edge and missing it, and the far
-window's ``envelope --format csv``; a new line goes at the end, so the
-lines of an older list can still be compared.
+window's ``envelope --format csv``.  Last come ``curve
+--with-hyperbolas`` on a tall window, a wide one and one through the
+hyperbola vertices, at k = 4 on the default grid, and on a window 2e300
+wide.  A new line goes at the end, so the lines of an older list can still
+be compared.
 """
 
 from __future__ import annotations
@@ -76,6 +79,18 @@ def _argvs():
                        f"--window={window}", "--format", fmt] for fmt in ("pgm", "svg")]
     argvs.append(["envelope", "--gallery", "toeplitz_eq1", "--k", "2", "--grid", "120x90",
                   "--window=1e150,2e150,-1,1", "--format", "csv"])
+    # the hyperbolas on a tall window (dt/ds about 15), a wide one (about
+    # 1/30) and one whose bottom edge t = 0 holds every branch vertex
+    # (s = delta_j), then at k = 4 on the default grid
+    for window in ("-1,6,-40,40", "-40,40,-1,1", "-0.5,5.78042109,0,3"):
+        argvs += [["curve", "--gallery", "toeplitz_eq1", "--k", "2", "--grid", "120x90",
+                   f"--window={window}", "--with-hyperbolas", "--format", fmt]
+                  for fmt in ("svg", "csv")]
+    argvs += [["curve", "--gallery", "random_complex:n=6,seed=17", "--k", "4",
+               "--with-hyperbolas", "--format", fmt] for fmt in ("svg", "csv")]
+    # g overflows on this window's band box; the exit code is pinned
+    argvs.append(["curve", "--gallery", "toeplitz_eq1", "--k", "2",
+                  "--window=-1e300,1e300,-1e300,1e300", "--with-hyperbolas", "--format", "csv"])
     return argvs
 
 
