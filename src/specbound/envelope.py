@@ -25,11 +25,11 @@ envelope need not be convex or even connected.  :func:`envelope_overlays`
 draws the order-k curve of every rotated frame in the same (unrotated)
 plane, for figures that show how the envelope is cut out; each angle is one
 item of the sampler and tracer of :mod:`specbound.trace`, whose budgets
-bound the angles per field call and per marching-squares pass.  A call
-that holds one angle, as every call does once a grid holds more than half
-the call budget, evaluates g only on the box of nodes that the angle's
-rotated band delta_{k+1} <= c s - d t <= delta_1 can reach, and no call
-evaluates g for an angle whose band misses every node of the grid.
+bound the nodes per field call and the angles per marching-squares pass.
+g is evaluated only at the nodes that the angle's rotated band
+delta_{k+1} <= c s - d t <= delta_1, widened by two cell diagonals, can
+reach in each row, and never for an angle whose band misses every node of
+the grid.
 :func:`envelope_margins` evaluates g on blocks of (angle, point) pairs
 under the same pair budget.  :func:`rank_numrange_raster` cuts each raster
 row by each half-plane as an interval: the members of a row form a prefix
@@ -41,7 +41,6 @@ cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -59,9 +58,7 @@ from .trace import (
     _FIELD_BLOCK_PAIRS,
     CurveSet,
     Window,
-    _band_box,
-    _band_margin,
-    _in_band,
+    _band_runs,
     _joined,
     _trace_grid,
 )
@@ -374,66 +371,38 @@ def envelope_overlays(stack, window):
     grid at half the raster resolution, max(2, ceil(cols/2)) x
     max(2, ceil(rows/2)) nodes, because an overlay is drawn as a thin line
     over the raster.  Each angle is an item of the tracer in
-    :mod:`specbound.trace`, which evaluates g in bounded blocks of angles or
-    of grid rows and traces a block of angles per marching-squares pass.
-    Saddle cells are resolved at e^{i theta} times the cell center.
+    :mod:`specbound.trace`, which packs the angles into field calls of
+    bounded size, one row of nodes per angle, so each angle's frame
+    constants broadcast over its own row, and traces a block of angles per
+    marching-squares pass.  Saddle cells are resolved at e^{i theta} times
+    the cell center.
 
     The curve at theta lies in the band delta_{k+1} <= c s - d t <= delta_1,
-    with c + i d = e^{i theta}.  An angle whose band misses every node of
-    the grid is filled with 1 in a call of several angles, as g has one
-    sign on all its nodes, and has an empty window when alone in its call,
-    so it has no active cell and g is evaluated nowhere for it.  This band
-    is not widened: the widening keeps the cells that mix evaluated and
-    filled nodes inactive, and such an angle has no evaluated node.
-    Without it, on a window 1e150 wide, the angles nearest pi/2, whose
+    with c + i d = e^{i theta}, where M_k is congruent to diag(delta_j - (c
+    s - d t)): g > 0 left of it and < 0 right of it.  In each node row the
+    angle is sampled only on the run of nodes within two cell diagonals of
+    the band, computed from c s - d t as :func:`_rotate` rounds it (see
+    :func:`specbound.trace._band_runs`); a cell with a corner outside the
+    run lies wholly on one side of the band, so it is inactive.  An angle
+    whose band, not widened, misses every node of the grid has no run, as g
+    has one sign on all its nodes, so g is evaluated nowhere for it.
+    Without that, on a window 1e150 wide, the angles nearest pi/2, whose
     rotated abscissae are about 1e-16 of the coordinates, would be evaluated
-    and overflow.  An angle alone in its call is traced only on its window,
-    the box of the nodes within two cell diagonals of its band (see
-    :func:`specbound.trace._band_box`); in each band of the box's rows, g is
-    evaluated only on the part of the box that the band can reach, and the
-    rest is filled by sign (see :func:`specbound.trace._in_band`).  A call
-    of several angles holds their whole grids and evaluates every node,
-    because splitting it into one boxed call per angle was no faster there.
-    The curves come in angle order and are the same, bit for bit, whatever
-    the block sizes, and the same as evaluating g at every node wherever g
-    is finite.  Raises FloatingPointError when g is not finite at some
-    evaluated node.
+    within the widened band and overflow.  The curves come in angle order
+    and are the same, bit for bit, whatever the block sizes, and the same
+    as evaluating g at every node wherever g is finite.  Raises
+    FloatingPointError when g is not finite at some evaluated node.
     """
     grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
                   cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
-    margin = _band_margin(grid)
-    # c s - d t rounds as _rotate rounds it, and its rounded products are
-    # monotone in s and in t, so the least and greatest c s and d t over the
-    # grid's nodes are those at its least and greatest s and t
-    ph = np.exp(1j * stack.theta[:, None, None])[:, 0, 0]
-    nodes = grid.node_axes()
-    xs, xt = (part[:, None] * [axis.min(), axis.max()]
-              for part, axis in zip((ph.real, ph.imag), nodes))
-    live = ((xs.min(axis=1) - xt.max(axis=1) <= stack.deltas[:, 0])
-            & (xs.max(axis=1) - xt.min(axis=1) >= stack.delta_next))
-
-    def field(block, s, t):
-        return g_field(block, *_rotate(block.theta[:, None, None], s, t))
-
-    def band(item):
-        return (float(stack.delta_next[item]) - margin, float(stack.deltas[item, 0]) + margin,
-                ph[item].real, ph[item].imag)
-
-    def span(item):
-        return _band_box(*nodes, *band(item)) if live[item] else (0, 0, 0, 0)
+    ph = np.exp(1j * stack.theta)
+    runs = _band_runs(grid, stack.delta_next, stack.deltas[:, 0], ph.real, ph.imag)
 
     def sample(lo, hi, s, t):
-        block, alive = stack[lo:hi], live[lo:hi]
-        if hi - lo == 1:
-            return _in_band(partial(field, block), 1, s, t, *band(lo))
-        if alive.all():
-            return field(block, s, t)
-        out = np.ones((hi - lo,) + np.broadcast(s, t).shape)
-        if alive.any():
-            out[alive] = field(block[alive], s, t)
-        return out
+        block = stack[lo:hi]
+        return g_field(block, *_rotate(block.theta[:, None], s, t))
 
-    curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack), span)
+    curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack), runs)
     return _joined(curves, window, "overlay")
 
 

@@ -9,40 +9,32 @@ produce identical output.
 One sampler and tracer, :func:`_trace_grid`, serves every curve: the
 order-k curve and its lambda_min companion (:func:`gamma_curves`), the
 region-boundary hyperbolas (:func:`hyperbola_set`) and the envelope
-overlays.  It evaluates a batch of fields in calls of at most
-``_FIELD_BLOCK_PAIRS`` values, so memory stays bounded at any grid size,
-and traces them in passes of at most ``_TRACE_BLOCK_NODES`` values.  Both
-budgets are defined here, and the results are the same, bit for bit,
-whatever they are.  A call evaluates whole items: the curve and its
-companion are one item, so they share det W_k and M_k in every call, while
-each hyperbola and each overlay angle is an item of its own.
+overlays.  Each sampler names, per item and node row, the runs of node
+columns where its fields can change sign, and only the nodes of the runs
+are sampled, each once: the curve pair's are the columns within two cell
+diagonals of the band delta_{k+1} <= s <= delta_1, an overlay angle's those
+of its rotated band (:func:`_band_runs`), and a hyperbola's the nodes
+within rounding of its two branches (:func:`_hyperbola_runs`).  Every cell
+with a corner outside the runs has corners of one sign, so it is inactive.
+A field call takes whole items, one row of run nodes per item, and at most
+``_FIELD_BLOCK_PAIRS`` values, or part of an item that holds more, so
+memory stays bounded at any grid size; the curve and its companion are one
+item, so they share det W_k and M_k in every call, while each hyperbola and
+each overlay angle is an item of its own.  Marching-squares passes take at
+most ``_TRACE_BLOCK_NODES`` nodes of whole grids.  Both budgets are defined
+here, and the results are the same, bit for bit, whatever they are.
 
-Each sampler names the window of nodes where its fields can change sign,
-and an item alone in its call is evaluated only there.  A window is a box
-of nodes, sliced in bands of its rows, or one or two runs of cells per cell
-row, whose corners are sampled as points.  The curve pair's window is the
-box of the node columns within two cell diagonals of the band delta_{k+1}
-<= s <= delta_1 where g changes sign (:func:`_band_box`), that of a
-one-angle overlay call the box its rotated band can reach (where, band by
-band of rows, g is evaluated only where the band can reach and filled by
-sign elsewhere, :func:`_in_band`), and that of a hyperbola the cells within
-rounding of its two branches in each cell row (:func:`_hyperbola_runs`).
-The items of a call of several, the overlay angles of small grids, are
-sampled on the whole grid.  Every cell outside a window has corners of one
-sign, so it is inactive.
-
-:func:`_march` is the one marching-squares core.  It takes the candidate
-cells of a batch of fields, those whose four corners lie in the windows,
-with their corner values, and works on integer edge ids of the whole grid
-that carry the field's index: it builds every active cell's segments from
-one case table with NumPy, links the whole batch's segments in one call, and
-only then computes the crossing coordinates from the corners.  The
-candidates come in (field, row, column) order, so the segments, and the
-polylines, are those of a pass over every cell of the grid.  No chain
-crosses two fields, so each field's polylines are those of tracing it alone.
-:func:`trace_batch`, for fields sampled at every node, is its whole-grid
-window: it finds the active cells from the edges whose ends differ in sign
-and hands only those on.
+:func:`_march` is the one marching-squares core.  It takes the active cells
+of a batch of fields, found among those whose four corners lie in the runs
+(:func:`_run_cells`), with their corner values, and works on integer edge
+ids of the whole grid that carry the field's index: it builds every active
+cell's segments from one case table with NumPy, links the whole batch's
+segments in one call, and only then computes the crossing coordinates from
+the corners.  The cells come in (field, row, column) order, so the
+segments, and the polylines, are those of a pass over every cell of the
+grid.  No chain crosses two fields, so each field's polylines are those of
+tracing it alone.  :func:`trace_batch`, for fields sampled at every node,
+gives it runs that span every row.
 """
 
 from __future__ import annotations
@@ -230,17 +222,19 @@ class _Chain:
         self.closed = False
 
 
-def _link_segments(segments):
+def _link_segments(flat):
     """Join edge-to-edge segments into chains; deterministic in input order.
 
-    A segment that touches no chain end starts a chain, one that touches one
+    ``flat`` lists the segments' ends in turn: u0, v0, u1, v1, ...  A
+    segment that touches no chain end starts a chain, one that touches one
     end extends that chain (reversed first if the end is its head), and one
     that touches two ends closes a chain or joins the two chains.
     """
     chains = []
     ends = {}
     pop = ends.pop
-    for u, v in segments:
+    it = iter(flat)
+    for u, v in zip(it, it):
         cu = pop(u, None)
         cv = pop(v, None)
         if cu is None and cv is None:
@@ -295,169 +289,169 @@ def _finite_values(f, *args):
 # 1 KiB of temporaries per point.  Under glibc's defaults, small calls also
 # keep the temporaries out of fresh pages: on a 400x300 grid, one call per
 # overlay angle spent two thirds of its time faulting them in (2.3 s against
-# 0.7 s in bands, 120 angles, k = 2).
+# 0.7 s in bands, 120 angles, k = 2).  It also bounds the candidate cells
+# classified at once.
 _FIELD_BLOCK_PAIRS = 2 ** 14
 
-# Field values per marching-squares pass in _trace_grid, 8 bytes each: about
-# 2 MiB of whole grids, or one item when an item holds more (an item sampled
-# on its window holds fewer).  Under glibc's default,
-# dynamic mmap threshold, which library callers keep, freeing the first
-# block's values lifts the threshold above the field's temporaries (2.3 MB
-# per call at k = 2), so they come from the heap instead of fresh pages: in
-# a fresh process, the default 800x600 k = 2 overlays took 1.7-2.0 s and
-# 222k minor faults with 2^16 nodes, and 0.9-1.1 s and 12k with 2^18.
-# cli.main sets the mmap threshold to 32 MiB from the start, so there the
-# first block's temporaries come from the heap as well.
+# Grid nodes per marching-squares pass in _trace_grid, counted over the
+# whole grids of its fields, or one item when an item holds more: it bounds
+# the active cells and the segments that one pass links.
 _TRACE_BLOCK_NODES = 2 ** 18
 
 
-def _trace_grid(window, items, sample, kinds, span=None):
+def _trace_grid(window, items, sample, kinds, runs=None):
     """Sample a batch of fields where they can change sign and trace them.
 
     The batch is ``items`` items of ``len(kinds) // items`` fields each, an
-    item being what one call evaluates at once.  ``sample(lo, hi, s, t)``
-    gives the fields of items lo..hi-1, stacked on a leading axis, at the
-    points s + i t of two arrays that broadcast together: a row of node
-    abscissae and a column of node ordinates for a box of the grid, or two
-    1-d arrays of points for the corners of cell runs or the centers of
-    saddle cells.  Each call gets whole items and at most ``_FIELD_BLOCK_PAIRS``
-    values: the whole grids of a few items when the grid is small, else one
-    item.  The items of a call of several are sampled on the whole grid.  An
-    item alone in its call is sampled only on its window, ``span(item)``
-    (the whole grid without ``span``), which is either
-      - a box ``(r0, r1, c0, c1)`` of node rows r0..r1-1 and columns
-        c0..c1-1, sliced in bands of its rows, or
-      - cell runs, a (3, m) int array of rows (cell row j, first cell a, end
-        e) for the cells a..e-1 of cell row j, sorted by (j, a) and
-        disjoint, whose corners are sampled as points.
-    ``span`` must leave out only cells whose corners share one sign.
-    Marching squares classifies only the candidate cells, those whose four
-    corners lie in the window, and of a box only the cells an edge of which
-    changes sign.  Each marching-squares pass takes whole items and at most
-    ``_TRACE_BLOCK_NODES`` sampled values of whole grids, or one item when
-    an item holds more.  Returns one CurveSet per field, the same, bit for
-    bit, whatever the budgets, and the same as sampling every node wherever
-    the fields are finite there.  Raises FloatingPointError when a field is
-    not finite at some sampled node, and ParameterError when ``sample`` does
-    not give one value per node.
+    item being what one call evaluates at once.  ``runs`` is a pair (first,
+    stop) of int arrays of shape (items, rows, m): in node row r, item i is
+    sampled at the node columns first..stop-1 of each of its m runs, which
+    come in increasing order, at least one node apart (an empty run has
+    stop <= first).  Without ``runs`` every node is sampled.  Runs must
+    leave out only cells whose corners share one sign.
+    ``sample(lo, hi, s, t)`` gives the fields of items lo..hi-1, item by
+    item, stacked on a leading axis, at the points s + i t: at run nodes,
+    two (hi - lo, w) arrays that hold one item per row, its run nodes in
+    (row, column) order, padded to the longest row by repeating its last
+    node; at the centers of saddle cells, two 1-d arrays of one item.  A
+    call takes whole items and at most ``_FIELD_BLOCK_PAIRS`` values.  An
+    item that holds more is split over calls, each of the run nodes in a
+    band of node rows that holds that many values of the whole grid, or in
+    one row.  Items without a run of two nodes are not sampled.  So each
+    run node is sampled once, padding aside, and no other node is.
+    Marching squares classifies the cells whose four corners lie in the
+    runs of both their node rows.  Each pass takes whole items and at most
+    ``_TRACE_BLOCK_NODES`` nodes of their whole grids, or one item.
+    Returns one CurveSet per field, the same, bit for bit, whatever the
+    budgets, and the same as sampling every node wherever the fields are
+    finite there.  Raises FloatingPointError when a field is not finite at
+    some sampled node, and ParameterError when ``sample`` does not give one
+    value per node.
     """
     width = len(kinds) // items
+    rows, cols = window.rows, window.cols
+    s_nodes, t_nodes = window.node_axes()
+    if runs is None:
+        runs = np.zeros((items, rows, 1), dtype=np.intp), np.full((items, rows, 1), cols)
+    first, stop = (np.asarray(part, dtype=np.intp) for part in runs)
+    stop = np.where(stop - first >= 2, stop, first)  # a run of one node holds no cell
+    count = (stop - first).reshape(items, -1).sum(axis=1)
+    per_pass = max(1, _TRACE_BLOCK_NODES // (width * rows * cols))
+    band = max(1, _FIELD_BLOCK_PAIRS // (width * cols))
 
     def at_centers(f, s, t):
         item, field = divmod(f, width)
         return sample(item, item + 1, s, t).reshape(width, -1)[field]
 
-    rows, cols = window.rows, window.cols
-    nodes = window.node_axes()
-    item_values = width * rows * cols
-    per_pass = max(1, _TRACE_BLOCK_NODES // item_values)
-    per_call = max(1, _FIELD_BLOCK_PAIRS // item_values)
+    def values(a, b, s, t):
+        got = _finite_values(sample, a, b, s, t)
+        if got.size != width * s.size:
+            raise ParameterError("need one value per grid node")
+        return got.reshape(-1, s.shape[1])
+
     curves = []
     for lo in range(0, items, per_pass):
         hi = min(lo + per_pass, items)
-        # items lo..alone-1 share calls; the rest are alone in theirs: all
-        # when a call holds one item, else at most the last
-        if span is None:
-            alone = hi
-        elif per_call == 1:
-            alone = lo
-        else:
-            alone = hi - ((hi - lo) % per_call == 1)
-        # each piece keeps only the candidate cells of its values, and no
-        # values outlive their piece
-        pieces = []
-        if alone > lo:
-            pieces.append(_box_cells(_box_values(sample, lo, alone, per_call, width,
-                                                 (0, rows, 0, cols), *nodes), 0, 0, 0))
-        for item in range(alone, hi):
-            win = span(item)
-            first = (item - lo) * width
-            if isinstance(win, tuple):
-                pieces.append(_box_cells(_box_values(sample, item, item + 1, 1, width, win, *nodes),
-                                         first, win[0], win[2]))
-            else:
-                pieces.append(_run_cells(sample, item, width, win, *nodes, first))
+        cells = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty((4, 0)),)]
+        a = lo
+        while a < hi:
+            # items a..b-1 share a call, or item a is split over calls
+            b, most = a + 1, count[a]
+            while (b < hi and most and count[b]
+                   and (b + 1 - a) * max(most, count[b]) * width <= _FIELD_BLOCK_PAIRS):
+                most = max(most, count[b])
+                b += 1
+            if most:
+                step = rows if (b - a) * most * width <= _FIELD_BLOCK_PAIRS else band
+                nodes = (_run_nodes(first[a:b, r:r + step], stop[a:b, r:r + step], s_nodes,
+                                    t_nodes[r:r + step]) for r in range(0, rows, step))
+                vals = np.concatenate([values(a, b, s, t) for s, t in nodes if s.size], axis=1)
+                cells.append(_run_cells(vals, np.repeat(first[a:b], width, axis=0),
+                                        np.repeat(stop[a:b], width, axis=0), (a - lo) * width))
+            a = b
         fields = range(lo * width, hi * width)
-        curves += _march(window, [np.concatenate(part, axis=-1) for part in zip(*pieces)],
+        curves += _march(window, [np.concatenate(part, axis=-1) for part in zip(*cells)],
                          [partial(at_centers, f) for f in fields], [kinds[f] for f in fields])
     return curves
 
 
-def _box_values(sample, lo, hi, per_call, width, box, s_nodes, t_nodes):
-    """The fields of items lo..hi-1 at the nodes of a box, as (fields, rows, cols).
+def _run_nodes(first, stop, s_nodes, t_nodes):
+    """The nodes of some items' runs, as two (items, w) arrays of s and t.
 
-    One call per ``per_call`` items and band of grid rows, cut to the box.
-    The bands are those of the whole grid, of at most
-    ``_FIELD_BLOCK_PAIRS`` values or one row: so a box holds no more values
-    per call than the whole grid, and a one-angle overlay call, which boxes
-    its band band by band again (:func:`_in_band`), evaluates no more nodes.
-    A box with fewer than two rows or columns holds no cell and is not
-    sampled.
+    The runs are those of :func:`_trace_grid`, and ``t_nodes`` holds the
+    ordinates of their rows.  Row i holds item i's run nodes in (row,
+    column) order, padded to the longest row by repeating its last node.
     """
-    r0, r1, c0, c1 = box
-    if r1 - r0 < 2 or c1 - c0 < 2:
-        return np.empty(((hi - lo) * width, 0, 0))
-    vals = np.empty(((hi - lo) * width, r1 - r0, c1 - c0))
-    s = s_nodes[c0:c1]
-    for a in range(lo, hi, per_call):
-        b = min(a + per_call, hi)
-        band = max(1, _FIELD_BLOCK_PAIRS // ((b - a) * width * len(s_nodes)))
-        for r in range(r0 - r0 % band, r1, band):
-            top, end = max(r, r0), min(r + band, r1)
-            part = vals[(a - lo) * width:(b - lo) * width, top - r0:end - r0]
-            values = _finite_values(sample, a, b, s, t_nodes[top:end, None])
-            if values.shape != part.shape:
-                raise ParameterError("need one value per grid node")
-            part[...] = values
-    return vals
+    n, rows, m = first.shape
+    length = (stop - first).ravel()
+    end = np.cumsum(length)
+    s = s_nodes[np.repeat(first.ravel() - end + length, length) + np.arange(int(end[-1]))]
+    t = np.repeat(np.tile(t_nodes.repeat(m), n), length)
+    if n == 1:
+        return s[None], t[None]
+    count = length.reshape(n, -1).sum(axis=1)
+    pick = (np.cumsum(count) - count)[:, None] + np.minimum(np.arange(count.max()),
+                                                           count[:, None] - 1)
+    return s[pick], t[pick]
 
 
-def _box_cells(vals, first, r0, c0):
-    """The active cells of fields sampled on a box of nodes, with their corner values.
+def _run_cells(vals, first, stop, field0):
+    """The active cells of fields sampled on runs, with their corner values.
 
-    ``vals[f, j, i]`` is field ``first + f`` at grid node (r0 + j, c0 + i).
-    A cell is active when one of its four edges changes sign, so its case
-    is computed for those cells alone.  Returns (field, row, column,
-    corners) in (field, row, column) order, as :func:`_march` takes them.
+    Row f of ``vals`` holds a field at the nodes of the runs ``first[f]``,
+    ``stop[f]``, as :func:`_run_nodes` orders them.  The candidates are the
+    cells whose four corners lie in the runs of both their node rows: in
+    cell row j, those of the columns that a run of node row j and one of
+    row j + 1 share.  They are classified by the signs of their corners and
+    the active ones kept: on all of ``vals`` at once when every candidate's
+    upper neighbour lies equally far on in it, as in a box of runs, else at
+    most ``_FIELD_BLOCK_PAIRS`` candidates at a time.  Returns (field, row,
+    column, corners), the fields numbered from ``field0``, in (field, row,
+    column) order, as :func:`_march` takes them.
     """
-    _, rows, cols = vals.shape
-    inside = vals >= 0.0
-    across = inside[:, :, 1:] != inside[:, :, :-1]
-    up = inside[:, 1:] != inside[:, :-1]
-    active = across[:, 1:] | across[:, :-1]
-    active |= up[:, :, 1:]
-    active |= up[:, :, :-1]
-    cb, cj, ci = np.nonzero(active)
-    node = (cb * rows + cj) * cols + ci
-    corners = vals.reshape(-1)[np.stack([node, node + 1, node + cols + 1, node + cols])]
-    return cb + first, cj + r0, ci + c0, corners
-
-
-def _run_cells(sample, item, width, runs, s_nodes, t_nodes, first):
-    """The cells of one item's cell runs (see :func:`_trace_grid`), with their corner values.
-
-    The four corners of each cell are sampled as points, in calls of at
-    most ``_FIELD_BLOCK_PAIRS`` values or one cell; a node that several
-    cells share is sampled in each, to the same value.  The item's fields
-    are ``first`` onwards.  Returns (field, row, column, corners) in (field,
-    row, column) order, as :func:`_march` takes them.
-    """
-    j, a, e = runs
-    run = np.repeat(np.arange(len(j)), e - a)
-    cj = j[run]
-    ci = a[run] + np.arange(run.size) - (np.cumsum(e - a) - (e - a))[run]
-    cols, rows = np.stack([ci, ci + 1, ci + 1, ci]), np.stack([cj, cj, cj + 1, cj + 1])
-    corners = np.empty((width, 4, ci.size))
-    step = max(1, _FIELD_BLOCK_PAIRS // (4 * width))
-    for p in range(0, ci.size, step):
-        part = corners[:, :, p:p + step]
-        got = _finite_values(sample, item, item + 1, s_nodes[cols[:, p:p + step]].ravel(),
-                             t_nodes[rows[:, p:p + step]].ravel())
-        if got.size != part.size:
-            raise ParameterError("need one value per grid node")
-        part[...] = got.reshape(part.shape)
-    return (np.repeat(np.arange(first, first + width), ci.size), np.tile(cj, width),
-            np.tile(ci, width), corners.transpose(1, 0, 2).reshape(4, -1))
+    n, rows, m = first.shape
+    length = stop - first
+    # the position in vals.ravel() of column 0 of each run
+    base = (np.cumsum(length.reshape(n, -1), axis=1).reshape(length.shape) - length - first
+            + np.arange(n)[:, None, None] * vals.shape[1]).ravel()
+    left = np.maximum(first[:, :-1, :, None], first[:, 1:, None, :]).ravel()
+    size = np.minimum(stop[:, :-1, :, None], stop[:, 1:, None, :]).ravel() - 1 - left
+    keep = np.flatnonzero(size > 0)
+    # keep indexes (field f, cell row j, run p of row j, run q of row j + 1)
+    fj, p, q = keep // (m * m), keep // m % m, keep % m
+    f, j = np.divmod(fj, rows - 1)
+    bottom = base[(fj + f) * m + p]
+    rise = base[(fj + f + 1) * m + q] - bottom
+    left, size = left[keep], size[keep]
+    if m > 1:
+        order = np.lexsort((left, j, f))
+        f, j, left, size, bottom, rise = (x[order] for x in (f, j, left, size, bottom, rise))
+    # the first candidate of each run of them has its lower left corner at
+    # vals.ravel()[pos], and each upper left corner lies rise further on
+    pos = bottom + left
+    flat = vals.ravel()
+    inside = (flat >= 0.0).view(np.int8)
+    pair = inside[:-1] + inside[1:]
+    found = [(np.empty(0, dtype=np.intp),) * 3]
+    if m == 1 and len(rise) and (rise == rise[0]).all():
+        bl = np.flatnonzero(((pair[:-rise[0]] + pair[rise[0]:]) & 3) != 0)
+        run = np.searchsorted(pos, bl, side="right") - 1
+        ok = (run >= 0) & (bl - pos[run] < size[run])
+        found.append((run[ok], bl[ok], bl[ok] + rise[0]))
+    else:
+        start = np.cumsum(size) - size
+        i = 0
+        while i < len(size):
+            e = max(i + 1, int(np.searchsorted(start, start[i] + _FIELD_BLOCK_PAIRS)))
+            c = np.arange(int(start[i]), int(start[e - 1] + size[e - 1]))
+            bl = np.repeat(pos[i:e] - start[i:e], size[i:e]) + c
+            tl = bl + np.repeat(rise[i:e], size[i:e])
+            hit = np.flatnonzero(((pair[bl] + pair[tl]) & 3) != 0)
+            found.append((np.searchsorted(start, c[hit], side="right") - 1, bl[hit], tl[hit]))
+            i = e
+    run, bl, tl = (np.concatenate(part) for part in zip(*found))
+    return (f[run] + field0, j[run], left[run] + bl - pos[run],
+            flat[np.stack([bl, bl + 1, tl + 1, tl])])
 
 
 def _joined(curves, window, kind):
@@ -479,19 +473,21 @@ def trace_batch(vals, window, centers, kinds):
     centers of field b's saddle cells, and only when there are any;
     FloatingPointError is raised when a value there is not finite.  Returns
     one CurveSet per field, of kind ``kinds[b]``, the same that tracing the
-    field on its own gives.  This is the whole-grid window of the one
-    marching-squares core, :func:`_march`.
+    field on its own gives.  The one marching-squares core, :func:`_march`,
+    runs it with one run per node row that spans the row.
     """
     rows, cols = window.rows, window.cols
     vals = np.asarray(vals, dtype=float)
     if vals.ndim != 3 or vals.shape[1:] != (rows, cols) or not (
             len(vals) == len(centers) == len(kinds)):
         raise ParameterError("need one value per grid node, a center and a kind per field")
-    return _march(window, _box_cells(vals, 0, 0, 0), centers, kinds)
+    first = np.zeros((len(vals), rows, 1), dtype=np.intp)
+    return _march(window, _run_cells(vals.reshape(len(vals), -1), first, first + cols, 0),
+                  centers, kinds)
 
 
 def _march(window, cells, centers, kinds):
-    """Marching squares over the candidate cells of a batch of fields.
+    """Marching squares over the active cells of a batch of fields.
 
     ``cells`` is (field, row, column, corners): cell (j, i) of field b has
     node (s_i, t_j) of ``window.node_axes()`` at its lower left, and
@@ -518,8 +514,6 @@ def _march(window, cells, centers, kinds):
     cb, cj, ci, corners = cells
     inside = corners >= 0.0
     row = inside[0] + 2 * inside[1] + 4 * inside[2] + 8 * inside[3]
-    active = (row != 0) & (row != 15)
-    cb, cj, ci, corners, row = cb[active], cj[active], ci[active], corners[:, active], row[active]
 
     # Resolve saddle cells with one center evaluation per field.
     saddle = np.nonzero((row == 5) | (row == 10))[0]
@@ -538,7 +532,7 @@ def _march(window, cells, centers, kinds):
     left = cb * per_grid + h_count + cj * cols + ci
     local = np.stack([bottom, left + 1, bottom + (cols - 1), left], axis=1)
     pairs = local[np.arange(cj.size)[:, None, None], _SEGMENT_EDGES[row]]
-    chains = _link_segments(pairs[_SEGMENT_USED[row]].tolist())
+    chains = _link_segments(pairs[_SEGMENT_USED[row]].ravel().tolist())
 
     # Crossing coordinates of the chains' edges, all at once, from the
     # corners of the cell that has the edge as its bottom or left side, or,
@@ -572,58 +566,40 @@ def _march(window, cells, centers, kinds):
     )
 
 
-def _band_margin(window):
-    """Margin by which the band of a curve is widened on its node grid: two cell diagonals.
+def _band_runs(window, lo, hi, c=1.0, d=0.0):
+    """Per item and node row, the run of node columns where a band of the rotated abscissa can lie.
 
-    One diagonal bounds how far the rotated abscissa moves across a cell, so
-    every cell that touches a node outside the widened band lies wholly on
-    one side of the band and is inactive.
+    The band of an item is lo <= x <= hi of x = c s - d t on the window's
+    nodes, rounded as :func:`specbound.envelope._rotate` rounds it; ``lo``,
+    ``hi``, ``c`` and ``d`` are scalars or 1-d arrays over the items.
+    Returns runs as :func:`_trace_grid` takes them, one per row, of the
+    nodes within two cell diagonals of the band.  One diagonal bounds how
+    far x moves across a cell, so a cell with a corner outside the runs lies
+    wholly on one side of the band.  x is monotone in s and in t, so an item
+    whose band misses the range of x over the grid's corners gets no run,
+    its nodes all lying on one side of it, and a row whose two end nodes
+    have x wholly left or wholly right of the widened band gets none.  Else
+    a row's run spans the columns from (lo + d t) / c to (hi + d t) / c of
+    the widened band, widened again by 2^-50 (max |q| + (|lo| + |hi| + |c|
+    max|s|) / |c|) for the quotients q.  That exceeds the rounding of x, of
+    the quotients and of itself, so a run may be too wide but holds every
+    node of the band.  A bound that is not a number gives the whole row.
     """
-    return 2.0 * window.cell_diagonal
-
-
-def _band_box(s, t, lo, hi, c=1.0, d=0.0):
-    """The box ``(r0, r1, c0, c1)`` of the nodes s_c0..s_{c1-1} x t_r0..t_{r1-1} that a band can reach.
-
-    The band is lo <= x <= hi of the abscissa x = c s - d t, for 1-d node
-    axes ``s`` and ``t``: a column is in the box unless x lies wholly left
-    of lo or wholly right of hi on it, and so is a row.  The bounds are
-    those of x as the rotation rounds it, which is monotone in s and in t.
-    An empty box is (0, 0, 0, 0).
-    """
-    xs, xt = c * s, d * t
-    cols = np.nonzero((xs - xt.min() >= lo) & (xs - xt.max() <= hi))[0]
-    rows = np.nonzero((xs.max() - xt >= lo) & (xs.min() - xt <= hi))[0]
-    if not (cols.size and rows.size):
-        return 0, 0, 0, 0
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-
-
-def _in_band(field, count, s, t, lo, hi, c=1.0, d=0.0):
-    """``field(s, t)`` on a block of grid nodes, evaluated only where a curve can cross.
-
-    ``field`` gives ``count`` fields stacked on a leading axis.  The curves of
-    an order-k frame lie in the band delta_{k+1} <= x <= delta_1 of the
-    abscissa x = c s - d t of the frame's rotated plane: there M_k is
-    congruent to diag(delta_j - x), so g and its lambda_min companion are
-    > 0 where x < delta_{k+1} and < 0 where x > delta_1.  ``lo`` and ``hi``
-    are the band widened by :func:`_band_margin`.  For a row ``s`` of node
-    abscissae and a column ``t`` of node ordinates, ``field`` is evaluated
-    on their :func:`_band_box` only; a node whose column or row lies wholly
-    left of ``lo`` gets +1 and one whose column or row lies wholly right of
-    ``hi`` gets -1.  Saddle centers (1-d ``s`` and ``t``) lie in active
-    cells and are evaluated as given.
-    """
-    if np.ndim(t) < 2:
-        return field(s, t)
-    xs, xt = c * s, d * t[:, 0]
-    right = (xs - xt.max() > hi) | (xs.min() - xt > hi)[:, None]
-    out = np.empty((count,) + right.shape)
-    out[...] = np.where(right, -1.0, 1.0)
-    r0, r1, c0, c1 = _band_box(s, t[:, 0], lo, hi, c, d)
-    if r1 > r0:
-        out[:, r0:r1, c0:c1] = field(s[c0:c1], t[r0:r1])
-    return out
+    s, t = window.node_axes()
+    lo, hi, c, d = (np.reshape(v, (-1, 1)) for v in (lo, hi, c, d))
+    xt = d * t
+    x0, x1 = c * s[0] - xt, c * s[-1] - xt
+    live = ((np.minimum(x0, x1).min(axis=1, keepdims=True) <= hi)
+            & (np.maximum(x0, x1).max(axis=1, keepdims=True) >= lo))
+    lo, hi = lo - 2.0 * window.cell_diagonal, hi + 2.0 * window.cell_diagonal
+    reach = live & (np.maximum(x0, x1) >= lo) & (np.minimum(x0, x1) <= hi)
+    with np.errstate(all="ignore"):
+        q = (np.stack([lo, hi]) + xt) / c
+        slack = 2.0 ** -50 * (abs(q).max(axis=0)
+                              + (abs(lo) + abs(hi) + abs(c) * abs(s[[0, -1]]).max()) / abs(c))
+        first = np.searchsorted(s, np.fmax(q.min(axis=0) - slack, -np.inf))
+        stop = np.searchsorted(s, np.fmin(q.max(axis=0) + slack, np.inf), side="right")
+    return first[..., None], np.where(reach, stop, first)[..., None]
 
 
 _GAMMA_KINDS = {"max": "gamma_max", "min": "gamma_min"}
@@ -635,20 +611,18 @@ def gamma_curves(frame, window, which=("max", "min")):
     g and its lambda_min companion share det W_k and M_k, so both are
     evaluated on the node grid at once and traced as a batch.  Both lie in
     the band delta_{k+1} <= s <= delta_1, left of which both are positive
-    and right of which both are negative (see :func:`_in_band`), so their
-    window is the box of the node columns within :func:`_band_margin` of
-    the band, sliced in bands of rows.  No cell that touches a column beyond
-    it is active.  Returns one CurveSet per item of ``which``, each the
-    same, bit for bit, as a call with that item alone and as sampling g at
-    every node.
+    and right of which both are negative (M_k is congruent to diag(delta_j
+    - s) there), so their runs are the node columns within two cell
+    diagonals of the band, in every row (:func:`_band_runs`).  No cell
+    that touches a column beyond them is active.  Returns one CurveSet per
+    item of ``which``, each the same, bit for bit, as a call with that item
+    alone and as sampling g at every node.
     """
     which = tuple(which)
     field = partial(g_field, frame, which=which)
-    margin = _band_margin(window)
-    box = _band_box(*window.node_axes(), frame.delta_next - margin,
-                    float(frame.deltas[0]) + margin)
+    runs = _band_runs(window, frame.delta_next, float(frame.deltas[0]))
     curves = _trace_grid(window, 1, lambda a, b, s, t: field(s, t),
-                         [_GAMMA_KINDS[side] for side in which], lambda item: box)
+                         [_GAMMA_KINDS[side] for side in which], runs)
     return tuple(_flag_degenerate(cs, frame) for cs in curves)
 
 
@@ -669,13 +643,14 @@ _HYPERBOLA_FLOOR = 2.0 ** -500
 
 
 def _hyperbola_runs(c, r, s_nodes, t_nodes):
-    """Cell runs of the node grid where (s - c)^2 - t^2 - r^2 can change sign.
+    """Node runs of the grid where (s - c)^2 - t^2 - r^2 can change sign, per pair (c, r).
 
-    In node row t the branches cross at X = c -+ R with R = hypot(t, r),
-    which does not overflow where t^2 + r^2 would.  Let f be the field as
-    evaluated, (s - c)^2 - t^2 - r^2 with r^2 rounded.  Its rounding is at
-    most about 4u ((s - c)^2 + R^2), with u = 2^-53, and X as computed is
-    within about 3u (|c| + R) of the exact crossing.  A node more than
+    ``c`` and ``r`` are 1-d arrays over the pairs.  In node row t the
+    branches cross at X = c -+ R with R = hypot(t, r), which does not
+    overflow where t^2 + r^2 would.  Let f be the field as evaluated, (s -
+    c)^2 - t^2 - r^2 with r^2 rounded.  Its rounding is at most about 4u
+    ((s - c)^2 + R^2), with u = 2^-53, and X as computed is within about
+    3u (|c| + R) of the exact crossing.  A node more than
     delta = 32u (|c| + R) from the computed X lies a distance d > 29u (|c| +
     R) from the exact one, where |f| >= d (2R + d) outside the branches and
     |f| >= d (2R - d) >= d R between them; either exceeds the rounding.  So
@@ -686,16 +661,18 @@ def _hyperbola_runs(c, r, s_nodes, t_nodes):
     about u R^2.  A floor of 2^-500 on delta keeps the bound above
     underflow.
 
-    For each cell row, each branch's run spans the nodes within delta of
-    the crossings of both node rows of the cell, plus one column on each
-    side, so that every cell outside it has four corners of one sign.  The
-    two runs merge where they meet: near the vertex, where the branches are
-    less than a few columns apart (for the line cross of r = 0, around t =
-    0), and wherever the node spacing is small beside the rounding.  Between
-    two runs that stay apart, f < 0 by the same bound.  A row whose bounds
-    are not finite gets the whole row.  Returns the runs as
-    :func:`_trace_grid` takes them.
+    In each node row, each branch's run spans the nodes within delta of
+    the crossings of that row and of the rows above and below it, plus one
+    column on each side, so that every cell with a corner outside the runs
+    has four corners of one sign.  The two runs merge where they meet: near
+    the vertex, where the branches are less than a few columns apart (for
+    the line cross of r = 0, around t = 0), and wherever the node spacing
+    is small beside the rounding.  Between two runs that stay apart, f < 0
+    by the same bound.  A row whose bounds are not finite, or next to one,
+    gets the whole row.  Returns the runs as :func:`_trace_grid` takes them,
+    two per row, the second empty where they merge.
     """
+    c, r = np.reshape(c, (-1, 1)), np.reshape(r, (-1, 1))
     cols = len(s_nodes)
     radius = np.hypot(t_nodes, r)
     delta = _HYPERBOLA_ROUNDING * (abs(c) + radius) + _HYPERBOLA_FLOOR
@@ -705,17 +682,15 @@ def _hyperbola_runs(c, r, s_nodes, t_nodes):
         bad = ~(np.isfinite(lo) & np.isfinite(hi))
         first = np.where(bad, 0, np.searchsorted(s_nodes, lo))
         last = np.where(bad, cols - 1, np.searchsorted(s_nodes, hi, side="right") - 1)
-        branches.append((np.maximum(np.minimum(first[:-1], first[1:]) - 1, 0),
-                         np.minimum(np.maximum(last[:-1], last[1:]) + 1, cols - 1)))
+        # the rows above and below, with the edge rows repeated
+        first, last = (np.pad(v, ((0, 0), (1, 1)), mode="edge") for v in (first, last))
+        first = np.minimum.reduce([first[:, :-2], first[:, 1:-1], first[:, 2:]])
+        last = np.maximum.reduce([last[:, :-2], last[:, 1:-1], last[:, 2:]])
+        branches.append((np.maximum(first - 1, 0), np.minimum(last + 2, cols)))
     (a0, e0), (a1, e1) = branches
     meet = e0 >= a1
-    apart = ~meet
-    rows = np.arange(len(t_nodes) - 1)
-    runs = np.stack([np.concatenate([rows, rows[apart]]),
-                     np.concatenate([a0, a1[apart]]),
-                     np.concatenate([np.where(meet, e1, e0), e1[apart]])])
-    runs = runs[:, runs[2] > runs[1]]
-    return runs[:, np.lexsort((runs[1], runs[0]))]
+    return (np.stack([a0, np.where(meet, e1, a1)], axis=-1),
+            np.stack([np.where(meet, e1, e0), e1], axis=-1))
 
 
 def hyperbola_set(deltas, k, window):
@@ -724,9 +699,9 @@ def hyperbola_set(deltas, k, window):
     One curve (s - (d_j + d_i)/2)^2 - t^2 = ((d_j - d_i)/2)^2 per pair
     j < i among the first k+1 deltas, clipped to the window.  Equal deltas
     degenerate into the line pair t = +-(s - d_j).  Each pair is sampled
-    only at the corners of the cells within a column or two of its
-    branches (:func:`_hyperbola_runs`), so the curves are those of sampling
-    every node wherever the field is finite there.
+    only at the nodes within a column or two of its branches
+    (:func:`_hyperbola_runs`), so the curves are those of sampling every
+    node wherever the field is finite there.
     """
     d = np.asarray(deltas, dtype=float)
     if d.ndim != 1 or d.size < k + 1:
@@ -739,13 +714,12 @@ def hyperbola_set(deltas, k, window):
     center = np.array([0.5 * (d[j] + d[i]) for j, i in pairs])
     half = np.array([0.5 * (d[j] - d[i]) for j, i in pairs])
     rad_sq = np.array([h ** 2 for h in half.tolist()])
-    nodes = window.node_axes()
 
     def sample(lo, hi, s, t):
-        return (s - center[lo:hi, None, None]) ** 2 - t ** 2 - rad_sq[lo:hi, None, None]
+        return (s - center[lo:hi, None]) ** 2 - t ** 2 - rad_sq[lo:hi, None]
 
     curves = _trace_grid(window, len(pairs), sample, ["hyperbola"] * len(pairs),
-                         lambda item: _hyperbola_runs(center[item], abs(half[item]), *nodes))
+                         _hyperbola_runs(center, abs(half), *window.node_axes()))
     return _joined(curves, window, "hyperbola")
 
 

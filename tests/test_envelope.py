@@ -844,7 +844,7 @@ def _pair_at_every_node(frame, window):
 def _overlays_at_every_node(stack, window):
     """envelope_overlays with g sampled at every node of the half grid."""
     def sample(lo, hi, s, t):
-        return g_field(stack[lo:hi], *envelope_module._rotate(stack.theta[lo:hi, None, None], s, t))
+        return g_field(stack[lo:hi], *envelope_module._rotate(stack.theta[lo:hi, None], s, t))
 
     curves = trace_module._trace_grid(_overlay_grid(window), len(stack), sample,
                                       ["overlay"] * len(stack))
@@ -853,15 +853,13 @@ def _overlays_at_every_node(stack, window):
 
 def test_band_sampling_equals_sampling_every_node(monkeypatch):
     # gamma_curves and envelope_overlays evaluate g only within a margin of
-    # the band delta_{k+1} <= x <= delta_1, on its box (trace._band_box),
-    # and one-angle overlay calls fill the box's nodes beyond the band by
-    # sign (trace._in_band); their curves must be those of g sampled at
-    # every node.  With the default budget these grids put whole angles in
-    # each overlay call, which evaluate every node; a budget of 64 values
-    # makes every call one angle and a band of rows, which are boxed.  The
-    # windows are the auto_window, or miss the band on the left or the
-    # right, or straddle it.  The diagonal matrix has kappa = 0 at every
-    # angle, so its curve is the line s = delta_{k+1}.
+    # the band delta_{k+1} <= x <= delta_1, on its runs of nodes in each row
+    # (trace._band_runs); their curves must be those of g sampled at every
+    # node.  With the default budget these grids put several angles in each
+    # overlay call; a budget of 64 values splits every angle over calls of
+    # a row or two.  The windows are the auto_window, or miss the band on
+    # the left or the right, or straddle it.  The diagonal matrix has
+    # kappa = 0 at every angle, so its curve is the line s = delta_{k+1}.
     diagonal = np.diag([2.0 + 1.0j, 1.0 - 2.0j, -0.5 + 0.5j, -1.5 - 1.0j])
     assert build_frame(diagonal, 2).kappa == 0.0
     points = []

@@ -404,14 +404,13 @@ def test_no_curve_left_of_delta_next():
 
 def test_g_and_its_companion_keep_their_signs_outside_the_band():
     # The tracer leaves the nodes outside delta_{k+1} <= x <= delta_1 of a
-    # frame's rotated abscissa x out of the curve pair's window and fills
-    # them by sign in one-angle overlay calls (trace._band_box,
-    # trace._in_band), so it relies on their signs alone: there M_k is
-    # congruent to diag(delta_j - x), so g and its lambda_min companion are
-    # > 0 left of delta_{k+1} and < 0 right of delta_1.  Checked on the
-    # computed values at every node of a grid, every order, at theta = 0 and
-    # at the rotated frames of a stack, as the curve pair and the overlays
-    # evaluate them.
+    # frame's rotated abscissa x out of the runs of the curve pair and of
+    # the overlays (trace._band_runs), so it relies on their signs alone:
+    # there M_k is congruent to diag(delta_j - x), so g and its lambda_min
+    # companion are > 0 left of delta_{k+1} and < 0 right of delta_1.
+    # Checked on the computed values at every node of a grid, every order,
+    # at theta = 0 and at the rotated frames of a stack, as the curve pair
+    # and the overlays evaluate them.
     mats = [build_matrix(MatrixSpec(name)) for name in GALLERY]
     mats += [random_complex(n, seed=seed) for n in (3, 5, 8) for seed in (1, 2)]
     left_nodes = right_nodes = 0

@@ -15,8 +15,10 @@ from specbound import (
 )
 import specbound.trace as trace_module
 from specbound import build_frames, gallery_entries, theta_grid
+import specbound.envelope as envelope_module
 from specbound.envelope import _rotate, envelope_overlays
 from specbound.inequality import g_field
+from specbound.linalg import _normalised
 from specbound.trace import trace_batch
 from conftest import random_complex, trace_field
 
@@ -130,7 +132,7 @@ def _reference_trace(f, window):
                 segs = _CASE_SEGMENTS[c]
             local = (("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j))
             segments += [(local[a], local[b]) for a, b in segs]
-    chains = _link_segments(segments)
+    chains = _link_segments([e for seg in segments for e in seg])
     return ([np.array([points[e] for e in c.edges], dtype=float) for c in chains],
             [c.closed for c in chains])
 
@@ -503,21 +505,23 @@ def test_hyperbolas_beyond_the_window_are_not_sampled():
     assert len(got.polylines) == 2 and _same_curves(got, want)
 
 
+def _overlays_at_every_node(stack, window):
+    """envelope_overlays with g sampled at every node of the half grid."""
+    grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
+                  cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
+
+    def sample(lo, hi, s, t):
+        return g_field(stack[lo:hi], *_rotate(stack.theta[lo:hi, None], s, t))
+
+    curves = trace_module._trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
+    return trace_module._joined(curves, window, "overlay")
+
+
 def test_one_angle_overlay_boxes_equal_the_whole_grid(monkeypatch):
-    # with a field budget below two overlay grids, every overlay call holds
-    # one angle and its window is the box of its band; the curves are those
-    # of sampling every node, on the auto_window, a window cut through the
-    # band and one beyond it
-    def at_every_node(stack, window):
-        grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
-                      cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
-
-        def sample(lo, hi, s, t):
-            return g_field(stack[lo:hi], *_rotate(stack.theta[lo:hi, None, None], s, t))
-
-        curves = trace_module._trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
-        return trace_module._joined(curves, window, "overlay")
-
+    # with a field budget below two overlay grids' runs, every overlay call
+    # holds one angle or a band of its rows, sampled on the runs of its
+    # band; the curves are those of sampling every node, on the
+    # auto_window, a window cut through the band and one beyond it
     for a, k in ((TOEPLITZ, 2), (random_complex(5, seed=3), 3), (A_TILDE, 1)):
         frame = build_frame(a, k)
         stack = build_frames(a, k, theta_grid(12))
@@ -526,11 +530,233 @@ def test_one_angle_overlay_boxes_equal_the_whole_grid(monkeypatch):
                    Window(0.5 * (lo + hi), hi + 1.0, -1.0, 2.0, cols=61, rows=41),
                    Window(hi + 30.0, hi + 31.0, 40.0, 41.0, cols=40, rows=30)]
         for window in windows:
-            want = at_every_node(stack, window)
+            want = _overlays_at_every_node(stack, window)
             monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", 300)
             got = envelope_overlays(stack, window)
             monkeypatch.undo()
             assert _same_curves(got, want)
+
+
+def _recorded_samplers(monkeypatch):
+    """Record every _trace_grid call from now on: its grid, runs and node calls.
+
+    Each record is (window, items, width, runs, calls), and each call
+    (lo, hi, s, t) holds the node coordinates of items lo..hi-1, one row per
+    item; calls at saddle centers are left out.
+    """
+    records = []
+    plain = trace_module._trace_grid
+
+    def recorded(window, items, sample, kinds, runs=None):
+        calls = []
+
+        def counted(lo, hi, s, t):
+            if np.ndim(s) == 2:
+                calls.append((lo, hi, np.array(s), np.array(t)))
+            return sample(lo, hi, s, t)
+
+        records.append((window, items, len(kinds) // items, runs, calls))
+        return plain(window, items, counted, kinds, runs)
+
+    monkeypatch.setattr(trace_module, "_trace_grid", recorded)
+    monkeypatch.setattr(envelope_module, "_trace_grid", recorded)
+    return records
+
+
+def _run_nodes_of(record):
+    """The nodes of each item's runs with two nodes or more, as sets of (s, t)."""
+    window, items, _, runs, _ = record
+    s_nodes, t_nodes = window.node_axes()
+    if runs is None:
+        runs = (np.zeros((items, window.rows, 1), dtype=int),
+                np.full((items, window.rows, 1), window.cols))
+    first, stop = (np.asarray(part) for part in runs)
+    nodes = [set() for _ in range(items)]
+    for item, row, run in zip(*np.nonzero(stop - first >= 2)):
+        a, b = first[item, row, run], stop[item, row, run]
+        nodes[item].update(zip(s_nodes[a:b].tolist(), [t_nodes[row]] * (b - a)))
+    return nodes
+
+
+def _sampled_nodes_of(record):
+    """The nodes each item was sampled at, padding left out, as lists of (s, t).
+
+    A row of a call is padded by repeating its last node, so copies of the
+    last node at the end of a row are padding.
+    """
+    _, items, _, _, calls = record
+    sampled = [[] for _ in range(items)]
+    for lo, hi, s, t in calls:
+        for item, srow, trow in zip(range(lo, hi), s, t):
+            end = len(srow)
+            while end > 1 and srow[end - 2] == srow[-1] and trow[end - 2] == trow[-1]:
+                end -= 1
+            sampled[item] += zip(srow[:end].tolist(), trow[:end].tolist())
+    return sampled
+
+
+def _sampler_cases():
+    """(name, tracer, tracer at every node, items) of every sampler of the tracer."""
+    cases = []
+    for a, k in ((TOEPLITZ, 2), (random_complex(5, seed=3), 3)):
+        frame = build_frame(a, k)
+        window = auto_window(frame, cols=60, rows=45)
+        stack = build_frames(a, k, theta_grid(12))
+        cases += [
+            ("overlays", lambda s=stack, w=window: (envelope_overlays(s, w),),
+             lambda s=stack, w=window: (_overlays_at_every_node(s, w),), len(stack)),
+            ("overlay", lambda s=stack, w=window: (envelope_overlays(s[2:3], w),),
+             lambda s=stack, w=window: (_overlays_at_every_node(s[2:3], w),), 1),
+            ("pair", lambda f=frame, w=window: gamma_curves(f, w),
+             lambda f=frame, w=window: _pair_at_every_node(f, w), 1),
+            ("hyperbolas", lambda f=frame, k=k, w=window: (hyperbola_set(f.deltas, k, w),),
+             lambda f=frame, k=k, w=window: (_reference_hyperbola_set(f.deltas, k, w),),
+             k * (k + 1) // 2),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("calls", ["pack", "one", "split"])
+def test_runs_equal_every_node_at_every_budget(monkeypatch, calls):
+    # Every sampler gives the curves of sampling every node, bit for bit,
+    # with a field budget that packs several items into a call, that holds
+    # one item per call, or that splits the largest item over calls.  Each
+    # run node is sampled once, padding aside, and no other node is.
+    for name, traced, at_every_node, items in _sampler_cases():
+        if calls == "pack" and items == 1:
+            continue
+        want = at_every_node()
+        records = _recorded_samplers(monkeypatch)
+        traced()
+        window, items, width, runs, _ = records[0]
+        most = max(len(nodes) for nodes in _run_nodes_of(records[0]))
+        budget = {"pack": 2 * most * width, "one": most * width, "split": most * width - 1}
+        monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", budget[calls])
+        records.clear()
+        got = traced()
+        monkeypatch.undo()
+        assert all(_same_curves(g, w) for g, w in zip(got, want)), (name, calls)
+        record = records[0]
+        per_call = [hi - lo for lo, hi, _, _ in record[4]]
+        owners = [item for lo, hi, _, _ in record[4] for item in range(lo, hi)]
+        if calls == "pack":
+            assert max(per_call) > 1, name
+        elif calls == "one":
+            assert max(per_call) == 1 and len(owners) == len(set(owners)), name
+        else:
+            assert len(owners) > len(set(owners)), name
+        for sampled, nodes in zip(_sampled_nodes_of(record), _run_nodes_of(record)):
+            assert len(sampled) == len(set(sampled)) and set(sampled) == nodes, (name, calls)
+
+
+def test_figure_overlays_evaluate_few_of_the_grid_nodes(monkeypatch):
+    # the benchmark's figure envelope of toeplitz_eq1: 120 overlays on the
+    # 80 x 60 half grid of a 160 x 120 window; g is evaluated at under 35%
+    # of the (angle, node) pairs, padding and saddle centers included
+    a, _ = _normalised(TOEPLITZ)
+    window = auto_window(build_frame(a, 2, 0.0), cols=160, rows=120)
+    stack = build_frames(a, 2, theta_grid(120))
+    points = []
+    plain = envelope_module.g_field
+
+    def counting(block, s, t, which="max"):
+        points.append(np.broadcast(s, t).size)
+        return plain(block, s, t, which=which)
+
+    monkeypatch.setattr(envelope_module, "g_field", counting)
+    got = envelope_overlays(stack, window)
+    monkeypatch.undo()
+    assert _same_curves(got, _overlays_at_every_node(stack, window))
+    assert 0 < sum(points) < 0.35 * len(stack) * 80 * 60
+
+
+def test_band_runs_hold_every_node_of_the_widened_band():
+    # every node whose rotated abscissa, rounded as _rotate rounds it, lies
+    # in the band widened by two cell diagonals is in its row's run.  The
+    # bands end exactly at node abscissae, on an ordinary window and on
+    # windows whose node spacing is at or below the rounding of x, where the
+    # widening is lost to rounding and only the runs' own slack holds them
+    rng = np.random.default_rng(11)
+    windows = [Window(-2.0, 3.0, -1.5, 1.0, cols=41, rows=23),
+               Window(1e8, 1e8 + 4e-7, 5e7, 5e7 + 3e-7, cols=40, rows=30),
+               Window(-3e15, -3e15 + 9.0, 2e15, 2e15 + 7.0, cols=10, rows=8)]
+    for window in windows:
+        s, t = window.node_axes()
+        theta = rng.uniform(0.0, 2.0 * np.pi, 60)
+        x = _rotate(theta[:, None, None], s, t[:, None])[0]
+        corner = rng.integers(0, x[0].size, (2, len(theta)))
+        bounds = np.sort(x.reshape(len(theta), -1)[np.arange(len(theta)), corner], axis=0)
+        ph = np.exp(1j * theta)
+        first, stop = trace_module._band_runs(window, *bounds, ph.real, ph.imag)
+        margin = 2.0 * window.cell_diagonal
+        want = ((x >= (bounds[0] - margin)[:, None, None])
+                & (x <= (bounds[1] + margin)[:, None, None]))
+        column = np.arange(window.cols)
+        got = (column >= first) & (column < stop)
+        assert want.any() and not (want & ~got).any()
+
+
+def _pair_list_loop(segments):
+    """The linker as it read a list of (u, v) pairs: (edges, closed) per chain."""
+    chains = []
+    ends = {}
+    for u, v in segments:
+        cu = ends.pop(u, None)
+        cv = ends.pop(v, None)
+        if cu is None and cv is None:
+            chain = {"ident": len(chains), "edges": [u, v], "closed": False}
+            chains.append(chain)
+            ends[u] = ends[v] = chain
+        elif cv is None or cu is None:
+            chain, end, new = (cu, u, v) if cv is None else (cv, v, u)
+            if chain["edges"][-1] != end:
+                chain["edges"].reverse()
+            chain["edges"].append(new)
+            ends[new] = chain
+        elif cu is cv:
+            cu["closed"] = True
+        else:
+            if cu["edges"][-1] != u:
+                cu["edges"].reverse()
+            if cv["edges"][0] != v:
+                cv["edges"].reverse()
+            cu["edges"].extend(cv["edges"])
+            cu["ident"] = min(cu["ident"], cv["ident"])
+            cv["edges"] = None
+            ends[cu["edges"][-1]] = cu
+    live = sorted((c for c in chains if c["edges"] is not None), key=lambda c: c["ident"])
+    return [(c["edges"], c["closed"]) for c in live]
+
+
+def test_flat_linker_input_equals_the_pair_list_loop(monkeypatch):
+    # the segment lists that marching squares links for the curve pair, the
+    # hyperbolas and the overlays of two matrices, as given, shuffled, with
+    # segments flipped, and both
+    lists = []
+    link = trace_module._link_segments
+
+    def recorded(flat):
+        lists.append(list(flat))
+        return link(flat)
+
+    monkeypatch.setattr(trace_module, "_link_segments", recorded)
+    for a in (TOEPLITZ, random_complex(5, seed=3)):
+        frame = build_frame(a, 2)
+        window = auto_window(frame, cols=200, rows=150)
+        gamma_curves(frame, window)
+        hyperbola_set(frame.deltas, 2, window)
+        envelope_overlays(build_frames(a, 2, theta_grid(24)), window)
+    monkeypatch.undo()
+    assert len(lists) == 6 and min(len(flat) for flat in lists) > 500
+    rng = np.random.default_rng(5)
+    for flat in lists:
+        pairs = list(zip(flat[::2], flat[1::2]))
+        order = rng.permutation(len(pairs))
+        flip = rng.random(len(pairs)) < 0.3
+        flipped = [(v, u) if f else (u, v) for (u, v), f in zip(pairs, flip)]
+        for segments in (pairs, [pairs[i] for i in order], flipped, [flipped[i] for i in order]):
+            got = link([end for segment in segments for end in segment])
+            assert [(c.edges, c.closed) for c in got] == _pair_list_loop(segments)
 
 
 def test_hyperbola_validation():

@@ -31,8 +31,9 @@ the numerical range W(A), straddling its edge and missing it, and the far
 window's ``envelope --format csv``.  Last come ``curve
 --with-hyperbolas`` on a tall window, a wide one and one through the
 hyperbola vertices, at k = 4 on the default grid, and on a window 2e300
-wide.  A new line goes at the end, so the lines of an older list can still
-be compared.
+wide; then ``envelope`` SVG and CSV at k = 2 and 4 on the grids whose
+overlay grids hold two and one whole grids per field call.  A new line goes
+at the end, so the lines of an older list can still be compared.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ def _argvs():
     # g overflows on this window's band box; the exit code is pinned
     argvs.append(["curve", "--gallery", "toeplitz_eq1", "--k", "2",
                   "--window=-1e300,1e300,-1e300,1e300", "--with-hyperbolas", "--format", "csv"])
+    # overlays on half grids of 128x64 = 2^13 nodes, two whole grids to a
+    # field call of 2^14 values, and of 129x65, one grid to a call
+    argvs += [["envelope", "--gallery", "random_complex:n=6,seed=17", "--k", k, "--grid", grid,
+               "--format", fmt]
+              for grid in ("256x128", "258x130") for k in ("2", "4") for fmt in ("svg", "csv")]
     return argvs
 
 
