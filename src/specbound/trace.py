@@ -363,9 +363,14 @@ def _trace_grid(window, items, sample, kinds, runs=None):
                 b += 1
             if most:
                 step = rows if (b - a) * most * width <= _FIELD_BLOCK_PAIRS else band
-                nodes = (_run_nodes(first[a:b, r:r + step], stop[a:b, r:r + step], s_nodes,
-                                    t_nodes[r:r + step]) for r in range(0, rows, step))
-                vals = np.concatenate([values(a, b, s, t) for s, t in nodes if s.size], axis=1)
+                vals = np.empty(((b - a) * width, most))
+                at = 0
+                for r in range(0, rows, step):
+                    s, t = _run_nodes(first[a:b, r:r + step], stop[a:b, r:r + step], s_nodes,
+                                      t_nodes[r:r + step])
+                    if s.size:
+                        vals[:, at:at + s.shape[1]] = values(a, b, s, t)
+                        at += s.shape[1]
                 cells.append(_run_cells(vals, np.repeat(first[a:b], width, axis=0),
                                         np.repeat(stop[a:b], width, axis=0), (a - lo) * width))
             a = b
