@@ -61,3 +61,33 @@ def chunk_settings(n):
 
     angle = frame_module._SOLVE_ARRAYS * np.dtype(np.complex128).itemsize * n * n
     return [(1, 1), (2 ** 40, 1), (2 * angle, 2), (7 * angle, 3)]
+
+
+def overlay_grid(window):
+    """The node grid that envelope_overlays traces for ``window``."""
+    from specbound import Window
+
+    return Window(window.s_min, window.s_max, window.t_min, window.t_max,
+                  cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
+
+
+def pair_at_every_node(frame, window):
+    """gamma_curves with g sampled at every node: the tracer without runs."""
+    from specbound.inequality import g_field
+    from specbound.trace import _trace_grid
+
+    return _trace_grid(window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=("max", "min")),
+                       ["gamma_max", "gamma_min"])
+
+
+def overlays_at_every_node(stack, window):
+    """envelope_overlays with g sampled at every node of its grid."""
+    from specbound.envelope import _rotate
+    from specbound.inequality import g_field
+    from specbound.trace import _joined, _trace_grid
+
+    def sample(lo, hi, s, t):
+        return g_field(stack[lo:hi], *_rotate(stack.theta[lo:hi, None], s, t))
+
+    curves = _trace_grid(overlay_grid(window), len(stack), sample, ["overlay"] * len(stack))
+    return _joined(curves, window, "overlay")

@@ -31,7 +31,8 @@ from specbound import (
 from specbound.envelope import envelope_overlays
 from specbound.gallery import gallery_entries
 from specbound.linalg import _normalised, max_abs
-from conftest import chunk_settings, random_complex, trace_field
+from conftest import (chunk_settings, overlay_grid, overlays_at_every_node, pair_at_every_node,
+                      random_complex, trace_field)
 
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
 
@@ -739,11 +740,6 @@ def _distance_to_polylines(points, polylines):
     return np.min(np.abs(rel - u * d), axis=1)
 
 
-def _overlay_grid(window):
-    return Window(window.s_min, window.s_max, window.t_min, window.t_max,
-                  cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
-
-
 def test_overlays_follow_the_rotated_plane_curves():
     # every overlay vertex lies within one overlay-cell diagonal of the curve
     # the earlier rotated-plane method traced at twice the resolution, and
@@ -752,7 +748,7 @@ def test_overlays_follow_the_rotated_plane_curves():
     for a in OVERLAY_MATRICES:
         for k in range(1, min(3, a.shape[0] - 1) + 1):
             window = auto_window(build_frame(a, k), cols=120, rows=90)
-            tolerance = _overlay_grid(window).cell_diagonal
+            tolerance = overlay_grid(window).cell_diagonal
             stack = build_frames(a, k, thetas)
             for i in range(len(stack)):
                 overlays = envelope_overlays(stack[i:i + 1], window)
@@ -773,7 +769,7 @@ def test_overlays_equal_tracing_the_rotated_field_on_the_half_grid():
     for a, (cols, rows) in cases:
         stack = build_frames(a, 3, theta_grid(24))
         window = auto_window(build_frame(a, 3), cols=cols, rows=rows)
-        grid = _overlay_grid(window)
+        grid = overlay_grid(window)
         s, t = np.meshgrid(*grid.node_axes())
         want = []
         saddles = 0
@@ -834,23 +830,6 @@ def test_overlays_do_not_depend_on_the_block_size(monkeypatch):
                     assert all(_same_curves(g, d) for g, d in zip(got, default))
 
 
-def _pair_at_every_node(frame, window):
-    """gamma_curves with g sampled at every node: the plain field as the sampler."""
-    return trace_module._trace_grid(
-        window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=("max", "min")),
-        ["gamma_max", "gamma_min"])
-
-
-def _overlays_at_every_node(stack, window):
-    """envelope_overlays with g sampled at every node of the half grid."""
-    def sample(lo, hi, s, t):
-        return g_field(stack[lo:hi], *envelope_module._rotate(stack.theta[lo:hi, None], s, t))
-
-    curves = trace_module._trace_grid(_overlay_grid(window), len(stack), sample,
-                                      ["overlay"] * len(stack))
-    return trace_module._joined(curves, window, "overlay")
-
-
 def test_band_sampling_equals_sampling_every_node(monkeypatch):
     # gamma_curves and envelope_overlays evaluate g only within a margin of
     # the band delta_{k+1} <= x <= delta_1, on its runs of nodes in each row
@@ -879,8 +858,8 @@ def test_band_sampling_equals_sampling_every_node(monkeypatch):
                        Window(hi + 1.0, hi + 3.0, -2.0, 2.0, cols=30, rows=20),
                        Window(lo - 0.5, 0.5 * (lo + hi), -1.5, 1.5, cols=36, rows=25)]
             for w, window in enumerate(windows):
-                want_pair = _pair_at_every_node(frame, window)
-                want_overlays = _overlays_at_every_node(stack, window)
+                want_pair = pair_at_every_node(frame, window)
+                want_overlays = overlays_at_every_node(stack, window)
                 for pairs in (None, 64):
                     if pairs is not None:
                         monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", pairs)
@@ -898,9 +877,9 @@ def test_band_sampling_equals_sampling_every_node(monkeypatch):
     # a grid of over 2^14 nodes, whose calls are one-angle row bands by default
     window = auto_window(build_frame(TOEPLITZ, 2), cols=300, rows=220)
     stack = build_frames(TOEPLITZ, 2, theta_grid(4))
-    grid = _overlay_grid(window)
+    grid = overlay_grid(window)
     assert grid.cols * grid.rows > trace_module._FIELD_BLOCK_PAIRS
-    assert _same_curves(envelope_overlays(stack, window), _overlays_at_every_node(stack, window))
+    assert _same_curves(envelope_overlays(stack, window), overlays_at_every_node(stack, window))
 
 
 def test_gamma_pair_shares_every_field_call_on_a_large_grid(monkeypatch):
@@ -1133,4 +1112,4 @@ def test_overlay_calls_skip_the_angles_whose_band_misses_the_grid(monkeypatch):
             assert sum(angles) == 0 and got.polylines == ()
         else:
             assert 0 < sum(angles) < len(stack)
-            assert _same_curves(got, _overlays_at_every_node(stack, window))
+            assert _same_curves(got, overlays_at_every_node(stack, window))

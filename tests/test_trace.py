@@ -20,7 +20,7 @@ from specbound.envelope import _rotate, envelope_overlays
 from specbound.inequality import g_field
 from specbound.linalg import _normalised
 from specbound.trace import trace_batch
-from conftest import random_complex, trace_field
+from conftest import overlays_at_every_node, pair_at_every_node, random_complex, trace_field
 
 A_TILDE = build_matrix(MatrixSpec("a_tilde"))
 TOEPLITZ = build_matrix(MatrixSpec("toeplitz_eq1"))
@@ -389,13 +389,6 @@ def test_hyperbola_set_in_one_pass_matches_the_pair_loop(k):
             assert _same_curves(got, want)
 
 
-def _pair_at_every_node(frame, window):
-    """gamma_curves with g sampled at every node: the tracer without windows."""
-    return trace_module._trace_grid(
-        window, 1, lambda lo, hi, s, t: g_field(frame, s, t, which=("max", "min")),
-        ["gamma_max", "gamma_min"])
-
-
 def test_windowed_gamma_pair_equals_the_whole_grid():
     # the pair's window is the box of the node columns near its band; at
     # every order of every gallery matrix and of seeded random_complex ones,
@@ -413,7 +406,7 @@ def test_windowed_gamma_pair_equals_the_whole_grid():
                        Window(hi + 0.5, hi + 2.0, -1.0, 1.0, cols=12, rows=9)]
             for window in windows:
                 got = gamma_curves(frame, window)
-                want = _pair_at_every_node(frame, window)
+                want = pair_at_every_node(frame, window)
                 assert all(_same_curves(g, w) for g, w in zip(got, want)), (k, window)
 
 
@@ -505,18 +498,6 @@ def test_hyperbolas_beyond_the_window_are_not_sampled():
     assert len(got.polylines) == 2 and _same_curves(got, want)
 
 
-def _overlays_at_every_node(stack, window):
-    """envelope_overlays with g sampled at every node of the half grid."""
-    grid = Window(window.s_min, window.s_max, window.t_min, window.t_max,
-                  cols=max(2, (window.cols + 1) // 2), rows=max(2, (window.rows + 1) // 2))
-
-    def sample(lo, hi, s, t):
-        return g_field(stack[lo:hi], *_rotate(stack.theta[lo:hi, None], s, t))
-
-    curves = trace_module._trace_grid(grid, len(stack), sample, ["overlay"] * len(stack))
-    return trace_module._joined(curves, window, "overlay")
-
-
 def test_one_angle_overlay_boxes_equal_the_whole_grid(monkeypatch):
     # with a field budget below two overlay grids' runs, every overlay call
     # holds one angle or a band of its rows, sampled on the runs of its
@@ -530,7 +511,7 @@ def test_one_angle_overlay_boxes_equal_the_whole_grid(monkeypatch):
                    Window(0.5 * (lo + hi), hi + 1.0, -1.0, 2.0, cols=61, rows=41),
                    Window(hi + 30.0, hi + 31.0, 40.0, 41.0, cols=40, rows=30)]
         for window in windows:
-            want = _overlays_at_every_node(stack, window)
+            want = overlays_at_every_node(stack, window)
             monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", 300)
             got = envelope_overlays(stack, window)
             monkeypatch.undo()
@@ -604,11 +585,11 @@ def _sampler_cases():
         stack = build_frames(a, k, theta_grid(12))
         cases += [
             ("overlays", lambda s=stack, w=window: (envelope_overlays(s, w),),
-             lambda s=stack, w=window: (_overlays_at_every_node(s, w),), len(stack)),
+             lambda s=stack, w=window: (overlays_at_every_node(s, w),), len(stack)),
             ("overlay", lambda s=stack, w=window: (envelope_overlays(s[2:3], w),),
-             lambda s=stack, w=window: (_overlays_at_every_node(s[2:3], w),), 1),
+             lambda s=stack, w=window: (overlays_at_every_node(s[2:3], w),), 1),
             ("pair", lambda f=frame, w=window: gamma_curves(f, w),
-             lambda f=frame, w=window: _pair_at_every_node(f, w), 1),
+             lambda f=frame, w=window: pair_at_every_node(f, w), 1),
             ("hyperbolas", lambda f=frame, k=k, w=window: (hyperbola_set(f.deltas, k, w),),
              lambda f=frame, k=k, w=window: (_reference_hyperbola_set(f.deltas, k, w),),
              k * (k + 1) // 2),
@@ -666,7 +647,7 @@ def test_figure_overlays_evaluate_few_of_the_grid_nodes(monkeypatch):
     monkeypatch.setattr(envelope_module, "g_field", counting)
     got = envelope_overlays(stack, window)
     monkeypatch.undo()
-    assert _same_curves(got, _overlays_at_every_node(stack, window))
+    assert _same_curves(got, overlays_at_every_node(stack, window))
     assert 0 < sum(points) < 0.35 * len(stack) * 80 * 60
 
 
