@@ -55,10 +55,10 @@ from .frame import (
 from .inequality import _member, _member_constants, g_field
 from .linalg import ParameterError, _divided, _normalised, as_matrix, max_abs
 from .trace import (
-    _FIELD_BLOCK_PAIRS,
     CurveSet,
     Window,
     _band_runs,
+    _field_points,
     _joined,
     _trace_grid,
 )
@@ -241,7 +241,7 @@ def envelope_margins(A, k, thetas, points, stack=None):
     min_g = np.full(flat.size, np.inf)
     worst = np.zeros(flat.size, dtype=float)
     columns = np.arange(flat.size)
-    step = max(1, _FIELD_BLOCK_PAIRS // max(flat.size, 1))
+    step = max(1, _field_points(stack.k) // max(flat.size, 1))
     for lo in range(0, len(stack), step):
         block = stack[lo:lo + step]
         z = np.exp(1j * block.theta)[:, None] * flat
@@ -402,7 +402,7 @@ def envelope_overlays(stack, window):
         block = stack[lo:hi]
         return g_field(block, *_rotate(block.theta[:, None], s, t))
 
-    curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack), runs)
+    curves = _trace_grid(grid, len(stack), sample, ["overlay"] * len(stack), runs, stack.k)
     return _joined(curves, window, "overlay")
 
 

@@ -4,7 +4,8 @@ All writers format numbers deterministically, so identical inputs produce
 byte-identical files.  The SVG and CSV writers format whole columns at once:
 raster rows become rectangles by a run-length encoding of each row, and
 path and CSV coordinates are mapped as arrays and formatted from lists, with
-the same numbers and formats as one cell or vertex at a time.
+the same numbers and formats as one cell or vertex at a time.  The CSV
+writer formats each distinct coordinate, told apart by its bits, once.
 """
 
 from __future__ import annotations
@@ -213,24 +214,38 @@ def write_svg(path, window, curve_sets, eigenvalues=(), vlines=(), raster=None,
 
 # --- CSV ----------------------------------------------------------------------
 
-def curves_csv(curve_sets):
-    """CSV text with one row per vertex: curve_id, kind, s, t.
+def _csv_rows(curve_sets):
+    """The template of :func:`curves_csv` and the text of its coordinates, in order.
 
-    Curve ids count up in emission order across all given curve sets, and
-    each coordinate is the ``repr`` of its float.  The text comes from one
-    template, a ``<id>,<kind>,%r,%r`` row per vertex with the ``%`` of the
-    fixed text escaped, and one ``%`` call.
+    The template has a ``<id>,<kind>,%s,%s`` row per vertex, with the ``%``
+    of the fixed text escaped.  Each distinct float, told apart by its bits
+    (-0.0 is not 0.0), is formatted once.  The arrays that find them are
+    freed on return, before the text is filled in.
     """
     template = ["curve_id,kind,s,t\n"]
     coords = []
     for cs in curve_sets:
         for poly in cs.polylines:
             poly = np.asarray(poly, dtype=float).reshape(-1, 2)
-            row = f"{len(coords)},{cs.kind},".replace("%", "%%") + "%r,%r\n"
+            row = f"{len(coords)},{cs.kind},".replace("%", "%%") + "%s,%s\n"
             template.append(row * len(poly))
             coords.append(poly.ravel())
-    values = np.concatenate(coords).tolist() if coords else []
-    return "".join(template) % tuple(values)
+    bits, at = np.unique(np.concatenate([np.empty(0), *coords]).view(np.int64),
+                         return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return "".join(template), tuple(text[at])
+
+
+def curves_csv(curve_sets):
+    """CSV text with one row per vertex: curve_id, kind, s, t.
+
+    Curve ids count up in emission order across all given curve sets, and
+    each coordinate is the ``repr`` of its float.  Many vertices share a
+    node abscissa or ordinate, so :func:`_csv_rows` formats each distinct
+    float once, and one ``%`` call fills the rows of its template.
+    """
+    template, coords = _csv_rows(curve_sets)
+    return template % coords
 
 
 def write_curves_csv(path, curve_sets):

@@ -17,23 +17,28 @@ of its rotated band (:func:`_band_runs`), and a hyperbola's the nodes
 within rounding of its two branches (:func:`_hyperbola_runs`).  Every cell
 with a corner outside the runs has corners of one sign, so it is inactive.
 A field call takes whole items, one row of run nodes per item, and at most
-``_FIELD_BLOCK_PAIRS`` values, or part of an item that holds more, so
-memory stays bounded at any grid size; the curve and its companion are one
-item, so they share det W_k and M_k in every call, while each hyperbola and
-each overlay angle is an item of its own.  Marching-squares passes take at
-most ``_TRACE_BLOCK_NODES`` nodes of whole grids.  Both budgets are defined
-here, and the results are the same, bit for bit, whatever they are.
+the points of the order's budget (:func:`_field_points`): 2^14 values at
+k <= 2 and for the hyperbolas, and at k >= 3 the points whose temporaries
+fit ``_FIELD_BLOCK_BYTES``.  An item that holds more is split into bands of
+node rows cut from its own run lengths, so each call but the last of an
+item is nearly full and memory stays bounded at any grid size.  The curve
+and its companion are one item, so they share det W_k and M_k in every
+call, while each hyperbola and each overlay angle is an item of its own.
+Marching-squares passes take at most ``_TRACE_BLOCK_NODES`` nodes of whole
+grids.  The budgets are defined here, and the results are the same, bit
+for bit, whatever they are.
 
 :func:`_march` is the one marching-squares core.  It takes the active cells
 of a batch of fields, found among those whose four corners lie in the runs
 (:func:`_run_cells`), with their corner values, and works on integer edge
 ids of the whole grid that carry the field's index: it builds every active
 cell's segments from one case table with NumPy, links the whole batch's
-segments in one call, and only then computes the crossing coordinates from
-the corners.  The cells come in (field, row, column) order, so the
-segments, and the polylines, are those of a pass over every cell of the
-grid.  No chain crosses two fields, so each field's polylines are those of
-tracing it alone.  :func:`trace_batch`, for fields sampled at every node,
+segments in one call (:func:`_link_segments`, which joins two chains by
+splicing the shorter into the longer), and only then computes the crossing
+coordinates from the corners.  The cells come in (field, row, column)
+order, so the segments, and the polylines, are those of a pass over every
+cell of the grid.  No chain crosses two fields, so each field's polylines
+are those of tracing it alone.  :func:`trace_batch`, for fields sampled at every node,
 gives it runs that span every row.
 """
 
@@ -228,7 +233,10 @@ def _link_segments(flat):
     ``flat`` lists the segments' ends in turn: u0, v0, u1, v1, ...  A
     segment that touches no chain end starts a chain, one that touches one
     end extends that chain (reversed first if the end is its head), and one
-    that touches two ends closes a chain or joins the two chains.
+    that touches two ends closes a chain or joins the two chains: the one
+    whose end is u, reversed to end with it, then the other, reversed to
+    start with v.  The join splices the shorter list into the longer, so
+    the long chain of a curve is not copied at each join.
     """
     chains = []
     ends = {}
@@ -257,12 +265,16 @@ def _link_segments(flat):
             cu.closed = True
         else:
             # cu now ends with u and cv starts with v
-            edges = cu.edges
+            edges, tail = cu.edges, cv.edges
             if edges[-1] != u:
                 edges.reverse()
-            if cv.edges[0] != v:
-                cv.edges.reverse()
-            edges.extend(cv.edges)
+            if tail[0] != v:
+                tail.reverse()
+            if len(edges) < len(tail):
+                tail[:0] = edges
+                edges = cu.edges = tail
+            else:
+                edges.extend(tail)
             cu.ident = min(cu.ident, cv.ident)
             cv.edges = None
             ends[edges[-1]] = cu
@@ -285,13 +297,35 @@ def _finite_values(f, *args):
 
 
 # Field values per call of a sampled field in _trace_grid, and (angle,
-# point) pairs per call in envelope_margins; the k = 3 field holds about
-# 1 KiB of temporaries per point.  Under glibc's defaults, small calls also
-# keep the temporaries out of fresh pages: on a 400x300 grid, one call per
-# overlay angle spent two thirds of its time faulting them in (2.3 s against
-# 0.7 s in bands, 120 angles, k = 2).  It also bounds the candidate cells
+# point) pairs per call in envelope_margins, at orders k <= 2 and for a
+# field other than g.  Under glibc's defaults, small calls also keep the
+# temporaries out of fresh pages: on a 400x300 grid, one call per overlay
+# angle spent two thirds of its time faulting them in (2.3 s against 0.7 s
+# in bands, 120 angles, k = 2).  It also bounds the candidate cells
 # classified at once.
-_FIELD_BLOCK_PAIRS = 2 ** 14
+_FIELD_BLOCK_VALUES = 2 ** 14
+
+# Bytes of g's temporaries per field call at orders k >= 3, charged at
+# 64 (k^2 + 2) bytes per point: about four complex k x k matrices, and more
+# than tracemalloc counts at each k measured, 464, 1002, 1647, 2361 and
+# 6498 bytes at k = 3, 4, 5, 6 and 10, the pair and a lone field alike, as
+# they share det W_k and M_k.  At 3 MiB the default k = 4 curve with its
+# companion and hyperbolas peaks at 5.3 MiB of traced allocations (3.5 and
+# 4 MiB gave 5.9 and 6.5 MiB).
+_FIELD_BLOCK_BYTES = 3 * 2 ** 20
+
+
+def _field_points(k=None, width=1):
+    """Points per field call of g at order k, or of another field when k is None.
+
+    Each point holds ``width`` values.  At k <= 2 and for other fields a
+    call holds at most ``_FIELD_BLOCK_VALUES`` values, at k >= 3 at most
+    ``_FIELD_BLOCK_BYTES`` of g's temporaries, and always one point.
+    """
+    if k is not None and k >= 3:
+        return max(1, _FIELD_BLOCK_BYTES // (64 * (k * k + 2)))
+    return max(1, _FIELD_BLOCK_VALUES // width)
+
 
 # Grid nodes per marching-squares pass in _trace_grid, counted over the
 # whole grids of its fields, or one item when an item holds more: it bounds
@@ -299,7 +333,7 @@ _FIELD_BLOCK_PAIRS = 2 ** 14
 _TRACE_BLOCK_NODES = 2 ** 18
 
 
-def _trace_grid(window, items, sample, kinds, runs=None):
+def _trace_grid(window, items, sample, kinds, runs=None, k=None):
     """Sample a batch of fields where they can change sign and trace them.
 
     The batch is ``items`` items of ``len(kinds) // items`` fields each, an
@@ -313,11 +347,13 @@ def _trace_grid(window, items, sample, kinds, runs=None):
     item, stacked on a leading axis, at the points s + i t: at run nodes,
     two (hi - lo, w) arrays that hold one item per row, its run nodes in
     (row, column) order, padded to the longest row by repeating its last
-    node; at the centers of saddle cells, two 1-d arrays of one item.  A
-    call takes whole items and at most ``_FIELD_BLOCK_PAIRS`` values.  An
-    item that holds more is split over calls, each of the run nodes in a
-    band of node rows that holds that many values of the whole grid, or in
-    one row.  Items without a run of two nodes are not sampled.  So each
+    node; at the centers of saddle cells, two 1-d arrays of one item.  ``k``
+    is the order when the fields are g's, and a call takes whole items and
+    at most :func:`_field_points` points of the order, padding included.
+    An item that holds more is split over calls, each of the run nodes in a
+    band of consecutive node rows that holds at most that many of them, or
+    in one row that holds more; the bands are cut from the item's own run
+    lengths.  Items without a run of two nodes are not sampled.  So each
     run node is sampled once, padding aside, and no other node is.
     Marching squares classifies the cells whose four corners lie in the
     runs of both their node rows.  Each pass takes whole items and at most
@@ -337,7 +373,7 @@ def _trace_grid(window, items, sample, kinds, runs=None):
     stop = np.where(stop - first >= 2, stop, first)  # a run of one node holds no cell
     count = (stop - first).reshape(items, -1).sum(axis=1)
     per_pass = max(1, _TRACE_BLOCK_NODES // (width * rows * cols))
-    band = max(1, _FIELD_BLOCK_PAIRS // (width * cols))
+    block = _field_points(k, width)
 
     def at_centers(f, s, t):
         item, field = divmod(f, width)
@@ -357,17 +393,16 @@ def _trace_grid(window, items, sample, kinds, runs=None):
         while a < hi:
             # items a..b-1 share a call, or item a is split over calls
             b, most = a + 1, count[a]
-            while (b < hi and most and count[b]
-                   and (b + 1 - a) * max(most, count[b]) * width <= _FIELD_BLOCK_PAIRS):
+            while b < hi and most and count[b] and (b + 1 - a) * max(most, count[b]) <= block:
                 most = max(most, count[b])
                 b += 1
             if most:
-                step = rows if (b - a) * most * width <= _FIELD_BLOCK_PAIRS else band
+                fits = (b - a) * most <= block
+                cuts = [0, rows] if fits else _row_bands(first[a], stop[a], block)
                 vals = np.empty(((b - a) * width, most))
                 at = 0
-                for r in range(0, rows, step):
-                    s, t = _run_nodes(first[a:b, r:r + step], stop[a:b, r:r + step], s_nodes,
-                                      t_nodes[r:r + step])
+                for r, e in zip(cuts, cuts[1:]):
+                    s, t = _run_nodes(first[a:b, r:e], stop[a:b, r:e], s_nodes, t_nodes[r:e])
                     if s.size:
                         vals[:, at:at + s.shape[1]] = values(a, b, s, t)
                         at += s.shape[1]
@@ -378,6 +413,23 @@ def _trace_grid(window, items, sample, kinds, runs=None):
         curves += _march(window, [np.concatenate(part, axis=-1) for part in zip(*cells)],
                          [partial(at_centers, f) for f in fields], [kinds[f] for f in fields])
     return curves
+
+
+def _row_bands(first, stop, block):
+    """Cuts of an item's node rows into bands of at most ``block`` run nodes.
+
+    ``first`` and ``stop`` are the item's runs, of shape (rows, m).  Each
+    band takes as many rows after its first as fit, and a row that alone
+    holds more is a band of its own.  Returns the first row of each band
+    and then the row count.
+    """
+    end = np.cumsum((stop - first).sum(axis=1))
+    cuts = [0]
+    while cuts[-1] < len(end):
+        r = cuts[-1]
+        reach = (end[r - 1] if r else 0) + block
+        cuts.append(max(r + 1, int(np.searchsorted(end, reach, side="right"))))
+    return cuts
 
 
 def _run_nodes(first, stop, s_nodes, t_nodes):
@@ -411,7 +463,7 @@ def _run_cells(vals, first, stop, field0):
     the active ones kept: on all of ``vals`` at once when every candidate's
     upper neighbour lies equally far on in it, as in a box of runs, which
     takes half the time of gathering them on a whole grid, else at most
-    ``_FIELD_BLOCK_PAIRS`` candidates at a time.  Returns (field, row,
+    ``_field_points()`` candidates at a time.  Returns (field, row,
     column, corners), the fields numbered from ``field0``, in (field, row,
     column) order, as :func:`_march` takes them.
     """
@@ -446,9 +498,10 @@ def _run_cells(vals, first, stop, field0):
         found.append((run[ok], bl[ok], bl[ok] + rise[0]))
     else:
         start = np.cumsum(size) - size
+        block = _field_points()
         i = 0
         while i < len(size):
-            e = max(i + 1, int(np.searchsorted(start, start[i] + _FIELD_BLOCK_PAIRS)))
+            e = max(i + 1, int(np.searchsorted(start, start[i] + block)))
             c = np.arange(int(start[i]), int(start[e - 1] + size[e - 1]))
             bl = np.repeat(pos[i:e] - start[i:e], size[i:e]) + c
             tl = bl + np.repeat(rise[i:e], size[i:e])
@@ -628,7 +681,7 @@ def gamma_curves(frame, window, which=("max", "min")):
     field = partial(g_field, frame, which=which)
     runs = _band_runs(window, frame.delta_next, float(frame.deltas[0]))
     curves = _trace_grid(window, 1, lambda a, b, s, t: field(s, t),
-                         [_GAMMA_KINDS[side] for side in which], runs)
+                         [_GAMMA_KINDS[side] for side in which], runs, frame.k)
     return tuple(_flag_degenerate(cs, frame) for cs in curves)
 
 

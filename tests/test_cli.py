@@ -771,10 +771,10 @@ def test_curve_memory_is_bounded(tmp_path):
 def test_curve_memory_is_bounded_at_order_4(tmp_path):
     # 10 hyperbolas on the default 800 x 600 grid, where one dense array of
     # them would take 38 MB: each is sampled on runs of nodes near its
-    # branches, and the curve pair on the runs of its band, in calls of a
-    # band of rows no larger than those of the whole grid.  The peak is
-    # 5.6 MiB, against 11.33 MiB when every hyperbola node and the pair's
-    # whole grid were sampled
+    # branches, and the curve pair on the runs of its band, in bands of rows
+    # whose field temporaries fit the k >= 3 byte budget.  The peak is 5.3
+    # MiB, against 11.33 MiB when every hyperbola node and the pair's whole
+    # grid were sampled, and 11.1 MiB with bands of 16384 values at k = 4
     args = ["curve", "--gallery", "random_complex:n=6,seed=3", "--k", "4", "--with-gamma-min",
             "--with-hyperbolas", "--out", str(tmp_path / "c.svg")]
     tracemalloc.start()

@@ -350,7 +350,7 @@ def test_stacked_margins_are_bit_identical_to_reference(monkeypatch):
                 assert np.array_equal(got_g, ref_g)
                 assert np.array_equal(got_theta, ref_theta)
             # a given stack, one angle per field block
-            monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", 1)
+            monkeypatch.setattr(envelope_module, "_field_points", lambda k=None, width=1: 1)
             got_g, got_theta = envelope_margins(a, k, grid, pts, stack=build_frames(a, k, grid))
             monkeypatch.undo()
             ref_g, ref_theta = _reference_margins(a, k, grid, pts)
@@ -365,7 +365,7 @@ def test_margins_ties_keep_the_first_angle(monkeypatch):
     pts = np.array([1.0 + 1j, -2.0, 0.5j])
     monkeypatch.setattr(envelope_module, "g_field", lambda frame, s, t: np.zeros(np.shape(s)))
     for pairs in (1, 3, 2 ** 14):
-        monkeypatch.setattr(envelope_module, "_FIELD_BLOCK_PAIRS", pairs)
+        monkeypatch.setattr(envelope_module, "_field_points", lambda k=None, width=1: pairs)
         min_g, worst = envelope_margins(TOEPLITZ, 2, thetas, pts)
         assert np.array_equal(min_g, np.zeros(3))
         assert np.array_equal(worst, np.full(3, 2.0))
@@ -821,7 +821,8 @@ def test_overlays_do_not_depend_on_the_block_size(monkeypatch):
             for pairs in (1, 10 ** 9, None):
                 for nodes in (1, 10 ** 9, None):
                     if pairs is not None:
-                        monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", pairs)
+                        monkeypatch.setattr(trace_module, "_field_points",
+                                            lambda k=None, width=1, pairs=pairs: pairs)
                     if nodes is not None:
                         monkeypatch.setattr(trace_module, "_TRACE_BLOCK_NODES", nodes)
                     got = trace()
@@ -862,7 +863,8 @@ def test_band_sampling_equals_sampling_every_node(monkeypatch):
                 want_overlays = overlays_at_every_node(stack, window)
                 for pairs in (None, 64):
                     if pairs is not None:
-                        monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", pairs)
+                        monkeypatch.setattr(trace_module, "_field_points",
+                                            lambda k=None, width=1, pairs=pairs: pairs)
                     monkeypatch.setattr(trace_module, "g_field", counting)
                     points.clear()
                     pair = gamma_curves(frame, window)
@@ -878,7 +880,7 @@ def test_band_sampling_equals_sampling_every_node(monkeypatch):
     window = auto_window(build_frame(TOEPLITZ, 2), cols=300, rows=220)
     stack = build_frames(TOEPLITZ, 2, theta_grid(4))
     grid = overlay_grid(window)
-    assert grid.cols * grid.rows > trace_module._FIELD_BLOCK_PAIRS
+    assert grid.cols * grid.rows > trace_module._field_points(2)
     assert _same_curves(envelope_overlays(stack, window), overlays_at_every_node(stack, window))
 
 

@@ -176,3 +176,17 @@ def test_csv_matches_the_per_vertex_loop():
     assert "0,gamma_max,-0.0,0.0\n" in got and "0,gamma_max,5e-324," in got
     assert "3,odd%s 5% %%r,1.5,-2.5\n5,after,3.0,4.0\n" in got
     assert curves_csv([]) == _reference_csv([]) == "curve_id,kind,s,t\n"
+    # each distinct float is formatted once: node abscissae and ordinates
+    # repeat within a polyline, across polylines and across curve sets, as
+    # do -0.0 and 0.0, which must keep their own text, and a value beside
+    # its neighbour one unit in the last place away
+    nodes = np.linspace(-2.0, 2.0, 9)
+    near = float(np.nextafter(0.5, 1.0))
+    grid = np.column_stack([np.repeat(nodes, 3), rng.choice(nodes, 27)])
+    shared = [_curves("gamma_max", grid[:10], grid[10:], [[0.0, -0.0], [near, 0.5]]),
+              _curves("gamma_min", grid[::-1], [[-0.0, 0.0], [0.5, near], [-0.0, -0.0]]),
+              _curves("hyperbola", [[0.0, 0.0]], grid[5:9], [[near, near]])]
+    got = curves_csv(shared)
+    assert got == _reference_csv(shared) == _row_join_csv(shared)
+    assert "2,gamma_max,0.0,-0.0\n" in got and "4,gamma_min,-0.0,0.0\n" in got
+    assert f"2,gamma_max,{near!r},0.5\n" in got

@@ -16,7 +16,7 @@ from specbound import (
 import specbound.trace as trace_module
 from specbound import build_frames, gallery_entries, theta_grid
 import specbound.envelope as envelope_module
-from specbound.envelope import _rotate, envelope_overlays
+from specbound.envelope import _rotate, envelope_margins, envelope_overlays
 from specbound.inequality import g_field
 from specbound.linalg import _normalised
 from specbound.trace import trace_batch
@@ -441,7 +441,7 @@ def test_windowed_hyperbolas_equal_the_whole_grid(monkeypatch, k, pairs):
     # one run or a few runs; equal deltas make line crosses, whose crossings
     # on these grids fall on the nodes, and so do those of integer deltas in
     # the node row t = 0
-    monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", pairs)
+    monkeypatch.setattr(trace_module, "_field_points", lambda k=None, width=1: pairs)
     rng = np.random.default_rng(k)
     delta_sets = [np.arange(k, -1, -1.0) * 2.0, np.full(k + 1, 1.0),
                   np.repeat([2.0, -1.0], k + 1)[::2][:k + 1] if k > 1 else [2.0, 2.0],
@@ -512,7 +512,7 @@ def test_one_angle_overlay_boxes_equal_the_whole_grid(monkeypatch):
                    Window(hi + 30.0, hi + 31.0, 40.0, 41.0, cols=40, rows=30)]
         for window in windows:
             want = overlays_at_every_node(stack, window)
-            monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", 300)
+            monkeypatch.setattr(trace_module, "_field_points", lambda k=None, width=1: 300)
             got = envelope_overlays(stack, window)
             monkeypatch.undo()
             assert _same_curves(got, want)
@@ -521,14 +521,14 @@ def test_one_angle_overlay_boxes_equal_the_whole_grid(monkeypatch):
 def _recorded_samplers(monkeypatch):
     """Record every _trace_grid call from now on: its grid, runs and node calls.
 
-    Each record is (window, items, width, runs, calls), and each call
+    Each record is (window, items, width, runs, calls, k), and each call
     (lo, hi, s, t) holds the node coordinates of items lo..hi-1, one row per
     item; calls at saddle centers are left out.
     """
     records = []
     plain = trace_module._trace_grid
 
-    def recorded(window, items, sample, kinds, runs=None):
+    def recorded(window, items, sample, kinds, runs=None, k=None):
         calls = []
 
         def counted(lo, hi, s, t):
@@ -536,8 +536,8 @@ def _recorded_samplers(monkeypatch):
                 calls.append((lo, hi, np.array(s), np.array(t)))
             return sample(lo, hi, s, t)
 
-        records.append((window, items, len(kinds) // items, runs, calls))
-        return plain(window, items, counted, kinds, runs)
+        records.append((window, items, len(kinds) // items, runs, calls, k))
+        return plain(window, items, counted, kinds, runs, k)
 
     monkeypatch.setattr(trace_module, "_trace_grid", recorded)
     monkeypatch.setattr(envelope_module, "_trace_grid", recorded)
@@ -546,7 +546,7 @@ def _recorded_samplers(monkeypatch):
 
 def _run_nodes_of(record):
     """The nodes of each item's runs with two nodes or more, as sets of (s, t)."""
-    window, items, _, runs, _ = record
+    window, items, _, runs, *_ = record
     s_nodes, t_nodes = window.node_axes()
     if runs is None:
         runs = (np.zeros((items, window.rows, 1), dtype=int),
@@ -565,7 +565,7 @@ def _sampled_nodes_of(record):
     A row of a call is padded by repeating its last node, so copies of the
     last node at the end of a row are padding.
     """
-    _, items, _, _, calls = record
+    _, items, _, _, calls, _ = record
     sampled = [[] for _ in range(items)]
     for lo, hi, s, t in calls:
         for item, srow, trow in zip(range(lo, hi), s, t):
@@ -609,10 +609,9 @@ def test_runs_equal_every_node_at_every_budget(monkeypatch, calls):
         want = at_every_node()
         records = _recorded_samplers(monkeypatch)
         traced()
-        window, items, width, runs, _ = records[0]
         most = max(len(nodes) for nodes in _run_nodes_of(records[0]))
-        budget = {"pack": 2 * most * width, "one": most * width, "split": most * width - 1}
-        monkeypatch.setattr(trace_module, "_FIELD_BLOCK_PAIRS", budget[calls])
+        budget = {"pack": 2 * most, "one": most, "split": most - 1}[calls]
+        monkeypatch.setattr(trace_module, "_field_points", lambda k=None, width=1: budget)
         records.clear()
         got = traced()
         monkeypatch.undo()
@@ -628,6 +627,60 @@ def test_runs_equal_every_node_at_every_budget(monkeypatch, calls):
             assert len(owners) > len(set(owners)), name
         for sampled, nodes in zip(_sampled_nodes_of(record), _run_nodes_of(record)):
             assert len(sampled) == len(set(sampled)) and set(sampled) == nodes, (name, calls)
+
+
+def test_split_pair_calls_fill_the_budget(monkeypatch):
+    # the curve pair of both matrices of the benchmark's figure jobs at
+    # k = 2 on their 400 x 300 grid holds more run nodes than one call: the
+    # bands of rows are cut from its own run lengths, so it takes at most 6
+    # calls of at most 2^14 values, not one per 2^14 values of the whole grid
+    for a in (TOEPLITZ, random_complex(5, seed=1_000_004)):
+        frame = build_frame(_normalised(a)[0], 2)
+        window = auto_window(frame, cols=400, rows=300)
+        records = _recorded_samplers(monkeypatch)
+        gamma_curves(frame, window)
+        monkeypatch.undo()
+        calls = records[0][4]
+        nodes = sum(s.size for _, _, s, _ in calls)
+        assert nodes > trace_module._field_points(2, 2) and 2 <= len(calls) <= 6
+        assert max(s.size for _, _, s, _ in calls) <= 2 ** 14 // 2
+
+
+def test_no_field_call_exceeds_its_order_budget(monkeypatch):
+    # at every order of an n = 7 matrix, every call of the curve pair (split
+    # over calls at every order), the overlays and the margins holds at most
+    # the order's points: 2^14 values at k <= 2, and at k >= 3 the points
+    # whose temporaries fit the byte budget
+    a = random_complex(7, seed=3)
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+    for k in range(1, 7):
+        frame = build_frame(a, k)
+        window = auto_window(frame, cols=400, rows=300)
+        stack = build_frames(a, k, theta_grid(4))
+        budget = trace_module._field_points(k)
+        if k <= 2:
+            assert budget == 2 ** 14 and trace_module._field_points(k, 2) == 2 ** 13
+        else:
+            assert budget * 64 * (k * k + 2) <= trace_module._FIELD_BLOCK_BYTES
+            assert trace_module._field_points(k, 2) == budget
+        records = _recorded_samplers(monkeypatch)
+        margin_calls = []
+
+        def counted(frames, s, t, which="max"):
+            margin_calls.append(np.size(s))
+            return g_field(frames, s, t, which=which)
+
+        gamma_curves(frame, window)
+        envelope_overlays(stack, window)
+        monkeypatch.setattr(envelope_module, "g_field", counted)
+        envelope_margins(a, k, theta_grid(24), points)
+        monkeypatch.undo()
+        assert len(records) == 2 and len(records[0][4]) > 1, k
+        for _, _, width, _, calls, order in records:
+            assert order == k
+            assert all(s.size <= trace_module._field_points(k, width) for _, _, s, _ in calls), k
+        assert len(margin_calls) > 1 and max(margin_calls) <= budget, k
 
 
 def test_figure_overlays_evaluate_few_of_the_grid_nodes(monkeypatch):
@@ -677,8 +730,12 @@ def test_band_runs_hold_every_node_of_the_widened_band():
         assert want.any() and not (want & ~got).any()
 
 
-def _pair_list_loop(segments):
-    """The linker as it read a list of (u, v) pairs: (edges, closed) per chain."""
+def _pair_list_loop(segments, joins=None):
+    """The linker as it read a list of (u, v) pairs: (edges, closed) per chain.
+
+    Two chains join by copying the second onto the end of the first; the
+    lengths of the two are appended to ``joins`` when it is given.
+    """
     chains = []
     ends = {}
     for u, v in segments:
@@ -701,6 +758,8 @@ def _pair_list_loop(segments):
                 cu["edges"].reverse()
             if cv["edges"][0] != v:
                 cv["edges"].reverse()
+            if joins is not None:
+                joins.append((len(cu["edges"]), len(cv["edges"])))
             cu["edges"].extend(cv["edges"])
             cu["ident"] = min(cu["ident"], cv["ident"])
             cv["edges"] = None
@@ -711,8 +770,12 @@ def _pair_list_loop(segments):
 
 def test_flat_linker_input_equals_the_pair_list_loop(monkeypatch):
     # the segment lists that marching squares links for the curve pair, the
-    # hyperbolas and the overlays of two matrices, as given, shuffled, with
-    # segments flipped, and both
+    # hyperbolas and the overlays of two matrices, and for the hyperbolas of
+    # both matrices of the benchmark's figure jobs on their 400 x 300 grid,
+    # as given, shuffled, with segments flipped, and both.  The linker joins
+    # two chains by splicing the shorter into the longer, the loop by
+    # copying the second onto the first; the figure hyperbolas join chains
+    # of both orders of length, hundreds of times
     lists = []
     link = trace_module._link_segments
 
@@ -727,17 +790,27 @@ def test_flat_linker_input_equals_the_pair_list_loop(monkeypatch):
         gamma_curves(frame, window)
         hyperbola_set(frame.deltas, 2, window)
         envelope_overlays(build_frames(a, 2, theta_grid(24)), window)
+    for a in (TOEPLITZ, random_complex(5, seed=1_000_004)):
+        frame = build_frame(_normalised(a)[0], 2)
+        hyperbola_set(frame.deltas, 2, auto_window(frame, cols=400, rows=300))
     monkeypatch.undo()
-    assert len(lists) == 6 and min(len(flat) for flat in lists) > 500
+    # each figure hyperbola set is linked in two passes of 2^18 nodes or less
+    assert len(lists) == 10 and min(len(flat) for flat in lists) > 500
     rng = np.random.default_rng(5)
-    for flat in lists:
+    figure_joins = []
+    for index, flat in enumerate(lists):
         pairs = list(zip(flat[::2], flat[1::2]))
         order = rng.permutation(len(pairs))
         flip = rng.random(len(pairs)) < 0.3
         flipped = [(v, u) if f else (u, v) for (u, v), f in zip(pairs, flip)]
         for segments in (pairs, [pairs[i] for i in order], flipped, [flipped[i] for i in order]):
             got = link([end for segment in segments for end in segment])
-            assert [(c.edges, c.closed) for c in got] == _pair_list_loop(segments)
+            joins = []
+            assert [(c.edges, c.closed) for c in got] == _pair_list_loop(segments, joins)
+            if index >= 6:
+                figure_joins += joins
+    assert len(figure_joins) > 1000
+    assert any(a < b for a, b in figure_joins) and any(a > b for a, b in figure_joins)
 
 
 def test_hyperbola_validation():

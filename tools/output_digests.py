@@ -32,7 +32,10 @@ window's ``envelope --format csv``.  Last come ``curve
 --with-hyperbolas`` on a tall window, a wide one and one through the
 hyperbola vertices, at k = 4 on the default grid, and on a window 2e300
 wide; then ``envelope`` SVG and CSV at k = 2 and 4 on the grids whose
-overlay grids hold two and one whole grids per field call.  A new line goes
+overlay grids hold two and one whole grids per field call; then ``curve
+--format csv --with-gamma-min --with-hyperbolas`` at k = 2, 3 and 4 on a
+400x300 grid, where the curve pair is split over field calls, and the
+default-grid ``envelope --format csv``.  A new line goes
 at the end, so the lines of an older list can still be compared.
 """
 
@@ -97,6 +100,11 @@ def _argvs():
     argvs += [["envelope", "--gallery", "random_complex:n=6,seed=17", "--k", k, "--grid", grid,
                "--format", fmt]
               for grid in ("256x128", "258x130") for k in ("2", "4") for fmt in ("svg", "csv")]
+    # the curve pair holds more run nodes than one field call at each order,
+    # so it is split into bands of rows; then the default-grid envelope CSV
+    argvs += [["curve", "--gallery", "random_complex:n=6,seed=17", "--k", k, "--grid", "400x300",
+               "--format", "csv", *CURVE_FLAGS] for k in ("2", "3", "4")]
+    argvs.append(["envelope", "--gallery", "toeplitz_eq1", "--k", "2", "--format", "csv"])
     return argvs
 
 
