@@ -33,9 +33,11 @@ the grid.
 :func:`envelope_margins` evaluates g on blocks of (angle, point) pairs
 under the same pair budget.  :func:`rank_numrange_raster` cuts each raster
 row by each half-plane as an interval: the members of a row form a prefix
-or a suffix of it, whose length is found by bisection for all (angle, row)
-pairs at once, with the same complex product per probe as a test of every
-cell.
+or a suffix of it, ending where the cell centers cross the quotient at
+which the half-plane's boundary meets the row.  Each (angle, row) pair's
+length comes from a binary search of that quotient and is proved by testing
+the two cells at its end with the same complex product as a test of every
+cell; the rare pairs that fail the proof are bisected with that product.
 """
 
 from __future__ import annotations
@@ -295,6 +297,13 @@ def _half_plane_columns(theta, delta1, norm, s, t):
     return first, stop
 
 
+def _kept_cells(first, stop):
+    """(rows, cols) of the cells first[r] <= j < stop[r], row-major as np.nonzero lists them."""
+    width = np.maximum(stop - first, 0)
+    rows = np.repeat(np.arange(width.size), width)
+    return rows, np.arange(width.sum()) + np.repeat(first - np.cumsum(width) + width, width)
+
+
 def envelope_raster(A, k, theta_count, window, stack=None):
     """Envelope membership sampled at every cell center of the window.
 
@@ -336,8 +345,7 @@ def envelope_raster(A, k, theta_count, window, stack=None):
     s, t = window.cell_centers()
     first, stop = _half_plane_columns(const[0], frames.deltas[:, 0] / scale,
                                       np.linalg.norm(a), s / sigma, t / sigma)
-    column = np.arange(window.cols)
-    rows, cols = np.nonzero((column >= first[:, None]) & (column < stop[:, None]))
+    rows, cols = _kept_cells(first, stop)
     bits = np.zeros((window.rows, window.cols), dtype=bool)
     # s_j + i t_r rounds as the grid s + i t[:, None] of every cell does
     bits[rows, cols] = _culled(const, _divided(s[cols] + 1j * t[rows], sigma))
@@ -358,7 +366,7 @@ def _rotate(theta, s, t):
     return ph.real * s - ph.imag * t, ph.imag * s + ph.real * t
 
 
-# (angle, row) pairs per bisection step in rank_numrange_raster.
+# (angle, row) pairs per block of rank_numrange_raster.
 _RANK_BLOCK_PAIRS = 2 ** 16
 
 
@@ -406,6 +414,26 @@ def envelope_overlays(stack, window):
     return _joined(curves, window, "overlay")
 
 
+def _passes(phase, jt, cut, prefix, s, at):
+    """Whether the cell ``at`` cells in from each pair's edge passes the pair's half-plane.
+
+    The edge is the left one for a prefix pair and the right one otherwise;
+    a cell beyond either end of the row is taken at that end.  The test is
+    that of every cell, the real part of the complex product e^{i theta}
+    (s_j + i t_r) against the cut.
+    """
+    return (phase * (s.take(np.where(prefix, at, s.size - 1 - at), mode="clip") + jt)).real <= cut
+
+
+def _bisected(phase, jt, cut, prefix, s):
+    """Per pair, the count of cells that pass, found one bit at a time from the top."""
+    count = np.zeros(phase.shape, dtype=np.intp)
+    for bit in reversed(range(s.size.bit_length())):
+        wider = np.minimum(count + (1 << bit), s.size)
+        count = np.where(_passes(phase, jt, cut, prefix, s, wider - 1), wider, count)
+    return count
+
+
 def rank_numrange_raster(A, ell, theta_count, window):
     """Raster of the rank-ell numerical range (intersection of half-planes).
 
@@ -418,12 +446,26 @@ def rank_numrange_raster(A, ell, theta_count, window):
     product rounded as NumPy's complex array product rounds it.  In one row
     and at one angle that real part is monotone in s_j (rounding is
     monotone and the cell centers increase), so the members form a prefix
-    of the row when cos theta >= 0 and a suffix otherwise.  Each boundary is
-    found by bisection over a block of (angle, row) pairs at once, at most
-    ``_RANK_BLOCK_PAIRS`` of them, each probe evaluated with that same
-    product, and a row's members are the intersection of its intervals.
-    The cut is made on A/sigma and the cell centers over sigma, as in
-    :func:`envelope_member_mask`, with the slack tol = 1e-9 (1 + max|A/sigma|).
+    of the row when c = cos theta >= 0 and a suffix otherwise, and a row's
+    members are the intersection of its intervals.  The (angle, row) pairs
+    are taken in blocks of at most ``_RANK_BLOCK_PAIRS``.
+
+    Each pair's count comes from one quotient.  In exact arithmetic the
+    test c s - d t <= cut, with d = sin theta and cut = delta_ell + tol,
+    changes sign where s crosses q = (cut + d t) / c, so the candidate count
+    is the number of cell centers below q, found by a binary search of the
+    sorted centers, for a prefix, and the rest for a suffix.  The candidate
+    is then checked with the product and comparison of the test itself: the
+    last cell it keeps must pass, unless it keeps none, and the first it
+    drops must fail, unless it drops none.  As the rounded test is monotone
+    along the row, those two cells prove that the count is the one a test of
+    every cell gives, however the quotient itself was rounded.  A pair whose
+    candidate fails the check, as when a cell center lies within a few
+    rounding errors of q, |c| is about 6e-17 or q is not finite, is counted
+    by bisection instead, with the same product per probe; only those pairs
+    are bisected.  The cut is made on A/sigma and the cell centers over
+    sigma, as in :func:`envelope_member_mask`, with the slack tol = 1e-9
+    (1 + max|A/sigma|).
     """
     a, sigma = _normalised(as_matrix(A))
     n = a.shape[0]
@@ -442,16 +484,19 @@ def rank_numrange_raster(A, ell, theta_count, window):
     for lo in range(0, thetas.size, step):
         phase = np.exp(1j * thetas[lo:lo + step])[:, None]
         cut = (spectra[lo:lo + step, ell - 1] + tol)[:, None]
-        prefix = np.broadcast_to(phase.real >= 0.0, (len(phase), t.size))
+        prefix = phase.real >= 0.0
         # Per (angle, row) pair, the number of cells of the row that pass the
         # angle's test, counted from the left edge for a prefix and from the
-        # right edge for a suffix, found one bit at a time from the top.
-        count = np.zeros(prefix.shape, dtype=np.intp)
-        for bit in reversed(range(cols.bit_length())):
-            wider = count + (1 << bit)
-            at = np.minimum(wider, cols) - 1
-            z = phase * (s[np.where(prefix, at, cols - 1 - at)] + jt)
-            count = np.where((wider <= cols) & (z.real <= cut), wider, count)
+        # right edge for a suffix.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = (cut + phase.imag * t) / phase.real
+        left = np.searchsorted(s, q)
+        count = np.where(prefix, left, cols - left)
+        bad = ~(((count == 0) | _passes(phase, jt, cut, prefix, s, count - 1))
+                & ((count == cols) | ~_passes(phase, jt, cut, prefix, s, count)))
+        if bad.any():
+            pairs = [x[bad] for x in np.broadcast_arrays(phase, jt, cut, prefix)]
+            count[bad] = _bisected(*pairs, s)
         first = np.maximum(first, np.where(prefix, 0, cols - count).max(axis=0))
         stop = np.minimum(stop, np.where(prefix, count, cols).min(axis=0))
     column = np.arange(cols)

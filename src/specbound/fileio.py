@@ -120,19 +120,21 @@ def _mapper(window):
 def _raster_rects(bits, w, h):
     """One rect element per run of member cells in a row, rows top to bottom.
 
-    The runs are the steps of each row padded with a non-member cell at
-    both ends: +1 starts a run and -1 ends it.
+    The runs are the changes of one flat row-major mask whose rows are each
+    led by a non-member cell, with one more non-member cell at the end: a
+    run starts at every other change and ends at the next one, never in
+    another row.
     """
-    ph = h / bits.shape[0]
-    pw = w / bits.shape[1]
-    padded = np.zeros((bits.shape[0], bits.shape[1] + 2), dtype=np.int8)
-    padded[:, 1:-1] = bits
-    steps = np.diff(padded, axis=1)
-    r, c0 = np.nonzero(steps == 1)
-    c1 = np.nonzero(steps == -1)[1]
+    rows, cols = bits.shape
+    ph, pw = h / rows, w / cols
+    flat = np.zeros(rows * (cols + 1) + 1, dtype=bool)
+    flat[:-1].reshape(rows, cols + 1)[:, 1:] = bits
+    change = np.flatnonzero(flat[1:] != flat[:-1])
+    start, stop = change[0::2], change[1::2]
+    r, c0 = np.divmod(start, cols + 1)
     rect = '<rect x="{:.4f}" y="{:.4f}" width="{:.4f}" height="' + f'{ph:.4f}' + '"/>'
     return list(map(rect.format, (c0 * pw).tolist(), (r * ph).tolist(),
-                    ((c1 - c0) * pw).tolist()))
+                    ((stop - start) * pw).tolist()))
 
 
 def _path_text(cs, to_px, extra_attrs):

@@ -401,6 +401,36 @@ def test_single_theta_raster_equals_field_mask():
     assert raster.kind == "envelope" and raster.k == 2 and raster.ell == 0
 
 
+def test_kept_cells_match_the_two_dimensional_nonzero(monkeypatch):
+    # random cuts with empty rows (first >= stop), full rows and one-cell
+    # rows, and the cuts of the benchmark's k = 2 rasters: the figures' at
+    # 160 x 120 and the raster workload's at 240 x 180
+    rng = np.random.default_rng(6)
+    cuts = []
+    for rows, cols in ((1, 1), (7, 9), (60, 45)):
+        first, stop = rng.integers(0, cols + 1, (2, rows))
+        first[::4], stop[::4] = 0, cols
+        first[1::5], stop[1::5] = cols, 0
+        cuts.append((first, stop, cols))
+    kept_cells = envelope_module._kept_cells
+
+    def recorded(first, stop):
+        cuts.append((first, stop, win.cols))
+        return kept_cells(first, stop)
+
+    monkeypatch.setattr(envelope_module, "_kept_cells", recorded)
+    for a in (TOEPLITZ, build_matrix(MatrixSpec("random_complex", {"n": 5, "seed": 1000004}))):
+        for cols, rows in ((160, 120), (240, 180)):
+            win = auto_window(build_frame(a, 2), cols=cols, rows=rows)
+            envelope_raster(a, 2, 120, win)
+    assert len(cuts) == 7
+    for first, stop, cols in cuts:
+        column = np.arange(cols)
+        want = np.nonzero((column >= first[:, None]) & (column < stop[:, None]))
+        got = kept_cells(first, stop)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_raster_monotone_in_theta_set():
     win = Window(-2.0, 8.0, -7.0, 7.0, cols=60, rows=45)
     r60 = envelope_raster(TOEPLITZ, 2, 60, win)
@@ -489,19 +519,24 @@ def _reference_rank_raster(a, ell, theta_count, window):
 def test_rank_raster_matches_per_angle_reference(monkeypatch):
     # every level of the gallery and of seeded n = 5 and n = 12 matrices; 4
     # angles put cos theta at about +-6e-17, and 2 x 2 is the smallest grid;
-    # the matrices of the benchmark figures also at 400 x 300, and with one
-    # angle per bisection block
+    # the matrices of the benchmark figures also at 400 x 300; one and two
+    # angles; a given window across W(A), one 1e150 wide and one +-1e300;
+    # then with one angle per block
     mats = [(name, build_matrix(MatrixSpec(name))) for name, _, _ in gallery_entries()]
     mats += [("seeded", random_complex(n, seed=seed)) for n, seed in ((5, 11), (5, 12), (12, 4))]
+    given = [Window(-3.0, 9.0, -6.0, 6.0, cols=37, rows=23),
+             Window(-5e149, 5e149, -2.0, 2.0, cols=37, rows=23),
+             Window(-1e300, 1e300, -1e300, 1e300, cols=37, rows=23)]
     for name, a in mats:
         box = numerical_range_boundary(a, 120).window
         grids = [(2, 2), (37, 23)]
         if name in ("toeplitz_eq1", "matrix_A1", "pair_A"):
             grids.append((400, 300))
-        for cols, rows in grids:
-            win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=cols, rows=rows)
+        windows = [Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=cols, rows=rows)
+                   for cols, rows in grids]
+        for win in windows + given:
             for ell in range(1, a.shape[0] + 1):
-                for count in (3, 4, 120):
+                for count in (1, 2, 3, 4, 120):
                     got = rank_numrange_raster(a, ell, count, win).bits
                     assert np.array_equal(got, _reference_rank_raster(a, ell, count, win))
     monkeypatch.setattr(envelope_module, "_RANK_BLOCK_PAIRS", 1)
@@ -511,6 +546,69 @@ def test_rank_raster_matches_per_angle_reference(monkeypatch):
         for ell in range(1, a.shape[0] + 1):
             got = rank_numrange_raster(a, ell, 120, win).bits
             assert np.array_equal(got, _reference_rank_raster(a, ell, 120, win))
+
+
+def _bisected_pairs(monkeypatch):
+    """A list that gets the number of pairs of every bisection rank_numrange_raster makes."""
+    calls = []
+    bisected = envelope_module._bisected
+
+    def counted(phase, *args):
+        calls.append(phase.size)
+        return bisected(phase, *args)
+
+    monkeypatch.setattr(envelope_module, "_bisected", counted)
+    return calls
+
+
+def _quotient_windows(a, ell, count, m):
+    """9 x 3 windows whose top middle cell center is on, one ulp below and one above a quotient.
+
+    The quotient is (cut + d t) / c of angle m and the top row, computed as
+    rank_numrange_raster computes it; the windows are two ulps a column
+    wide, so every cell center is exact.
+    """
+    unit, sigma = _normalised(a)
+    thetas = theta_grid(count)
+    phase = np.exp(1j * thetas)[m]
+    cut = rotation_spectra(unit, thetas)[m, ell - 1] + 1e-9 * (1.0 + max_abs(unit))
+    t = Window(0.0, 1.0, -1.0, 1.0, cols=2, rows=3).cell_centers()[1][0]
+    q = (cut + phase.imag * (t / sigma)) / phase.real * sigma
+    ulp = abs(np.spacing(q))
+    for shift in (0, -1, 1):
+        win = Window(q + (shift - 9) * ulp, q + (shift + 9) * ulp, -1.0, 1.0, cols=9, rows=3)
+        assert win.cell_centers()[0][4] == q + shift * ulp
+        yield win
+
+
+def test_rank_raster_bisects_the_pairs_at_their_quotients(monkeypatch):
+    # a cell center on the quotient, or one ulp beside it, is where the
+    # candidate count may be one off; there the pair is bisected, and the bits
+    # stay those of a test of every cell.  4 angles put cos theta at about
+    # +-6e-17.
+    calls = _bisected_pairs(monkeypatch)
+    exact = 0
+    for a in (TOEPLITZ, random_complex(5, seed=11)):
+        for count in (1, 2, 4, 7):
+            for m in range(count):
+                for ell in (1, 2):
+                    for i, win in enumerate(_quotient_windows(a, ell, count, m)):
+                        calls.clear()
+                        got = rank_numrange_raster(a, ell, count, win).bits
+                        assert np.array_equal(got, _reference_rank_raster(a, ell, count, win))
+                        exact += i == 0 and len(calls) > 0
+    assert exact > 0
+
+
+def test_rank_raster_bisects_no_pair_of_the_benchmark_figures(monkeypatch):
+    # the rank-2 rasters of the benchmark's numrange figures, and every level
+    calls = _bisected_pairs(monkeypatch)
+    for a in (TOEPLITZ, build_matrix(MatrixSpec("random_complex", {"n": 5, "seed": 1000004}))):
+        box = numerical_range_boundary(a, 120).window
+        win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=400, rows=300)
+        for ell in range(1, a.shape[0] + 1):
+            rank_numrange_raster(a, ell, 120, win)
+    assert calls == []
 
 
 def test_rank_raster_memory_is_bounded():

@@ -1,8 +1,10 @@
 import numpy as np
 
-from specbound import Window
+from specbound import (MatrixSpec, Window, auto_window, build_frame, build_matrix,
+                       envelope_raster, numerical_range_boundary, rank_numrange_raster)
 from specbound.envelope import RegionRaster
-from specbound.fileio import _CURVE_STYLES, _MARKER_HALF, _mapper, curves_csv, svg_document
+from specbound.fileio import (_CURVE_STYLES, _MARKER_HALF, _mapper, _raster_rects, curves_csv,
+                              svg_document)
 from specbound.trace import CurveSet
 
 
@@ -134,6 +136,43 @@ def test_raster_runs_match_the_per_cell_loop():
         raster = _raster(bits)
         got = svg_document(WINDOW, [], raster=raster)
         assert got == _reference_svg(WINDOW, [], raster=raster)
+
+
+def _nonzero_rects(bits, w, h):
+    """_raster_rects from the steps of a padded 2-d int8 mask and np.nonzero."""
+    ph = h / bits.shape[0]
+    pw = w / bits.shape[1]
+    padded = np.zeros((bits.shape[0], bits.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = bits
+    steps = np.diff(padded, axis=1)
+    r, c0 = np.nonzero(steps == 1)
+    c1 = np.nonzero(steps == -1)[1]
+    rect = '<rect x="{:.4f}" y="{:.4f}" width="{:.4f}" height="' + f'{ph:.4f}' + '"/>'
+    return list(map(rect.format, (c0 * pw).tolist(), (r * ph).tolist(),
+                    ((c1 - c0) * pw).tolist()))
+
+
+def test_raster_rects_match_the_two_dimensional_runs():
+    # random rasters with empty rows, full rows and several runs per row, and
+    # the rasters of the benchmark figures: the envelope at 160 x 120 and the
+    # rank-2 numerical range at 400 x 300
+    rng = np.random.default_rng(8)
+    rasters = [np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool)]
+    for rows, cols, p in ((6, 9, 0.5), (40, 33, 0.2), (50, 64, 0.9)):
+        bits = rng.random((rows, cols)) < p
+        bits[::5] = False
+        bits[2::7] = True
+        rasters.append(bits)
+    seeded = MatrixSpec("random_complex", {"n": 5, "seed": 1000004})
+    for a in (build_matrix(MatrixSpec("toeplitz_eq1")), build_matrix(seeded)):
+        rasters.append(envelope_raster(a, 2, 120, auto_window(build_frame(a, 2), cols=160,
+                                                              rows=120)).bits)
+        box = numerical_range_boundary(a, 120).window
+        win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=400, rows=300)
+        rasters.append(rank_numrange_raster(a, 2, 120, win).bits)
+    for bits in rasters:
+        for w, h in ((bits.shape[1], bits.shape[0]), (9, 6)):
+            assert _raster_rects(bits, w, h) == _nonzero_rects(bits, w, h)
 
 
 def test_paths_match_the_per_vertex_loop():

@@ -35,8 +35,11 @@ wide; then ``envelope`` SVG and CSV at k = 2 and 4 on the grids whose
 overlay grids hold two and one whole grids per field call; then ``curve
 --format csv --with-gamma-min --with-hyperbolas`` at k = 2, 3 and 4 on a
 400x300 grid, where the curve pair is split over field calls, and the
-default-grid ``envelope --format csv``.  A new line goes
-at the end, so the lines of an older list can still be compared.
+default-grid ``envelope --format csv``.  Then ``numrange`` PGM and SVG at
+every rank level of two matrices on the default grid, with 1 and 7 angles
+on a given window, and on windows straddling the numerical range and far
+beyond it.  A new line goes at the end, so the lines of an older list can
+still be compared.
 """
 
 from __future__ import annotations
@@ -105,6 +108,18 @@ def _argvs():
     argvs += [["curve", "--gallery", "random_complex:n=6,seed=17", "--k", k, "--grid", "400x300",
                "--format", "csv", *CURVE_FLAGS] for k in ("2", "3", "4")]
     argvs.append(["envelope", "--gallery", "toeplitz_eq1", "--k", "2", "--format", "csv"])
+    # numrange rasters at every rank level on the default grid; one and 7
+    # angles on a given window; windows straddling W(A) and far beyond it.
+    # toeplitz_eq1 at level 1 on the default grid is listed above.
+    for spec, levels in (("toeplitz_eq1", (0, 2, 3, 4)), ("random_complex:n=6,seed=17", range(7))):
+        argvs += [["numrange", "--gallery", spec, "--k", str(ell), "--format", fmt]
+                  for ell in levels for fmt in ("pgm", "svg")]
+    argvs += [["numrange", "--gallery", "toeplitz_eq1", "--k", "2", "--grid", "120x90",
+               "--window=-3,3,-3,3", "--theta-count", count, "--format", fmt]
+              for count in ("1", "7") for fmt in ("pgm", "svg")]
+    argvs += [["numrange", "--gallery", "toeplitz_eq1", "--k", "1", "--grid", "120x90",
+               f"--window={window}", "--format", fmt]
+              for window in ("4,8,-2,2", "1e150,2e150,-1,1") for fmt in ("pgm", "svg")]
     return argvs
 
 
