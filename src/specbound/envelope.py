@@ -11,13 +11,17 @@ sigma = 2^round(log2 max|a_ij|) from :func:`specbound.linalg._normalised`, a
 power of two, so dividing by it is exact and the regions of 2^e A are those
 of A scaled by 2^e, bit for bit.  The order-k test is the sign-only kernel
 of :mod:`specbound.inequality` with a slack of 1e-12 in A/sigma units, the
-same for every order, run on a block of angles per call; the half-plane cut
-of the rank numerical ranges has the slack 1e-9 (1 + max|A/sigma|) in the
-same units.  Every envelope lies in the numerical range W(A), the
-intersection of the half-planes Re(e^{i theta} z) <= delta_1(theta), so
-:func:`envelope_raster` first cuts each raster row to the interval of
-cells that every sampled half-plane, widened by a margin, keeps, and runs
-the kernel only there; a cell the cut drops is one the kernel would
+same for every order, run on a block of angles per call.
+
+Both rasters cut their rows by one function, :func:`_half_plane_columns`:
+with c + i d = e^{i theta}, a cell (s_j, t_r) is kept when s_j <= (level +
+slack + d t_r) / c at every angle with c > 0 and s_j >= that quotient at
+every angle with c < 0, so each row keeps one interval of cells.  The rank
+numerical ranges are the cut itself, at the level delta_ell and the slack
+1e-9 (1 + max|A/sigma|).  Every envelope lies in the numerical range W(A),
+the intersection of the half-planes Re(e^{i theta} z) <= delta_1(theta), so
+:func:`envelope_raster` cuts at delta_1 widened by a margin and runs the
+kernel only on the cells kept; a cell the cut drops is one the kernel would
 reject, so the bits are those of the mask on every cell.
 
 Regions are reported as boolean rasters rather than polygons because the
@@ -31,13 +35,7 @@ delta_{k+1} <= c s - d t <= delta_1, widened by two cell diagonals, can
 reach in each row, and never for an angle whose band misses every node of
 the grid.
 :func:`envelope_margins` evaluates g on blocks of (angle, point) pairs
-under the same pair budget.  :func:`rank_numrange_raster` cuts each raster
-row by each half-plane as an interval: the members of a row form a prefix
-or a suffix of it, ending where the cell centers cross the quotient at
-which the half-plane's boundary meets the row.  Each (angle, row) pair's
-length comes from a binary search of that quotient and is proved by testing
-the two cells at its end with the same complex product as a test of every
-cell; the rare pairs that fail the proof are bisected with that product.
+under the same pair budget.
 """
 
 from __future__ import annotations
@@ -269,32 +267,39 @@ def _cut_margin(norm, size):
     return 1e-3 * (1.0 + norm + size)
 
 
-def _half_plane_columns(theta, delta1, norm, s, t):
-    """(first, stop): per row, the cells that no half-plane of the numerical range excludes.
+# (angle, row) pairs per block of the half-plane cut of both rasters.
+_CUT_BLOCK_PAIRS = 2 ** 16
+
+
+def _half_plane_columns(theta, level, slack, s, t):
+    """(first, stop): per row, the cells that every half-plane c s - d t <= level + slack keeps.
 
     ``s`` holds the cell-center abscissae (non-decreasing) and ``t`` the
-    ordinates of the rows, in A/sigma units; ``theta`` the angles and
-    ``delta1`` delta_1 of each, over sigma.  Row r keeps the columns
-    first[r] <= j < stop[r]: the cells whose rotated abscissa x = c s_j -
-    d t_r, with c + i d = e^{i theta}, is at most delta_1 + mu_r at every
-    angle, mu_r = :func:`_cut_margin` of max|s| + |t_r|.  At one angle and
-    row that is a prefix of the row when c > 0 and a suffix when c < 0,
-    bounded where s_j crosses (delta_1 + mu_r + d t_r) / c; an angle with
-    c = 0 keeps the whole row.  The bounds of every (row, angle) pair come
-    from one array per sign of c, and a row keeps the intersection of its
-    intervals: the cells up to the least prefix bound and from the greatest
-    suffix bound.
+    ordinates of the rows; ``theta`` the angles, ``level`` one value per
+    angle and ``slack`` a scalar or a column of one value per row.  With c
+    + i d = e^{i theta} and the quotient q = (level + slack_r + d t_r) / c,
+    rounded in that order, row r keeps the columns first[r] <= j < stop[r]:
+    the cells with s_j <= q at every angle with c > 0 and s_j >= q at every
+    angle with c < 0, that is the cells up to the least quotient of the
+    first kind and from the greatest of the second.  cos theta never rounds
+    to 0 for a double theta, as no double comes within 1e-19 of an odd
+    multiple of pi/2, so every angle is of one kind and no c = 0 branch is
+    needed.  The quotients are formed for blocks of at most
+    ``_CUT_BLOCK_PAIRS`` (angle, row) pairs, whatever the angle count.
     """
-    ph = np.exp(1j * theta)
-    c, d = ph.real, ph.imag
     column = t[:, None]
-    with np.errstate(divide="ignore", over="ignore"):
-        mu = _cut_margin(norm, np.abs(s).max() + np.abs(column))
-        bound = [((delta1[side] + mu + d[side] * column) / c[side])
+    upper = lower = None
+    step = max(1, _CUT_BLOCK_PAIRS // t.size)
+    with np.errstate(over="ignore"):
+        for lo in range(0, theta.size, step):
+            ph, lb = np.exp(1j * theta[lo:lo + step]), level[lo:lo + step]
+            c, d = ph.real, ph.imag
+            q = [(lb[side] + slack + d[side] * column) / c[side]
                  for side in (c > 0.0, c < 0.0)]
-    stop = np.searchsorted(s, bound[0].min(axis=1, initial=np.inf), side="right")
-    first = np.searchsorted(s, bound[1].max(axis=1, initial=-np.inf), side="left")
-    return first, stop
+            right, left = q[0].min(axis=1, initial=np.inf), q[1].max(axis=1, initial=-np.inf)
+            upper = right if upper is None else np.minimum(upper, right)
+            lower = left if lower is None else np.maximum(lower, left)
+    return np.searchsorted(s, lower, side="left"), np.searchsorted(s, upper, side="right")
 
 
 def _kept_cells(first, stop):
@@ -311,10 +316,14 @@ def envelope_raster(A, k, theta_count, window, stack=None):
     caller already has it, checked as in :func:`envelope_member_mask`.  The
     bits are those of :func:`envelope_member_mask` on every cell center,
     bit for bit, but the kernel runs only on the cells inside the
-    half-planes Re(e^{i theta} z) <= delta_1(theta) + mu of the numerical
-    range W(A), a few columns per row (see :func:`_half_plane_columns`);
-    every other cell is 0 without a kernel call.  A window that misses W(A)
-    calls the kernel on no cell.
+    half-planes Re(e^{i theta} z) <= delta_1(theta) + mu_r of the numerical
+    range W(A), mu_r = :func:`_cut_margin` of max|s| + |t_r| in A/sigma
+    units: the cells of row r with s_j <= (delta_1 + mu_r + d t_r) / c at
+    every angle with c > 0 and s_j >= it at every angle with c < 0 (see
+    :func:`_half_plane_columns`).  Every other cell is 0 without a kernel
+    call, and a window that misses W(A) calls the kernel on no cell.  The
+    cut takes a bounded block of (angle, row) pairs at a time, so its memory
+    does not grow with the angle count.
 
     Why the cut is exact.  In A/sigma units, at an angle theta, let x be the
     rotated abscissa of a point z and x >= delta_1 + mu/2, with mu =
@@ -343,9 +352,11 @@ def envelope_raster(A, k, theta_count, window, stack=None):
     a, sigma, frames, scale = _kernel_setup(A, k, theta_grid(theta_count), stack)
     const = _member_constants(frames, scale)
     s, t = window.cell_centers()
-    first, stop = _half_plane_columns(const[0], frames.deltas[:, 0] / scale,
-                                      np.linalg.norm(a), s / sigma, t / sigma)
-    rows, cols = _kept_cells(first, stop)
+    su, tu = s / sigma, t / sigma
+    # the cell centers ascend, so the largest |s| is at an end of the row
+    mu = _cut_margin(np.linalg.norm(a), max(abs(su[0]), abs(su[-1])) + np.abs(tu[:, None]))
+    rows, cols = _kept_cells(*_half_plane_columns(const[0], frames.deltas[:, 0] / scale,
+                                                  mu, su, tu))
     bits = np.zeros((window.rows, window.cols), dtype=bool)
     # s_j + i t_r rounds as the grid s + i t[:, None] of every cell does
     bits[rows, cols] = _culled(const, _divided(s[cols] + 1j * t[rows], sigma))
@@ -364,10 +375,6 @@ def _rotate(theta, s, t):
     """
     ph = np.exp(1j * theta)
     return ph.real * s - ph.imag * t, ph.imag * s + ph.real * t
-
-
-# (angle, row) pairs per block of rank_numrange_raster.
-_RANK_BLOCK_PAIRS = 2 ** 16
 
 
 def envelope_overlays(stack, window):
@@ -414,26 +421,6 @@ def envelope_overlays(stack, window):
     return _joined(curves, window, "overlay")
 
 
-def _passes(phase, jt, cut, prefix, s, at):
-    """Whether the cell ``at`` cells in from each pair's edge passes the pair's half-plane.
-
-    The edge is the left one for a prefix pair and the right one otherwise;
-    a cell beyond either end of the row is taken at that end.  The test is
-    that of every cell, the real part of the complex product e^{i theta}
-    (s_j + i t_r) against the cut.
-    """
-    return (phase * (s.take(np.where(prefix, at, s.size - 1 - at), mode="clip") + jt)).real <= cut
-
-
-def _bisected(phase, jt, cut, prefix, s):
-    """Per pair, the count of cells that pass, found one bit at a time from the top."""
-    count = np.zeros(phase.shape, dtype=np.intp)
-    for bit in reversed(range(s.size.bit_length())):
-        wider = np.minimum(count + (1 << bit), s.size)
-        count = np.where(_passes(phase, jt, cut, prefix, s, wider - 1), wider, count)
-    return count
-
-
 def rank_numrange_raster(A, ell, theta_count, window):
     """Raster of the rank-ell numerical range (intersection of half-planes).
 
@@ -441,66 +428,27 @@ def rank_numrange_raster(A, ell, theta_count, window):
     itself; higher levels use the ell-th eigenvalue of the rotated Hermitian
     part as the cut.
 
-    A cell (row r, column j) is a member when, at every angle theta,
-    Re(e^{i theta} (s_j + i t_r)) <= delta_ell(theta) + tol, with the
-    product rounded as NumPy's complex array product rounds it.  In one row
-    and at one angle that real part is monotone in s_j (rounding is
-    monotone and the cell centers increase), so the members form a prefix
-    of the row when c = cos theta >= 0 and a suffix otherwise, and a row's
-    members are the intersection of its intervals.  The (angle, row) pairs
-    are taken in blocks of at most ``_RANK_BLOCK_PAIRS``.
-
-    Each pair's count comes from one quotient.  In exact arithmetic the
-    test c s - d t <= cut, with d = sin theta and cut = delta_ell + tol,
-    changes sign where s crosses q = (cut + d t) / c, so the candidate count
-    is the number of cell centers below q, found by a binary search of the
-    sorted centers, for a prefix, and the rest for a suffix.  The candidate
-    is then checked with the product and comparison of the test itself: the
-    last cell it keeps must pass, unless it keeps none, and the first it
-    drops must fail, unless it drops none.  As the rounded test is monotone
-    along the row, those two cells prove that the count is the one a test of
-    every cell gives, however the quotient itself was rounded.  A pair whose
-    candidate fails the check, as when a cell center lies within a few
-    rounding errors of q, |c| is about 6e-17 or q is not finite, is counted
-    by bisection instead, with the same product per probe; only those pairs
-    are bisected.  The cut is made on A/sigma and the cell centers over
-    sigma, as in :func:`envelope_member_mask`, with the slack tol = 1e-9
-    (1 + max|A/sigma|).
+    A cell (row r, column j) is a member when, at every angle theta, with c
+    + i d = e^{i theta} and the quotient q = (delta_ell(theta) + tol + d
+    t_r) / c, s_j <= q when c > 0 and s_j >= q when c < 0: the test
+    Re(e^{i theta} (s_j + i t_r)) <= delta_ell + tol solved for s_j, as
+    :func:`_half_plane_columns` makes it, so a row's members are one
+    interval of it.  cos theta is never 0 for a double theta.  The cut is
+    made on A/sigma and the cell centers over sigma, as in
+    :func:`envelope_member_mask`, with the slack tol = 1e-9 (1 +
+    max|A/sigma|).
     """
     a, sigma = _normalised(as_matrix(A))
     n = a.shape[0]
     if not 1 <= ell <= n:
         raise ParameterError(f"rank level must satisfy 1 <= ell <= {n}, got {ell}")
     thetas = theta_grid(theta_count)
-    spectra = rotation_spectra(a, thetas)
     s, t = window.cell_centers()
-    s, t = s / sigma, t / sigma
-    cols = s.size
-    jt = 1j * t
     tol = 1e-9 * (1.0 + max_abs(a))
-    first = np.zeros(t.size, dtype=np.intp)
-    stop = np.full(t.size, cols)
-    step = max(1, _RANK_BLOCK_PAIRS // t.size)
-    for lo in range(0, thetas.size, step):
-        phase = np.exp(1j * thetas[lo:lo + step])[:, None]
-        cut = (spectra[lo:lo + step, ell - 1] + tol)[:, None]
-        prefix = phase.real >= 0.0
-        # Per (angle, row) pair, the number of cells of the row that pass the
-        # angle's test, counted from the left edge for a prefix and from the
-        # right edge for a suffix.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q = (cut + phase.imag * t) / phase.real
-        left = np.searchsorted(s, q)
-        count = np.where(prefix, left, cols - left)
-        bad = ~(((count == 0) | _passes(phase, jt, cut, prefix, s, count - 1))
-                & ((count == cols) | ~_passes(phase, jt, cut, prefix, s, count)))
-        if bad.any():
-            pairs = [x[bad] for x in np.broadcast_arrays(phase, jt, cut, prefix)]
-            count[bad] = _bisected(*pairs, s)
-        first = np.maximum(first, np.where(prefix, 0, cols - count).max(axis=0))
-        stop = np.minimum(stop, np.where(prefix, count, cols).min(axis=0))
-    column = np.arange(cols)
-    bits = (column >= first[:, None]) & (column < stop[:, None])
+    first, stop = _half_plane_columns(thetas, rotation_spectra(a, thetas)[:, ell - 1], tol,
+                                      s / sigma, t / sigma)
+    bits = np.zeros((window.rows, window.cols), dtype=bool)
+    bits[_kept_cells(first, stop)] = True
     bits.setflags(write=False)
     return RegionRaster(
         window=window, bits=bits, theta_count=int(theta_count), k=0, ell=int(ell),

@@ -502,8 +502,10 @@ def test_rank_raster_validates_level():
 def _reference_rank_raster(a, ell, theta_count, window):
     """The rank raster one angle at a time, over the whole complex grid.
 
-    The loop rank_numrange_raster replaced; it makes the same complex
-    product and comparison at every cell, so the two must agree bit for bit.
+    It tests the real part of the complex product e^{i theta} z at every
+    cell, where rank_numrange_raster compares s with a quotient; the two
+    rules differ only on a cell center within a few rounding errors of a
+    quotient, which none of the windows it is compared on holds.
     """
     thetas = theta_grid(theta_count)
     s, t = window.cell_centers()
@@ -519,18 +521,20 @@ def _reference_rank_raster(a, ell, theta_count, window):
 def test_rank_raster_matches_per_angle_reference(monkeypatch):
     # every level of the gallery and of seeded n = 5 and n = 12 matrices; 4
     # angles put cos theta at about +-6e-17, and 2 x 2 is the smallest grid;
-    # the matrices of the benchmark figures also at 400 x 300; one and two
-    # angles; a given window across W(A), one 1e150 wide and one +-1e300;
-    # then with one angle per block
+    # the two matrices of the benchmark figures, matrix_A1 and pair_A also
+    # at 400 x 300; one and two angles; a given window across W(A), one
+    # 1e150 wide and one +-1e300; then with one angle per block
     mats = [(name, build_matrix(MatrixSpec(name))) for name, _, _ in gallery_entries()]
     mats += [("seeded", random_complex(n, seed=seed)) for n, seed in ((5, 11), (5, 12), (12, 4))]
+    figure = "random_complex:n=5,seed=1000004"
+    mats.append((figure, build_matrix(MatrixSpec("random_complex", {"n": 5, "seed": 1000004}))))
     given = [Window(-3.0, 9.0, -6.0, 6.0, cols=37, rows=23),
              Window(-5e149, 5e149, -2.0, 2.0, cols=37, rows=23),
              Window(-1e300, 1e300, -1e300, 1e300, cols=37, rows=23)]
     for name, a in mats:
         box = numerical_range_boundary(a, 120).window
         grids = [(2, 2), (37, 23)]
-        if name in ("toeplitz_eq1", "matrix_A1", "pair_A"):
+        if name in ("toeplitz_eq1", "matrix_A1", "pair_A", figure):
             grids.append((400, 300))
         windows = [Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=cols, rows=rows)
                    for cols, rows in grids]
@@ -539,7 +543,7 @@ def test_rank_raster_matches_per_angle_reference(monkeypatch):
                 for count in (1, 2, 3, 4, 120):
                     got = rank_numrange_raster(a, ell, count, win).bits
                     assert np.array_equal(got, _reference_rank_raster(a, ell, count, win))
-    monkeypatch.setattr(envelope_module, "_RANK_BLOCK_PAIRS", 1)
+    monkeypatch.setattr(envelope_module, "_CUT_BLOCK_PAIRS", 1)
     for name, a in mats[:3]:
         box = numerical_range_boundary(a, 120).window
         win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=37, rows=23)
@@ -548,17 +552,24 @@ def test_rank_raster_matches_per_angle_reference(monkeypatch):
             assert np.array_equal(got, _reference_rank_raster(a, ell, 120, win))
 
 
-def _bisected_pairs(monkeypatch):
-    """A list that gets the number of pairs of every bisection rank_numrange_raster makes."""
-    calls = []
-    bisected = envelope_module._bisected
+def _quotient_rank_raster(a, ell, theta_count, window):
+    """The rank raster's quotient rule one angle at a time, over the whole grid.
 
-    def counted(phase, *args):
-        calls.append(phase.size)
-        return bisected(phase, *args)
-
-    monkeypatch.setattr(envelope_module, "_bisected", counted)
-    return calls
+    At each angle, with c + i d = e^{i theta} and q = (delta_ell + tol + d t)
+    / c on A/sigma and the cell centers over sigma, a cell is kept when
+    s <= q for c > 0 and s >= q for c < 0.
+    """
+    thetas = theta_grid(theta_count)
+    unit, sigma = _normalised(a)
+    tol = 1e-9 * (1.0 + max_abs(unit))
+    s, t = window.cell_centers()
+    s, t = s / sigma, t[:, None] / sigma
+    bits = np.ones((t.size, s.size), dtype=bool)
+    for phase, deltas in zip(np.exp(1j * thetas), rotation_spectra(unit, thetas)):
+        with np.errstate(over="ignore"):
+            q = (deltas[ell - 1] + tol + phase.imag * t) / phase.real
+        bits &= (s <= q) if phase.real > 0.0 else (s >= q)
+    return bits
 
 
 def _quotient_windows(a, ell, count, m):
@@ -581,34 +592,21 @@ def _quotient_windows(a, ell, count, m):
         yield win
 
 
-def test_rank_raster_bisects_the_pairs_at_their_quotients(monkeypatch):
-    # a cell center on the quotient, or one ulp beside it, is where the
-    # candidate count may be one off; there the pair is bisected, and the bits
-    # stay those of a test of every cell.  4 angles put cos theta at about
-    # +-6e-17.
-    calls = _bisected_pairs(monkeypatch)
-    exact = 0
+def test_rank_raster_cuts_the_rows_at_their_quotients():
+    # a cell center on the quotient of one angle and the top row, or one ulp
+    # beside it, is kept as the quotient rule says, one angle at a time over
+    # the whole grid; with one angle (c = 1) the cell on the quotient and the
+    # one below it are kept, the one above it is not.  4 angles put cos
+    # theta at about +-6e-17.
     for a in (TOEPLITZ, random_complex(5, seed=11)):
         for count in (1, 2, 4, 7):
             for m in range(count):
                 for ell in (1, 2):
                     for i, win in enumerate(_quotient_windows(a, ell, count, m)):
-                        calls.clear()
                         got = rank_numrange_raster(a, ell, count, win).bits
-                        assert np.array_equal(got, _reference_rank_raster(a, ell, count, win))
-                        exact += i == 0 and len(calls) > 0
-    assert exact > 0
-
-
-def test_rank_raster_bisects_no_pair_of_the_benchmark_figures(monkeypatch):
-    # the rank-2 rasters of the benchmark's numrange figures, and every level
-    calls = _bisected_pairs(monkeypatch)
-    for a in (TOEPLITZ, build_matrix(MatrixSpec("random_complex", {"n": 5, "seed": 1000004}))):
-        box = numerical_range_boundary(a, 120).window
-        win = Window(box.s_min, box.s_max, box.t_min, box.t_max, cols=400, rows=300)
-        for ell in range(1, a.shape[0] + 1):
-            rank_numrange_raster(a, ell, 120, win)
-    assert calls == []
+                        assert np.array_equal(got, _quotient_rank_raster(a, ell, count, win))
+                        if count == 1:
+                            assert got[0, 4] == (i != 2)
 
 
 def test_rank_raster_memory_is_bounded():
@@ -1149,8 +1147,9 @@ def test_raster_equals_the_mask_on_every_cell(monkeypatch):
     # envelope_raster runs the kernel only inside the half-planes of W(A)
     # and must give the bits of the mask on every cell center, at every
     # order, on grids of 240x180, 48x36 and an odd size, on the auto window
-    # and on windows inside W(A), straddling its edge and missing it.  A
-    # window that misses W(A) makes no kernel call.
+    # and on windows inside W(A), straddling its edge and missing it, also
+    # with one angle per block of the cut.  A window that misses W(A) makes
+    # no kernel call.
     from specbound.envelope import _cut_margin
 
     mats = [TOEPLITZ, build_matrix(MatrixSpec("a_hat")), random_complex(6, seed=3), DIAGONAL]
@@ -1170,6 +1169,10 @@ def test_raster_equals_the_mask_on_every_cell(monkeypatch):
                     got = envelope_raster(a, k, 48, window, stack=stack).bits
                     monkeypatch.undo()
                     assert np.array_equal(got, want), (a, k, cols, w)
+                    monkeypatch.setattr(envelope_module, "_CUT_BLOCK_PAIRS", 1)
+                    blocked = envelope_raster(a, k, 48, window, stack=stack).bits
+                    monkeypatch.undo()
+                    assert np.array_equal(blocked, want), (a, k, cols, w)
                     # the kernel sees the cells within mu of every half-plane, give
                     # or take the rounding of a bound: at most one cell per row end
                     s, t = s / sigma, t[:, None] / sigma
@@ -1183,6 +1186,24 @@ def test_raster_equals_the_mask_on_every_cell(monkeypatch):
                     tested += 1
                     cut += first < cols * rows
     assert tested == 3 * 4 * (3 + 3 + 5 + 3) and cut > tested // 2
+
+
+def test_envelope_raster_memory_is_bounded():
+    # the half-plane cut forms its quotients a block of (angle, row) pairs at
+    # a time, so 20000 angles on 800x600 need no (rows x angles) array.  The
+    # diagonal matrix's order-2 envelope holds no cell center of this
+    # window, so the kernel culls every cell within a few angles and the
+    # call takes a fraction of a second.
+    window = auto_window(build_frame(DIAGONAL, 2), cols=800, rows=600)
+    stack = build_frames(DIAGONAL, 2, theta_grid(20000))
+    tracemalloc.start()
+    try:
+        raster = envelope_raster(DIAGONAL, 2, 20000, window, stack=stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not raster.bits.any()
+    assert peak < 16 * 2 ** 20
 
 
 def test_overlay_calls_skip_the_angles_whose_band_misses_the_grid(monkeypatch):

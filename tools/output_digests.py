@@ -38,7 +38,9 @@ overlay grids hold two and one whole grids per field call; then ``curve
 default-grid ``envelope --format csv``.  Then ``numrange`` PGM and SVG at
 every rank level of two matrices on the default grid, with 1 and 7 angles
 on a given window, and on windows straddling the numerical range and far
-beyond it.  A new line goes at the end, so the lines of an older list can
+beyond it.  Last, ``numrange`` and ``envelope --k 2`` PGM rasters at 1000
+angles on a 200x150 grid, whose half-plane cuts take three blocks of
+angles each.  A new line goes at the end, so the lines of an older list can
 still be compared.
 """
 
@@ -120,6 +122,11 @@ def _argvs():
     argvs += [["numrange", "--gallery", "toeplitz_eq1", "--k", "1", "--grid", "120x90",
                f"--window={window}", "--format", fmt]
               for window in ("4,8,-2,2", "1e150,2e150,-1,1") for fmt in ("pgm", "svg")]
+    # 1000 angles over 150 rows fill three blocks of the half-plane cut
+    argvs += [[cmd, "--gallery", spec, *k, "--theta-count", "1000", "--grid", "200x150",
+               "--format", "pgm"]
+              for spec in ("toeplitz_eq1", "random_complex:n=6,seed=17")
+              for cmd, k in (("numrange", []), ("envelope", ["--k", "2"]))]
     return argvs
 
 
