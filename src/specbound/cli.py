@@ -5,7 +5,9 @@
 * ``curve``    trace the order-k bounding curve of one matrix (theta = 0);
   ``--format`` svg or csv
 * ``envelope`` rasterize the rotation envelope and overlay the rotated curves
-  (traced in the display plane at half the raster resolution); svg, csv or pgm
+  (traced in the display plane at half the raster resolution); svg, csv or
+  pgm.  One solve of the angles serves the raster, the overlays and, without
+  ``--window``, the frame at angle 0 that the window is drawn from
 * ``numrange`` numerical range boundary and rank-level half-plane rasters;
   svg, csv or pgm
 * ``gallery``  list the built-in demo matrices
@@ -71,7 +73,7 @@ from .fileio import (
     write_pgm,
     write_svg,
 )
-from .frame import build_frame, build_frames
+from .frame import _frames_and_first, build_frame, build_frames
 from .gallery import GALLERY, MatrixSpec, build_matrix, gallery_entries
 from .linalg import DimensionError, ParameterError, _normalised, as_matrix
 from .trace import Window, auto_window, gamma_curves, hyperbola_set
@@ -308,9 +310,9 @@ def _run_curve(ns):
 
 def _run_envelope(ns):
     a, sigma, window = _load(ns)
-    window = window or auto_window(
-        build_frame(a, ns.k, 0.0), cols=ns.grid[0], rows=ns.grid[1])
-    stack = build_frames(a, ns.k, theta_grid(ns.theta_count))
+    # theta_grid starts at 0, so the window's frame comes from the stack's solve
+    stack, frame = _frames_and_first(a, ns.k, theta_grid(ns.theta_count), window is None)
+    window = window or auto_window(frame, cols=ns.grid[0], rows=ns.grid[1])
     overlays = [] if ns.fmt == "pgm" else [envelope_overlays(stack, window)]
     raster = None
     if ns.fmt != "csv":

@@ -11,7 +11,8 @@ sigma = 2^round(log2 max|a_ij|) from :func:`specbound.linalg._normalised`, a
 power of two, so dividing by it is exact and the regions of 2^e A are those
 of A scaled by 2^e, bit for bit.  The order-k test is the sign-only kernel
 of :mod:`specbound.inequality` with a slack of 1e-12 in A/sigma units, the
-same for every order, run on a block of angles per call.
+same for every order, run on a block of angles per call, with each block's
+constants sliced from one table put in the visiting order once.
 
 Both rasters cut their rows by one function, :func:`_half_plane_columns`:
 with c + i d = e^{i theta}, a cell (s_j, t_r) is kept when s_j <= (level +
@@ -36,6 +37,11 @@ reach in each row, and never for an angle whose band misses every node of
 the grid.
 :func:`envelope_margins` evaluates g on blocks of (angle, point) pairs
 under the same pair budget.
+
+The ``envelope`` subcommand solves its frames once: the stack that its
+raster and overlays share also gives, from the same solve of angle 0, the
+frame its default window is drawn from
+(:func:`specbound.frame._frames_and_first`).
 """
 
 from __future__ import annotations
@@ -166,19 +172,32 @@ def _kernel_setup(A, k, thetas, stack):
     return a, sigma, _frames(a, k, thetas, stack), scale
 
 
-def _culled(const, flat):
-    """Members among the 1-d array ``flat`` of A/sigma points: the culling loop of the mask."""
+def _culled(frames, scale, flat):
+    """Members among the 1-d array ``flat`` of A/sigma points: the culling loop of the mask.
+
+    ``frames`` and ``scale`` are those of :func:`_kernel_setup`.  The
+    constants of :func:`_member_constants`, with e^{i theta} in place of
+    theta, are put in the visiting order once, so each block takes its
+    constants and phases as slices of that table.
+    """
+    order = _bit_reversed(len(frames))
+    theta, *const = (c[order] for c in _member_constants(frames, scale))
+    const = [np.exp(1j * theta), *const]
     alive = np.arange(flat.size)
-    order = _bit_reversed(len(const[0]))
-    while alive.size and order.size:
-        step = max(1, _MASK_BLOCK_PAIRS // alive.size)
-        rows, order = order[:step], order[step:]
+    lo = 0
+    while alive.size and lo < order.size:
+        hi = min(lo + max(1, _MASK_BLOCK_PAIRS // alive.size), order.size)
         # A lone angle gets scalar constants and a flat row: on large point
         # sets that call is 5-10% faster than with (1, 1) columns.
-        rows = rows[0] if rows.size == 1 else rows[:, None]
-        z = np.exp(1j * const[0][rows]) * flat[alive]
-        member = _member([c[rows] for c in const], z.real, z.imag)
-        alive = alive[member.reshape(-1, alive.size).all(axis=0)]
+        rows = lo if hi - lo == 1 else (slice(lo, hi), None)
+        block = [c[rows] for c in const]
+        z = block[0] * flat[alive]
+        # the kernel reads each part several times, faster when contiguous
+        s, t = z.real.copy(), z.imag.copy()
+        del z
+        member = _member(block, s, t)
+        alive = alive[member if member.ndim == 1 else member.all(axis=0)]
+        lo = hi
     member = np.zeros(flat.size, dtype=bool)
     member[alive] = True
     return member
@@ -216,9 +235,8 @@ def envelope_member_mask(A, k, thetas, points, stack=None):
     half-planes without the kernel.
     """
     _, sigma, frames, scale = _kernel_setup(A, k, thetas, stack)
-    const = _member_constants(frames, scale)
     flat = _divided(points, sigma).ravel()
-    return _culled(const, flat).reshape(np.shape(points))
+    return _culled(frames, scale, flat).reshape(np.shape(points))
 
 
 def envelope_margins(A, k, thetas, points, stack=None):
@@ -350,16 +368,15 @@ def envelope_raster(A, k, theta_count, window, stack=None):
     member either way.
     """
     a, sigma, frames, scale = _kernel_setup(A, k, theta_grid(theta_count), stack)
-    const = _member_constants(frames, scale)
     s, t = window.cell_centers()
     su, tu = s / sigma, t / sigma
     # the cell centers ascend, so the largest |s| is at an end of the row
     mu = _cut_margin(np.linalg.norm(a), max(abs(su[0]), abs(su[-1])) + np.abs(tu[:, None]))
-    rows, cols = _kept_cells(*_half_plane_columns(const[0], frames.deltas[:, 0] / scale,
+    rows, cols = _kept_cells(*_half_plane_columns(frames.theta, frames.deltas[:, 0] / scale,
                                                   mu, su, tu))
     bits = np.zeros((window.rows, window.cols), dtype=bool)
     # s_j + i t_r rounds as the grid s + i t[:, None] of every cell does
-    bits[rows, cols] = _culled(const, _divided(s[cols] + 1j * t[rows], sigma))
+    bits[rows, cols] = _culled(frames, scale, _divided(s[cols] + 1j * t[rows], sigma))
     bits.setflags(write=False)
     return RegionRaster(
         window=window, bits=bits, theta_count=int(theta_count), k=int(k), ell=0,
@@ -475,7 +492,7 @@ def numerical_range_boundary(A, theta_count):
     thetas = theta_grid(theta_count)
     z = np.empty(theta_count, dtype=np.complex128)
 
-    def reduce(solved, paired):
+    def reduce(chunk, solved, paired):
         w, v = solved
         # the top eigenvector at theta + pi is the bottom one at theta
         return _top_rayleigh(a, v), _top_rayleigh(a, _antipode(w, v)[1]) if paired else None

@@ -38,8 +38,11 @@ range boundary pair their angles by the same rule.
 
 :func:`build_frame` solves one angle through the same chunk solver and
 returns a :class:`SpectralFrame` that also holds the rotated matrix, U and
-the coupling block.  Neither function forms the whole of Y.  Frames and
-stacks are immutable and cheap to share between workers.
+the coupling block.  Neither function forms the whole of Y.  The private
+:func:`_frames_and_first` returns a stack together with the frame at its
+first angle, built from the chunk that solves that angle, so a caller that
+needs both solves no angle twice.  Frames and stacks are immutable and
+cheap to share between workers.
 """
 
 from __future__ import annotations
@@ -219,11 +222,11 @@ def _chunk_plan(n, count):
     return threads, budget // threads
 
 
-def _solved_chunks(theta, n, solve, reduce=lambda solved, paired: solved):
+def _solved_chunks(theta, n, solve, reduce=lambda chunk, solved, paired: solved):
     """Solve the angles of ``theta`` for an n x n matrix a chunk at a time.
 
     ``solve(thetas)`` runs the eigensolve of one chunk of angles and
-    ``reduce(solved, paired)`` keeps what the caller needs of it.  Yields
+    ``reduce(chunk, solved, paired)`` keeps what the caller needs of it.  Yields
     (chunk, opposite, reduced) in chunk order, where ``chunk`` is the slice
     of ``theta`` solved.  On an antipodal list (:func:`_antipodal`)
     ``paired`` is True, the chunks cover the first half only, and
@@ -253,7 +256,7 @@ def _solved_chunks(theta, n, solve, reduce=lambda solved, paired: solved):
             # faults of an n = 160 build_frames, about 10% of its time.
             # Under cli.main's settings the heap keeps it either way.
             solved = solve(theta[chunk])
-            yield chunk, opposite, reduce(solved, paired)
+            yield chunk, opposite, reduce(chunk, solved, paired)
         return
     from concurrent.futures import ThreadPoolExecutor
 
@@ -267,7 +270,7 @@ def _solved_chunks(theta, n, solve, reduce=lambda solved, paired: solved):
     # the next solve on any thread reuses them.
     pool = ThreadPoolExecutor(threads)
     try:
-        futures = [pool.submit(lambda t: reduce(solve(t), paired), theta[chunk])
+        futures = [pool.submit(lambda c: reduce(c, solve(theta[c]), paired), chunk)
                    for chunk, _ in chunks]
         for (chunk, opposite), future in zip(chunks, futures):
             yield chunk, opposite, future.result()
@@ -326,6 +329,32 @@ def _stack(k, theta, deltas, y):
     )
 
 
+def _frame(k, theta, solved):
+    """SpectralFrame of order k at the first angle of ``solved``, the solve of ``theta``.
+
+    ``solved`` is what :func:`_solve_chunk` returns for the angles
+    ``theta``.  The frame forms its own k columns of Y from that angle alone,
+    so it is the same, bit for bit, whatever else the chunk held, and it
+    copies its n x n arrays, so it keeps no other angle of the chunk alive.
+    """
+    a_rot, w, v, s = (x[:1] for x in solved)
+    y_cols = _y_columns(v, s, np.arange(k))
+    one = _stack(k, theta[:1], w, y_cols)[0]
+    return SpectralFrame(
+        k=k,
+        theta=float(one.theta),
+        a_rot=_freeze(a_rot[0].copy()),
+        deltas=_freeze(w[0]),
+        u=_freeze(v[0].copy()),
+        delta_k_block=one.delta_k_block,
+        y_k=one.y_k,
+        v_k=_freeze(y_cols[0, k:]),
+        kappa=float(one.kappa),
+        delta_next=float(one.delta_next),
+        degenerate=bool(one.degenerate),
+    )
+
+
 def build_frame(A, k, theta=0.0):
     """Build the spectral frame of A for order k at rotation angle theta.
 
@@ -337,22 +366,46 @@ def build_frame(A, k, theta=0.0):
     k = int(k)
     _check_order(k, a.shape[0])
     thetas = np.array([float(theta)])
-    a_rot, w, v, s = _solve_chunk(a, thetas)
-    y_cols = _y_columns(v, s, np.arange(k))
-    one = _stack(k, thetas, w, y_cols)[0]
-    return SpectralFrame(
-        k=k,
-        theta=float(one.theta),
-        a_rot=_freeze(a_rot[0]),
-        deltas=_freeze(w[0]),
-        u=_freeze(v[0]),
-        delta_k_block=one.delta_k_block,
-        y_k=one.y_k,
-        v_k=_freeze(y_cols[0, k:]),
-        kappa=float(one.kappa),
-        delta_next=float(one.delta_next),
-        degenerate=bool(one.degenerate),
-    )
+    return _frame(k, thetas, _solve_chunk(a, thetas))
+
+
+def _frames_and_first(A, k, thetas, first):
+    """(``build_frames(A, k, thetas)``, the frame at thetas[0] or None), from one solve.
+
+    With ``first`` true, the chunk that solves thetas[0] also builds that
+    angle's :class:`SpectralFrame` (:func:`_frame`), which is then
+    ``build_frame(A, k, thetas[0])`` bit for bit, though the stack's own Y
+    columns of an antipodal list come from a 2k-column product; no angle is
+    solved twice.  With ``first`` false this is :func:`build_frames`.
+    """
+    a = as_matrix(A)
+    k = int(k)
+    n = a.shape[0]
+    _check_order(k, n)
+    theta = np.array([float(t) for t in thetas], dtype=float)
+    m = theta.size
+    deltas = np.empty((m, n))
+    y = np.empty((m, n, k), dtype=np.complex128)
+    head = None
+
+    def reduce(chunk, solved, paired):
+        _, w, v, s = solved
+        y_cols = _y_columns(v, s, np.r_[0:k, n - k:n] if paired else np.arange(k))
+        return w, y_cols, _frame(k, theta[chunk], solved) if first and chunk.start == 0 else None
+
+    for chunk, opposite, (w, y_cols, frame) in _solved_chunks(
+            theta, n, lambda chunk_thetas: _solve_chunk(a, chunk_thetas), reduce):
+        if frame is not None:
+            head = frame
+        deltas[chunk] = w
+        y[chunk] = y_cols[:, :, :k]
+        if opposite is not None:
+            # U at theta + pi is U with its columns reversed and S is -S, so
+            # Y there is -Y reversed in both axes; its first k columns are
+            # the last k of Y, which the product above also formed.
+            deltas[opposite] = _antipode(w)
+            y[opposite] = -y_cols[:, ::-1, ::-1][:, :, :k]
+    return _stack(k, theta, deltas, y), head
 
 
 def build_frames(A, k, thetas):
@@ -370,30 +423,7 @@ def build_frames(A, k, thetas):
     angles, k = 1..3, the largest differences relative to the largest entry
     were 1.2e-15 in deltas, 3.7e-15 in kappa and 3.4e-13 in y_k.
     """
-    a = as_matrix(A)
-    k = int(k)
-    n = a.shape[0]
-    _check_order(k, n)
-    theta = np.array([float(t) for t in thetas], dtype=float)
-    m = theta.size
-    deltas = np.empty((m, n))
-    y = np.empty((m, n, k), dtype=np.complex128)
-
-    def reduce(solved, paired):
-        _, w, v, s = solved
-        return w, _y_columns(v, s, np.r_[0:k, n - k:n] if paired else np.arange(k))
-
-    for chunk, opposite, (w, y_cols) in _solved_chunks(
-            theta, n, lambda chunk_thetas: _solve_chunk(a, chunk_thetas), reduce):
-        deltas[chunk] = w
-        y[chunk] = y_cols[:, :, :k]
-        if opposite is not None:
-            # U at theta + pi is U with its columns reversed and S is -S, so
-            # Y there is -Y reversed in both axes; its first k columns are
-            # the last k of Y, which the product above also formed.
-            deltas[opposite] = _antipode(w)
-            y[opposite] = -y_cols[:, ::-1, ::-1][:, :, :k]
-    return _stack(k, theta, deltas, y)
+    return _frames_and_first(A, k, thetas, False)[0]
 
 
 def rotation_spectra(A, thetas):

@@ -255,40 +255,109 @@ def _member(const, s, t):
     Q = -(P + _ETA I) is positive definite, which the unpivoted LDL* pivots
     of Q decide, in real arithmetic on its upper triangle.  Pivots are
     ratios, so they stay finite wherever Q does; a point where Q is not
-    finite is not a member.  The slack keeps boundary points: eigenvalues of
-    normal matrices lie on the curves, and with no slack some fell short by
-    up to 1.9e-14.
+    finite, as the sum of its entries tells, is not a member.  The slack
+    keeps boundary points: eigenvalues of normal matrices lie on the curves,
+    and with no slack some fell short by up to 1.9e-14.
 
     Every operation is elementwise, so the constants broadcast against the
     points: one angle's scalars with any array of points, or the (b, 1)
     constants of a block of b angles with (b, p) points, row i being the
     points rotated by angle i.  Each element is the same, bit for bit, as
     the one-angle call on that point.
+
+    The entries, the finiteness sum and the Schur updates are formed in
+    place, each temporary freed once it is consumed, so a call allocates a
+    few arrays instead of one per operation.  They are the operations of the
+    formulas in the comments below, in the same association: only the
+    operands of a real product or sum are swapped, which IEEE arithmetic
+    rounds the same, so every entry and pivot is the one the formulas give.
+    Two steps are shortened without changing a verdict: the finiteness sum
+    leaves out the leading 0 of Python's ``sum``, which changes at most the
+    sign of a zero sum, and "every pivot is positive" is read as "the least
+    pivot is positive", with ``np.minimum`` keeping a NaN pivot.  The tests
+    keep the kernel written as expressions and compare the verdicts.
     """
     _, dnext, kappa, columns, pairs = const
+    if np.ndim(s) == 0 or np.shape(s) != np.shape(t):
+        # in-place steps need every temporary to be an array of the result's
+        # shape; 0-d points would give NumPy scalars, which take no out=
+        shape = np.broadcast_shapes(np.shape(s), np.shape(t), np.shape(dnext))
+        s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
+        return _member(const, s, t).reshape(shape)
     k = columns.shape[-2]
     re, im = {}, {}
     with np.errstate(all="ignore"):
         x = s - dnext
         for j in range(k):
             delta, imag, norm = (columns[..., j, i] for i in range(3))
+            # x ((s - delta)^2 + (t - imag)^2 + norm) + kappa (s - delta) - _ETA
             d = s - delta
-            re[j, j] = x * (d * d + (t - imag) ** 2 + norm) + kappa * d - _ETA
+            e = t - imag
+            e *= e
+            q = d * d
+            q += e
+            del e
+            q += norm
+            q *= x
+            d *= kappa
+            q += d
+            del d
+            q -= _ETA
+            re[j, j] = q
         for n, jl in enumerate(combinations(range(k), 2)):
             ccr, cci, yi, yr = (pairs[..., n, i] for i in range(4))
-            re[jl], im[jl] = x * (ccr - yi * t), x * (cci + yr * t)
-        definite = finite = np.isfinite(sum(re.values()) + sum(im.values()))
+            # x (ccr - yi t) and x (cci + yr t)
+            qr = yi * t
+            np.subtract(ccr, qr, out=qr)
+            qr *= x
+            qi = yr * t
+            qi += cci
+            qi *= x
+            re[jl], im[jl] = qr, qi
+        del x
+        # Q is finite where sum(re.values()) + sum(im.values()) is, the sums
+        # added in that order; leaving out sum()'s leading 0 can change only
+        # the sign of a zero sum
+        total = _summed(list(re.values()))
+        if im:
+            total += _summed(list(im.values()))
+        finite = np.isfinite(total)
+        # the sum's array serves as scratch of the Schur updates
+        u, v = (total, np.empty_like(total)) if k > 1 else (None, None)
+        low = None
         for j in range(k):
-            p = re[j, j]
-            definite = definite & (p > 0.0)
+            p = re.pop((j, j))
             ratio = {l: (re[j, l] / p, im[j, l] / p) for l in range(j + 1, k)}
+            # every pivot is positive exactly where the least one is, and
+            # np.minimum keeps a NaN pivot, which is not positive either
+            low = p if low is None else np.minimum(low, p, out=low)
             for i, l in combinations_with_replacement(ratio, 2):
                 # the Schur complement: Q_il -= conj(Q_ji) Q_jl / Q_jj
                 (ar, ai), (br, bi) = (re[j, i], im[j, i]), ratio[l]
-                re[i, l] -= ar * br + ai * bi
+                np.multiply(ar, br, out=u)
+                np.multiply(ai, bi, out=v)
+                u += v
+                re[i, l] -= u
                 if i < l:
-                    im[i, l] -= ar * bi - ai * br
-    return finite & ~definite
+                    np.multiply(ar, bi, out=u)
+                    np.multiply(ai, br, out=v)
+                    u -= v
+                    im[i, l] -= u
+            for l in ratio:
+                del re[j, l], im[j, l]
+            del ratio
+        # finite & ~definite, as booleans compare
+        return np.less(low > 0.0, finite)
+
+
+def _summed(values):
+    """values[0] + values[1] + ..., in a new array unless there is one value."""
+    if len(values) == 1:
+        return values[0]
+    total = values[0] + values[1]
+    for value in values[2:]:
+        total += value
+    return total
 
 
 # --- closed-form oracles ----------------------------------------------------

@@ -887,22 +887,60 @@ def test_unsupported_format_is_rejected_before_any_work(tmp_path, capsys, monkey
 def test_envelope_svg_solves_the_frames_once(tmp_path, monkeypatch):
     import specbound.cli as cli
     import specbound.envelope as env
-    from specbound.frame import build_frames
+    import specbound.frame as frame_module
 
-    calls = []
+    solved = []
+    solve = frame_module._solve_chunk
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return build_frames(*args, **kwargs)
+    def counted(a, thetas):
+        solved.append(len(thetas))
+        return solve(a, thetas)
 
-    monkeypatch.setattr(cli, "build_frames", counted)
+    monkeypatch.setattr(frame_module, "_solve_chunk", counted)
     monkeypatch.setattr(env, "build_frames", None)
+    monkeypatch.setattr(cli, "build_frame", None)
     for fmt in ("svg", "pgm", "csv"):
+        solved.clear()
         assert main(["envelope", "--gallery", "toeplitz_eq1", "--k", "2",
                      "--theta-count", "24", "--grid", "40x30", "--format", fmt,
                      "--out", str(tmp_path / f"e.{fmt}")]) == 0
-    # one solve per job, which the raster and the overlays share
-    assert [len(thetas) for thetas in calls] == [24, 24, 24]
+        # one solve per job, of the 12 angles whose antipodes complete the 24,
+        # which the window frame, the raster and the overlays share
+        assert solved == [12]
+
+
+def test_envelope_window_frame_is_the_stacks_angle_zero(tmp_path, monkeypatch):
+    # The window comes from the frame at angle 0 of the job's own solve.  It
+    # must be build_frame(A/sigma, k, 0.0) in every field, bit for bit: at
+    # even counts, where the stack's Y columns come from a 2k-column product,
+    # and odd ones, and on two solve threads (n = 160 solves one angle a
+    # chunk, so angle 0 is solved in the pool).
+    from dataclasses import fields
+
+    import specbound.cli as cli
+    import specbound.frame as frame_module
+    from specbound import SpectralFrame, build_frame
+    from specbound.linalg import _normalised
+
+    seen = []
+    window_of = cli.auto_window
+    monkeypatch.setattr(cli, "auto_window", lambda frame, **kw: seen.append(frame)
+                        or window_of(frame, **kw))
+    monkeypatch.setattr(frame_module, "_WORKERS", 2)
+    for spec in ("a_hat", "random_complex:n=5,seed=3", "random_complex:n=40,seed=2",
+                 "random_complex:n=160,seed=1"):
+        a, _ = _normalised(build_matrix(cli._parse_gallery(spec, None)))
+        for k in (1, 2, 3):
+            want = build_frame(a, k, 0.0)
+            for count in ("7", "8"):
+                seen.clear()
+                assert main(["envelope", "--gallery", spec, "--k", str(k), "--theta-count",
+                             count, "--grid", "8x6", "--format", "pgm",
+                             "--out", str(tmp_path / "e.pgm")]) == 0
+                (got,) = seen
+                for field in fields(SpectralFrame):
+                    assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+                        (spec, k, count, field.name)
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):

@@ -338,6 +338,41 @@ def test_even_list_that_is_not_antipodal_matches_build_frame():
                 assert np.array_equal(getattr(stack[i], name), getattr(f, name))
 
 
+def test_first_frame_of_a_solve_is_build_frame(monkeypatch):
+    # _frames_and_first builds the frame at thetas[0] from the chunk that
+    # solves it: the stack stays build_frames' and the frame is
+    # build_frame's, bit for bit in every field, whatever the chunks and
+    # threads, though an antipodal list forms 2k columns of Y per angle.
+    # Without the frame nothing more is built.  And build_frame(A, k, theta)
+    # is build_frames(A, k, [theta])[0] in every field of the stack.
+    from dataclasses import fields
+
+    stack_fields = [f.name for f in fields(frame_module.FrameStack)][1:]
+    for a in (random_complex(4, seed=1), random_complex(5, seed=3), random_complex(40, seed=6),
+              random_complex(160, seed=2)):
+        n = a.shape[0]
+        for k in (1, 2, 3):
+            want = build_frame(a, k, 0.0)
+            for count in (7, 8):
+                thetas = theta_grid(count)
+                ref = build_frames(a, k, thetas)
+                assert frame_module._frames_and_first(a, k, thetas, False)[1] is None
+                for budget, workers in chunk_settings(n):
+                    monkeypatch.setattr(frame_module, "_CHUNK_BYTES", budget)
+                    monkeypatch.setattr(frame_module, "_WORKERS", workers)
+                    stack, got = frame_module._frames_and_first(a, k, thetas, True)
+                    monkeypatch.undo()
+                    for name in stack_fields:
+                        assert np.array_equal(getattr(stack, name), getattr(ref, name))
+                    for field in fields(frame_module.SpectralFrame):
+                        assert np.array_equal(getattr(got, field.name),
+                                              getattr(want, field.name)), (n, k, count, field)
+            for theta in (0.0, 1.1, 4.0):
+                one, f = build_frames(a, k, [theta])[0], build_frame(a, k, theta)
+                for name in stack_fields:
+                    assert np.array_equal(getattr(one, name), getattr(f, name)), (n, k, name)
+
+
 def test_rotation_spectra_matches_frames():
     a = random_complex(4, seed=23)
     thetas = [0.0, 1.3, 4.4]

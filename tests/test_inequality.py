@@ -231,6 +231,102 @@ def test_k3_sign_test_drops_non_finite_points():
         assert _kernel(stack, ev.real[None], ev.imag[None]).all()
 
 
+def _expression_member(const, s, t):
+    """The sign kernel written as expressions, one new array per operation.
+
+    The reference for :func:`specbound.inequality._member`, which forms the
+    same operations in place: the verdicts must agree bit for bit.
+    """
+    from itertools import combinations, combinations_with_replacement
+
+    from specbound.inequality import _ETA
+
+    _, dnext, kappa, columns, pairs = const
+    k = columns.shape[-2]
+    re, im = {}, {}
+    with np.errstate(all="ignore"):
+        x = s - dnext
+        for j in range(k):
+            delta, imag, norm = (columns[..., j, i] for i in range(3))
+            d = s - delta
+            re[j, j] = x * (d * d + (t - imag) ** 2 + norm) + kappa * d - _ETA
+        for n, jl in enumerate(combinations(range(k), 2)):
+            ccr, cci, yi, yr = (pairs[..., n, i] for i in range(4))
+            re[jl], im[jl] = x * (ccr - yi * t), x * (cci + yr * t)
+        definite = finite = np.isfinite(sum(re.values()) + sum(im.values()))
+        for j in range(k):
+            p = re[j, j]
+            definite = definite & (p > 0.0)
+            ratio = {l: (re[j, l] / p, im[j, l] / p) for l in range(j + 1, k)}
+            for i, l in combinations_with_replacement(ratio, 2):
+                (ar, ai), (br, bi) = (re[j, i], im[j, i]), ratio[l]
+                re[i, l] -= ar * br + ai * bi
+                if i < l:
+                    im[i, l] -= ar * bi - ai * br
+    return finite & ~definite
+
+
+def test_member_kernel_matches_its_expression_form():
+    # The in-place kernel gives the expression form's verdict at every point:
+    # orders 1..6 and n - 1 = 7, one angle's scalar constants with 0-d, 1-d
+    # and 2-d points, blocks of angles as gathered (b, 1) columns and as the
+    # slices the mask takes, with (b, p) and with (p,) points, and points
+    # whose Q is not finite, which are no members.  Nothing given is written.
+    from specbound.inequality import _member, _member_constants
+    from specbound.linalg import _normalised
+
+    far = np.empty(7, dtype=complex)
+    far.real = [1e200, -1e200, 1e120, np.nan, np.inf, 0.0, 1e160]
+    far.imag = [0.0, 1e200, -1e150, 0.0, 0.0, np.inf, 1e160]
+    cases = [(random_complex(5, seed=3), range(1, 5)), (random_complex(8, seed=3), range(1, 8)),
+             (build_matrix(MatrixSpec("toeplitz_eq1")), (1, 2, 3))]
+    checked = 0
+    for a, orders in cases:
+        a, _ = _normalised(a)
+        ev = np.linalg.eigvals(a)
+        for k in orders:
+            win = auto_window(build_frame(a, k), cols=40, rows=29)
+            s, t = win.cell_centers()
+            points = np.concatenate([(s + 1j * t[:, None]).ravel(), ev, far])
+            stack = build_frames(a, k, theta_grid(9))
+            const = _member_constants(stack, 1.0)
+            frozen = [np.copy(c) for c in const]
+            with np.errstate(invalid="ignore"):
+                z = np.exp(1j * stack.theta)[:, None] * points
+            want = np.array([_expression_member([c[i] for c in const], z[i].real, z[i].imag)
+                             for i in range(len(stack))])
+            assert want.any() and not want.all()
+            assert not want[:, -far.size:].any()
+            for i in range(len(stack)):
+                one = [c[i] for c in const]
+                got = _member(one, z[i].real, z[i].imag)
+                assert got.dtype == bool and np.array_equal(got, want[i]), (k, i)
+                grid = z[i, :s.size * t.size].reshape(t.size, s.size)
+                assert np.array_equal(_member(one, grid.real, grid.imag),
+                                      want[i, :grid.size].reshape(grid.shape))
+                for p in (0, -1, points.size - far.size):
+                    point = z[i, p]
+                    got = _member(one, np.float64(point.real), np.array(point.imag))
+                    assert np.shape(got) == () and got == want[i, p]
+                    assert _member(one, point.real, point.imag) == want[i, p]
+            for rows in ([0, 4, 2, 6, 1], [8], [3, 5, 7]):
+                block = [c[rows, None] for c in const]
+                assert np.array_equal(_member(block, z[rows].real, z[rows].imag), want[rows])
+                lo, hi = rows[0], rows[0] + len(rows)
+                view = [c[lo:hi, None] for c in const]
+                assert np.array_equal(_member(view, z[lo:hi].real, z[lo:hi].imag), want[lo:hi])
+            # (b, 1) constants with one row of points shared by every angle
+            block = [c[:, None] for c in const]
+            assert np.array_equal(_member(block, points.real, points.imag),
+                                  _expression_member(block, points.real, points.imag))
+            assert np.array_equal(_member(block, points.real[0], points.imag[0]),
+                                  _expression_member(block, points.real[0], points.imag[0]))
+            for c, f in zip(const, frozen):
+                assert np.array_equal(c, f)
+            checked += want.size
+    assert checked > 10 ** 5
+
+
 def _inverse_reference(frame, s, t, which):
     """(g, lhs, rhs) at one point, with M_k = |det W_k|^2 H(W_k^{-*}).
 

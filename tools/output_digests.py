@@ -40,8 +40,10 @@ every rank level of two matrices on the default grid, with 1 and 7 angles
 on a given window, and on windows straddling the numerical range and far
 beyond it.  Last, ``numrange`` and ``envelope --k 2`` PGM rasters at 1000
 angles on a 200x150 grid, whose half-plane cuts take three blocks of
-angles each.  A new line goes at the end, so the lines of an older list can
-still be compared.
+angles each, and ``envelope`` PGM and SVG at k = 5, 6 and 7 on
+``random_complex:n=8,seed=3`` at 200x150, where the sign kernel runs its
+longest chains of Schur updates.  A new line goes at the end, so the lines
+of an older list can still be compared.
 """
 
 from __future__ import annotations
@@ -127,6 +129,10 @@ def _argvs():
                "--format", "pgm"]
               for spec in ("toeplitz_eq1", "random_complex:n=6,seed=17")
               for cmd, k in (("numrange", []), ("envelope", ["--k", "2"]))]
+    # the sign kernel's longest Schur chains: orders 5..n-1 of an n = 8 matrix
+    argvs += [["envelope", "--gallery", "random_complex:n=8,seed=3", "--k", k, "--grid", "200x150",
+               "--format", fmt]
+              for k in ("5", "6", "7") for fmt in ("pgm", "svg")]
     return argvs
 
 
